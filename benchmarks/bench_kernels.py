@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Throughput comparison of the numba and numpy kernel backends.
 
-Times the three history kernels on solver-shaped inputs, one fractional
-operator built on them, and a short time-stepper loop, each under both
+Times the three kernels on solver-shaped inputs, one fractional operator
+built on them, and a short time-stepper loop, each under both
 implementations.  The loop swap works because every caller reaches the
-kernels through module attributes.
+kernels through module attributes.  The stepper sums its history with
+``solver.MemorySum`` and calls none of these kernels, so its two columns
+differ only by noise.
 
 Usage: python benchmarks/bench_kernels.py [--repeats N] [--steps N]
 """

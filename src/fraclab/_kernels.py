@@ -1,9 +1,12 @@
-"""Backend dispatch for the O(n^2) history kernels.
+"""Backend dispatch for the whole-series convolution and the direct history sums.
 
 Every fractional operator in this package reduces to discrete convolutions
-with power-law weights: whole-series transforms use :func:`causal_conv`,
-the time stepper accumulates one history row per step via the
-``hist_dot_*`` kernels.  Those sums dominate runtime, so they exist in two
+with power-law weights.  Whole-series transforms in ``fracops`` use
+:func:`causal_conv`, an O(n^2) sum.  The ``hist_dot_*`` kernels are the
+direct O(j) history sums ``sum_k w[j - k] row_k`` that the time stepper
+once made at every step j.  The stepper now keeps an exact window plus a
+sum-of-exponentials tail instead (``solver.MemorySum``), so these kernels
+serve as the reference it is tested against.  Each kernel has two
 interchangeable implementations:
 
 * ``numba``: ``@njit``-compiled loops (used when numba imports cleanly),

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import OrderError, ParameterError, SingularityError
+from .errors import NumericsError, OrderError, ParameterError, SingularityError
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,89 @@ def rect_weights(mu: float, count: int) -> np.ndarray:
     w = m**mu - np.maximum(m - 1.0, 0.0) ** mu
     w[0] = 0.0
     return w
+
+
+# Relative error every sum-of-exponentials fit is certified to, on the sampled
+# indices and against cancellation-free weights.  The margin below 1e-9 leaves
+# room for the rounding of l1_weights/rect_weights themselves at large m.
+SOE_RTOL = 2e-10
+# Gauss nodes per panel: the first count tried, and the most before giving up.
+_SOE_NODES = (7, 12)
+
+
+def _weights_accurate(kind: str, order: float, m: np.ndarray) -> np.ndarray:
+    # the differences of powers in l1_weights/rect_weights, without cancellation
+    if kind == "l1":
+        s = 1.0 - order
+        return m**s * np.expm1(s * np.log1p(1.0 / m))
+    return -(m**order) * np.expm1(order * np.log1p(-1.0 / m))
+
+
+def _gauss_jacobi(nodes: int, a: float):
+    """Rule for ``int_0^1 y^(a-1) g(y) dy`` by Golub-Welsch (Jacobi (0, a-1))."""
+    b = a - 1.0
+    k = np.arange(1.0, nodes)
+    s = 2.0 * k + b
+    diag = np.empty(nodes)
+    diag[0] = b / (b + 2.0)
+    diag[1:] = b * b / (s * (s + 2.0))
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    t, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + t), vecs[0] ** 2 / a
+
+
+def soe_weights(kind: str, order: float, first: int, last: int):
+    r"""Sum-of-exponentials fit of the ``kind`` weights for ``first <= m <= last``.
+
+    ``kind`` is ``"l1"`` (:func:`l1_weights` of ``order``) or ``"rect"``
+    (:func:`rect_weights` of ``order``).  Returns nodes ``x`` and coefficients
+    ``c`` with ``sum_i c_i exp(-x_i m)`` equal to weight ``m`` to relative
+    error :data:`SOE_RTOL`.
+
+    Both families integrate ``s^{-a}`` over one cell, and
+    ``s^{-a} = Gamma(a)^{-1} int_0^inf x^{a-1} e^{-s x} dx`` turns weight
+    ``m`` into ``kappa int_0^inf x^{a-2} phi(x) e^{-m x} dx``: ``a = order``,
+    ``phi = 1 - e^{-x}`` for L1 and ``a = 1 - order``, ``phi = e^x - 1`` for
+    rectangles.  The integral is taken by Gauss-Jacobi on ``[0, x0]`` (which
+    absorbs ``x^{a-1}``; ``x0 = 2/last`` keeps ``e^{-m x}`` there within
+    ``e^{-2}`` of 1), and by Gauss-Legendre on dyadic panels from ``x0`` to
+    ``40/first``, past which ``e^{-m x}`` is below 1e-17 (Jiang, Zhang,
+    Zhang & Zhang, CiCP 21, 2017).  The fit is
+    checked on the first 64 indices and 256 geometric samples up to
+    ``last``; nodes are added per panel until the check passes.
+    """
+    if kind == "l1":
+        a, kappa, phi = order, (1.0 - order) / math.gamma(order), lambda x: -np.expm1(-x)
+    elif kind == "rect":
+        a, kappa, phi = 1.0 - order, order / math.gamma(1.0 - order), np.expm1
+    else:
+        raise ParameterError(f"kind must be 'l1' or 'rect', got {kind!r}")
+    if not (0.0 < a < 1.0):
+        raise OrderError(f"order must lie in (0,1), got {order}")
+    last = max(last, first)
+    x0 = 2.0 / last
+    lo = x0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (first * x0)))))
+    m = np.unique(np.concatenate([
+        np.arange(first, min(first + 64, last + 1)),
+        np.round(np.geomspace(first, last, 256)),
+    ]))
+    want = _weights_accurate(kind, order, m)
+    for nodes in range(_SOE_NODES[0], _SOE_NODES[1] + 1):
+        y, eta = _gauss_jacobi(nodes, a)
+        u, omega = np.polynomial.legendre.leggauss(nodes)
+        xg = np.outer(lo, 1.5 + 0.5 * u).ravel()
+        x = np.concatenate([x0 * y, xg])
+        c = kappa * np.concatenate([
+            eta * x0**a * phi(x0 * y) / (x0 * y),
+            np.outer(0.5 * lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
+        ])
+        got = np.exp(-np.outer(m, x)) @ c
+        if np.max(np.abs(got / want - 1.0)) <= SOE_RTOL:
+            return x, c
+    raise NumericsError(
+        f"no sum-of-exponentials fit of the {kind} weights of order {order} "
+        f"reached rel {SOE_RTOL:g} on [{first}, {last}]"
+    )
 
 
 # ---------------------------------------------------------------------------

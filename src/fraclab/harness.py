@@ -165,10 +165,9 @@ def _build_bump(cp) -> BumpSpec:
 
 def _build_space(cp, dim: int, bump: BumpSpec) -> SpaceGrid:
     points = _as_int(cp, "space", "points")
-    raw = cp["space"]["half_length"].strip()
-    if raw == "":
+    if cp["space"]["half_length"].strip() == "":
         return solver.default_space_grid(dim, bump, points)
-    return SpaceGrid(dim, float(raw), points)
+    return SpaceGrid(dim, _as_float(cp, "space", "half_length"), points)
 
 
 def _build_time(cp) -> TimeGrid:
@@ -206,7 +205,7 @@ class ExperimentSpec:
     space: SpaceGrid | None = None
     time: TimeGrid | None = None
     bump: BumpSpec | None = None
-    sweep_p: tuple = ()
+    sweep_p: tuple = ()  # empty is legal in sweep modes: a header-only CSV
     out: str | None = None
     tol: float | None = None
     jobs: int | None = None
@@ -228,9 +227,6 @@ class ExperimentSpec:
                 f"amplitude_policy must be 'fixed' or 'double', "
                 f"got {self.amplitude_policy!r}"
             )
-        if self.mode in ("sweep", "system-sweep") and not self.sweep_p:
-            # an empty list is legal (header-only CSV) but must be explicit
-            pass
 
 
 def build_spec(args) -> ExperimentSpec:

@@ -263,6 +263,17 @@ def test_main_bad_inputs_exit_two(monkeypatch, capsys):
     assert "0<sigma<delta<1" in err
 
 
+def test_malformed_half_length_exits_two(monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_SPACE_HALF_LENGTH", "abc")
+    assert harness.main(["simulate"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: [space] half_length must be a number, got 'abc'\n"
+    # empty still means the default box
+    monkeypatch.setenv("FRACLAB_SPACE_HALF_LENGTH", " ")
+    assert build_spec(ns(mode="simulate")).space.half_length == 20.0
+
+
 def test_main_simulate_numerics_exit_three(monkeypatch, capsys):
     clear_fraclab_env(monkeypatch)
     for k, v in (("TIME_HORIZON", "0.01"), ("TIME_STEPS", "2"),

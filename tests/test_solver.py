@@ -256,6 +256,17 @@ def test_tune_amplitude_doubles_until_blowup():
         tune_amplitude(linear, 1.0, max_doublings=2)
 
 
+def test_tune_amplitude_keeps_the_rest_of_the_config():
+    # every trial must run the given config with only the amplitude changed
+    u0 = Field(GRID, 0.5 * BumpSpec(1.0, 1.0).render(GRID).values)
+    base = cfg(0.25, horizon=6.0, steps=1200, u0=u0)
+    amp, r = tune_amplitude(base, 0.25)
+    assert r.trace.values[0] == 0.5
+    direct = run(cfg(amp, horizon=6.0, steps=1200, u0=u0))
+    assert r.blowup_time == direct.blowup_time
+    assert np.array_equal(r.trace.values, direct.trace.values)
+
+
 def test_numpy_backend_matches_numba():
     # The same run in a fresh process forced onto the numpy kernels, against
     # the in-process run on this process's _kernels.BACKEND. Without numba
