@@ -50,8 +50,10 @@ class SpaceGrid:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.half_length <= 0.0:
-            raise ParameterError(f"half_length must be positive, got {self.half_length}")
+        if not (math.isfinite(self.half_length) and self.half_length > 0.0):
+            raise ParameterError(
+                f"half_length must be finite and positive, got {self.half_length}"
+            )
         m = self.points
         if m < 8 or (m & (m - 1)) != 0:
             raise ParameterError(f"points must be a power of two >= 8, got {m}")

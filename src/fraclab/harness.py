@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -553,11 +554,27 @@ def _system_row(task) -> SweepRow:
     return SweepRow(params.p, bound, ru.status, bt, final)
 
 
+# Thread-count variables of the BLAS pools a sweep worker's numpy may start.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _run_tasks(tasks, worker, jobs: int) -> list:
     if jobs == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))  # map preserves input order
+    # Workers are fresh interpreters that read their BLAS thread count when
+    # they import numpy: one each, unless the user chose a count.  Forked
+    # workers would each start one BLAS thread per core, oversubscribing the
+    # CPUs ``jobs`` times over.
+    unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(unset, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            return list(pool.map(worker, tasks))  # map preserves input order
+    finally:
+        for name in unset:
+            del os.environ[name]
 
 
 def sweep_p(spec: ExperimentSpec) -> list:

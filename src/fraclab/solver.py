@@ -22,17 +22,22 @@ Caputo sum over velocity increments, the damping integral over velocity
 panel means, and the source integral over ``|u|^p``.  Summed directly they
 cost O(j) at step j, O(n^2) per run, and keep every row.  A
 :class:`MemorySum` instead keeps the newest ``WINDOW`` = 32 to
-``WINDOW + BLOCK`` = 96 rows and sums them with the exact weights.  Older
-rows are folded, ``BLOCK`` = 64 at a time, into a sum-of-exponentials (SOE)
+``WINDOW + BLOCK`` = 64 rows and sums them with the exact weights.  Older
+rows are folded, ``BLOCK`` = 32 at a time, into a sum-of-exponentials (SOE)
 state, one row per exponential term (:func:`fracops.soe_weights`; Jiang,
 Zhang, Zhang & Zhang, CiCP 21, 2017).  That is 84 terms for 3000 steps, 112
-for 5e4 and 119 for 1e5.  The cost per step and the memory are then fixed by
-``WINDOW``, ``BLOCK`` and the term count, whatever the step index or the
+for 5e4 and 119 for 1e5.  Each step reads the tail through a rank-r
+projection of that state instead of the state itself: the coefficient rows
+the window's fill can pick span a space of numerical rank r = 10 to 13
+(singular values above ``TAIL_RANK_RTOL`` = 1e-13 of the largest; Beylkin &
+Monzon, ACHA 28, 2010).  The cost per step and the memory are then fixed by
+``WINDOW``, ``BLOCK``, the term count and r, whatever the step index or the
 horizon.  Each fit is checked when it is built and certified in the tests
 to relative error 1e-9 against ``l1_weights``/``rect_weights``, for orders
-in [0.05, 0.95] and up to 1e5 steps.  A run of at most 96 steps never
-folds, so it sums exactly as the direct sums do; the direct sums
-(``_kernels.hist_dot_*``) remain as the reference in the tests.
+in [0.05, 0.95] and up to 1e5 steps, and the rank-r tail is tested against
+the full one to 1e-12.  A run of at most 64 steps never folds, so it sums
+exactly as the direct sums do; the direct sums (``_kernels.hist_dot_*``)
+remain as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -140,7 +145,9 @@ class SimResult:
 # Rows of every memory sum kept exact (WINDOW to WINDOW + BLOCK of them), and
 # rows folded into the sum-of-exponentials state at once.
 WINDOW = 32
-BLOCK = 64
+BLOCK = 32
+# Singular values of the tail-coefficient block kept, relative to the largest.
+TAIL_RANK_RTOL = 1e-13
 
 
 class HistoryBuffer:
@@ -187,10 +194,16 @@ class MemorySum:
     ``WINDOW + BLOCK`` of them, are summed against the exact weights.  When
     the window is full, its oldest ``BLOCK`` rows are folded into the
     sum-of-exponentials state ``S[i] = sum e^{-x_i d_k} row_k`` (one real
-    GEMM; complex rows are read as pairs of floats) and dropped.  The tail of
-    the sum is then one precomputed coefficient row, picked by the window's
-    fill, times ``S``.  The fit is built at the first fold, so runs of at
-    most ``WINDOW + BLOCK`` rows sum exactly.
+    GEMM; complex rows are read as pairs of floats) and dropped.
+
+    The tail of the sum is the coefficient row picked by the window's fill
+    times ``S``.  The ``BLOCK`` x terms block of those rows has numerical
+    rank r of 10 to 13, so at the first fold it is cut to its r singular
+    triplets above ``TAIL_RANK_RTOL`` times the largest, ``U_r Sigma_r
+    V_r^T``.  Each fold then projects ``P = V_r^T S`` (r rows), and each
+    step sums ``(U_r Sigma_r)[fill] @ P``, reading r rows instead of one per
+    term.  ``S`` is kept for the next fold.  The fit is built at the first
+    fold, so runs of at most ``WINDOW + BLOCK`` = 64 rows sum exactly.
     """
 
     def __init__(self, kind: str, order: float, lag: int, width: int, dtype,
@@ -202,6 +215,7 @@ class MemorySum:
         self._fit = (kind, order, lag + WINDOW + 1, steps + lag)
         self._complex = np.dtype(dtype).kind == "c"
         self._state = None
+        self.rank = 0
 
     def append(self, row: np.ndarray):
         if len(self._window) == WINDOW + BLOCK:
@@ -218,25 +232,33 @@ class MemorySum:
             self._fold_w = np.exp(-np.outer(x, np.arange(BLOCK - 1.0, -1.0, -1.0)))
             # a window of WINDOW + 1 + f rows puts the newest folded row at
             # weight index first + f
-            self._tail = c * np.exp(-np.outer(np.arange(first, first + BLOCK), x))
+            tail = c * np.exp(-np.outer(np.arange(first, first + BLOCK), x))
+            u, sv, vt = np.linalg.svd(tail, full_matrices=False)
+            self.rank = int(np.count_nonzero(sv > TAIL_RANK_RTOL * sv[0]))
+            self._coef = u[:, : self.rank] * sv[: self.rank]
+            self._basis = vt[: self.rank].copy()
             width = self._window.rows.shape[1] * (2 if self._complex else 1)
             self._state = np.zeros((x.size, width))
+            self._proj = np.empty((self.rank, width))
         else:
             self._state *= self._decay
         self._state += self._fold_w @ self._window.rows[:BLOCK].view(np.float64)
+        np.matmul(self._basis, self._state, out=self._proj)
         self._window.drop_oldest(BLOCK)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of history held: the window's rows plus the SOE state."""
-        state = 0 if self._state is None else self._state.nbytes
-        return self._window.rows.nbytes + state
+        """Bytes of history held: the window's rows, the SOE state and its
+        projection."""
+        if self._state is None:
+            return self._window.rows.nbytes
+        return self._window.rows.nbytes + self._state.nbytes + self._proj.nbytes
 
     def total(self) -> np.ndarray:
         n = len(self._window)
         out = np.dot(self._wrev[WINDOW + BLOCK - n :], self._window.rows[:n])
         if self._state is not None:
-            tail = self._tail[n - WINDOW - 1] @ self._state
+            tail = self._coef[n - WINDOW - 1] @ self._proj
             out += tail.view(np.complex128) if self._complex else tail
         return out
 
@@ -280,7 +302,7 @@ def _mode_layout(grid: SpaceGrid):
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         shape = k2.shape
         fwd = np.fft.rfftn
-        inv = lambda a: np.fft.irfftn(a, s=(m, m))
+        inv = lambda a: np.fft.irfftn(a, s=(m, m), axes=(0, 1))
     return k2.ravel(), shape, fwd, inv
 
 

@@ -1,4 +1,5 @@
 import argparse
+import os
 
 import numpy as np
 import pytest
@@ -213,6 +214,33 @@ def test_sweep_serial_matches_parallel(monkeypatch, tmp_path):
     assert serial == parallel
 
 
+def test_main_sweep_jobs_two_matches_jobs_one(monkeypatch, tmp_path, capsys):
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "j.ini"
+    ini.write_text(
+        "[sweep]\np_values = 1.5, 2, 3\n[time]\nhorizon = 1.0\nsteps = 100\n"
+        "[space]\npoints = 64\n[bump]\namplitude = 0.5\n"
+    )
+    for name in harness._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    texts = []
+    for jobs in ("1", "2"):
+        assert harness.main(["sweep", "--config", str(ini), "--jobs", jobs]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == 4
+    # workers get one BLAS thread each; the parent's environment is left as it was
+    seen = harness._run_tasks(list(harness._BLAS_THREAD_VARS), os.getenv, 2)
+    assert seen == ["1", "1"]
+    assert not any(name in os.environ for name in harness._BLAS_THREAD_VARS)
+    # a count the user chose is passed on
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    seen = harness._run_tasks(list(harness._BLAS_THREAD_VARS), os.getenv, 2)
+    assert seen == ["2", "1"]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+    assert "OMP_NUM_THREADS" not in os.environ
+
+
 def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
     clear_fraclab_env(monkeypatch)
     ini = tmp_path / "f.ini"
@@ -272,6 +300,18 @@ def test_malformed_half_length_exits_two(monkeypatch, capsys):
     # empty still means the default box
     monkeypatch.setenv("FRACLAB_SPACE_HALF_LENGTH", " ")
     assert build_spec(ns(mode="simulate")).space.half_length == 20.0
+
+
+def test_non_finite_half_length_exits_two(monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    for raw in ("nan", "inf"):
+        monkeypatch.setenv("FRACLAB_SPACE_HALF_LENGTH", raw)
+        assert harness.main(["simulate"]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: half_length must be finite and positive, got {raw}\n"
+        )
 
 
 def test_main_simulate_numerics_exit_three(monkeypatch, capsys):

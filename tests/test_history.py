@@ -109,8 +109,59 @@ def test_memory_sum_memory_is_flat(rng):
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
     terms = soe_weights("rect", 0.7, 2 + WINDOW + 1, 100_002)[0].size
-    # the window's rows plus one float pair per term and column
-    assert sizes.pop() == (WINDOW + BLOCK) * width * 16 + terms * width * 16
+    # the window's rows plus one float pair per column for each term of the
+    # state and each row of its rank-r projection
+    assert sizes.pop() == (WINDOW + BLOCK) * width * 16 + (terms + hist.rank) * width * 16
+
+
+def folded(kind, order, lag, steps):
+    hist = MemorySum(kind, order, lag, 1, np.float64, steps)
+    for _ in range(WINDOW + BLOCK + 1):
+        hist.append(np.ones(1))
+    return hist
+
+
+@pytest.mark.parametrize("steps", [200, 3000, 100_000])
+def test_tail_rank_is_small(steps):
+    for kind in ("l1", "rect"):
+        for order in (0.05, 0.25, 0.5, 0.75, 0.95):
+            for lag in (1, 2):
+                rank = folded(kind, order, lag, steps).rank
+                assert 0 < rank <= 16, f"{kind} order {order} lag {lag}: rank {rank}"
+
+
+@pytest.mark.parametrize("kind,order,lag", FAMILIES)
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
+    # several folds of nonzero rows, then zero rows until the window holds
+    # nothing else: total() is then the tail alone, which must equal the
+    # full-rank coef_row @ S, i.e. the fitted weights times the folded rows
+    steps, width, count = 3000, 5, WINDOW + 4 * BLOCK
+    rows = random_rows(rng, count, width, False)
+    if complex_rows:
+        rows = rows + 1j * random_rows(rng, count, width, False)
+    hist = MemorySum(kind, order, lag, width, rows.dtype, steps)
+    for row in rows:
+        hist.append(row)
+    zero = np.zeros(width, dtype=rows.dtype)
+    for _ in range(WINDOW + BLOCK):
+        hist.append(zero)
+    x, c = soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
+    appended, fills = count + WINDOW + BLOCK, set()
+    for _ in range(2 * BLOCK):
+        # the window holds WINDOW + 1 + fill rows, all zero
+        fill = (appended - WINDOW - BLOCK - 1) % BLOCK
+        done = appended - WINDOW - 1 - fill  # rows folded so far
+        assert done >= count
+        # weight index of folded row k: first + fill + its offset in S
+        m = lag + WINDOW + 1 + fill + (done - 1 - np.arange(count))
+        want = (np.exp(-np.outer(m, x)) @ c) @ rows
+        err = np.max(np.abs(hist.total() - want) / np.abs(want))
+        assert err <= 1e-12, f"fill {fill}: rel {err:.2e}"
+        fills.add(fill)
+        hist.append(zero)
+        appended += 1
+    assert fills == set(range(BLOCK))
 
 
 class DirectSum:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,17 @@ def test_sim_config_validation():
     big = Field(GRID, np.full(128, 5.0))
     with pytest.raises(ParameterError):
         cfg(1.0, u0=big, threshold=2.0)
+
+
+def test_2d_run_raises_no_warnings():
+    # the inverse 2-D transform once warned on every step under NumPy 2
+    c = SimConfig(ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2), SpaceGrid(2, 8.0, 16),
+                  TimeGrid(0.5, 8), BumpSpec(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = run(c)
+    assert r.status == "Completed"
+    assert r.steps_taken == 8
 
 
 def test_run_rejects_mismatched_params():
