@@ -43,7 +43,6 @@ from .fraclap import (
     normalization_constant,
 )
 from .fracops import (
-    FracOrder,
     TimeGrid,
     TimeSeries,
     caputo_left,
@@ -86,7 +85,6 @@ __all__ = [
     "BumpSpec",
     "ExponentReport",
     "Field",
-    "FracOrder",
     "FraclabError",
     "GridGeometryError",
     "HypothesisError",

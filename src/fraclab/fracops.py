@@ -41,31 +41,6 @@ from .errors import NumericsError, OrderError, ParameterError, SingularityError
 
 
 @dataclass(frozen=True)
-class FracOrder:
-    """A fractional order in (0, 2), excluding the integer 1.
-
-    Integer orders are rejected: classical differences handle them and the
-    singular-kernel quadratures below do not.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not (0.0 < v < 2.0) or v == 1.0:
-            raise OrderError(
-                f"fractional order must lie in (0,2) excluding 1, got {v}"
-            )
-
-    def __float__(self):
-        return float(self.value)
-
-
-def _as_order(order) -> float:
-    return float(order)
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid with nodes ``t_j = j * horizon / steps``, j = 0..steps."""
 
@@ -254,7 +229,7 @@ def rl_integral(f: TimeSeries, mu) -> TimeSeries:
     integer-order consistency is exact.
     """
     _check_series(f)
-    mu = _as_order(mu)
+    mu = float(mu)
     if not (0.0 < mu <= 1.0):
         raise OrderError(f"integral order must lie in (0,1], got {mu}")
     n = f.grid.steps
@@ -268,7 +243,7 @@ def rl_integral(f: TimeSeries, mu) -> TimeSeries:
 def caputo_left(f: TimeSeries, alpha) -> TimeSeries:
     """Left Caputo derivative of order ``alpha`` in (0, 1) by the L1 scheme."""
     _check_series(f)
-    alpha = _as_order(alpha)
+    alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise OrderError(f"Caputo order must lie in (0,1), got {alpha}")
     n = f.grid.steps
@@ -291,7 +266,7 @@ def rl_left_derivative(f: TimeSeries, theta) -> TimeSeries:
     difference (one-sided at the boundary nodes).
     """
     _check_series(f)
-    theta = _as_order(theta)
+    theta = float(theta)
     if theta == 1.0 or not (0.0 < theta < 2.0):
         raise OrderError(
             f"derivative order must lie in (0,2) excluding 1, got {theta}; "

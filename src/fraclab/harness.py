@@ -70,13 +70,15 @@ def _fmt(x) -> str:
 
 
 def load_config(path: str | None) -> configparser.ConfigParser:
-    """Defaults, then the file, then FRACLAB_<SECTION>_<KEY> overrides."""
-    cp = configparser.ConfigParser()
+    """Defaults, then the file, then FRACLAB_<SECTION>_<KEY> overrides.
+
+    Values are read literally: ``%`` is not interpolation syntax."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict(_DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
             raise ParameterError(f"config file not found: {path}")
-        probe = configparser.ConfigParser()
+        probe = configparser.ConfigParser(interpolation=None)
         try:
             probe.read(path)
         except configparser.Error as exc:
@@ -108,12 +110,19 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _as_float(cp, sec: str, key: str) -> float:
+def _as_number(cp, sec: str, key: str) -> float:
     raw = cp[sec][key]
     try:
         return float(raw)
     except ValueError:
         raise ParameterError(f"[{sec}] {key} must be a number, got {raw!r}")
+
+
+def _as_float(cp, sec: str, key: str) -> float:
+    value = _as_number(cp, sec, key)
+    if not math.isfinite(value):
+        raise ParameterError(f"[{sec}] {key} must be finite, got {cp[sec][key]!r}")
+    return value
 
 
 def _as_int(cp, sec: str, key: str) -> int:
@@ -168,7 +177,8 @@ def _build_space(cp, dim: int, bump: BumpSpec) -> SpaceGrid:
     points = _as_int(cp, "space", "points")
     if cp["space"]["half_length"].strip() == "":
         return solver.default_space_grid(dim, bump, points)
-    return SpaceGrid(dim, _as_float(cp, "space", "half_length"), points)
+    # SpaceGrid refuses a non-finite length with its own message
+    return SpaceGrid(dim, _as_number(cp, "space", "half_length"), points)
 
 
 def _build_time(cp) -> TimeGrid:
@@ -182,8 +192,8 @@ def _parse_p_values(raw: str) -> tuple:
     except ValueError:
         raise ParameterError(f"sweep p values must be numbers, got {raw!r}")
     for v in values:
-        if v <= 1.0:
-            raise ParameterError(f"sweep powers must exceed 1, got {v}")
+        if not 1.0 < v < math.inf:
+            raise ParameterError(f"sweep powers must be finite and exceed 1, got {v}")
     for a, b in zip(values, values[1:]):
         if b <= a:
             raise ParameterError(
@@ -219,8 +229,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.tol is not None and self.tol < 0.0:
-            raise ParameterError(f"tolerance must be nonnegative, got {self.tol}")
+        if self.tol is not None and not 0.0 <= self.tol < math.inf:
+            raise ParameterError(
+                f"tolerance must be finite and nonnegative, got {self.tol}"
+            )
         if self.jobs is not None and self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
         if self.amplitude_policy not in ("fixed", "double"):
@@ -510,11 +522,15 @@ def verify_all(spec: ExperimentSpec) -> VerifyReport:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep result; ``message`` is a Failed row's error text (not in
+    the CSV)."""
+
     p: float
     p_star: float
     status: str
     blowup_time: float | None
     final_supnorm: float
+    message: str = ""
 
     def csv(self) -> str:
         return ",".join((
@@ -526,32 +542,23 @@ class SweepRow:
 CSV_HEADER = "p,p_star,status,blowup_time,final_supnorm"
 
 
-def _scalar_row(task) -> SweepRow:
+def _sweep_row(task) -> SweepRow:
     params, space, time_grid, bump, threshold, p_star = task
     try:
-        res = solver.run(SimConfig(
+        config = SimConfig(
             params=params, space=space, time=time_grid, bump=bump,
             threshold=threshold,
-        ))
-    except FraclabError:
-        return SweepRow(params.p, p_star, "Failed", None, float("nan"))
-    bt = res.blowup_time if res.status == "BlowUp" else None
-    return SweepRow(params.p, p_star, res.status, bt,
-                    float(res.trace.values[-1]))
-
-
-def _system_row(task) -> SweepRow:
-    params, space, time_grid, bump, threshold, bound = task
-    try:
-        ru, rv = solver.run_system(SimConfig(
-            params=params, space=space, time=time_grid, bump=bump,
-            threshold=threshold,
-        ))
-    except FraclabError:
-        return SweepRow(params.p, bound, "Failed", None, float("nan"))
-    bt = ru.blowup_time if ru.status == "BlowUp" else None
-    final = max(float(ru.trace.values[-1]), float(rv.trace.values[-1]))
-    return SweepRow(params.p, bound, ru.status, bt, final)
+        )
+        if isinstance(params, SystemParamSet):
+            results = solver.run_system(config)
+        else:
+            results = (solver.run(config),)
+    except FraclabError as exc:
+        return SweepRow(params.p, p_star, "Failed", None, float("nan"), str(exc))
+    first = results[0]
+    bt = first.blowup_time if first.status == "BlowUp" else None
+    final = max(float(r.trace.values[-1]) for r in results)
+    return SweepRow(params.p, p_star, first.status, bt, final)
 
 
 # Thread-count variables of the BLAS pools a sweep worker's numpy may start.
@@ -588,7 +595,7 @@ def sweep_p(spec: ExperimentSpec) -> list:
         tasks.append((params, spec.space, spec.time, spec.bump,
                       spec.threshold, p_star))
     jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
-    return _run_tasks(tasks, _scalar_row, jobs)
+    return _run_tasks(tasks, _sweep_row, jobs)
 
 
 def sweep_system(spec: ExperimentSpec) -> list:
@@ -606,7 +613,7 @@ def sweep_system(spec: ExperimentSpec) -> list:
         tasks.append((params, spec.space, spec.time, spec.bump,
                       spec.threshold, bound))
     jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
-    return _run_tasks(tasks, _system_row, jobs)
+    return _run_tasks(tasks, _sweep_row, jobs)
 
 
 def render_csv(rows) -> str:
@@ -774,6 +781,9 @@ def main(argv=None) -> int:
         if spec.mode == "simulate":
             return simulate(spec)
         rows = sweep_p(spec) if spec.mode == "sweep" else sweep_system(spec)
+        for row in rows:
+            if row.status == "Failed":
+                print(f"warning: p={_fmt(row.p)}: {row.message}", file=sys.stderr)
         text = render_csv(rows)
         print(text, end="")
         if spec.out:

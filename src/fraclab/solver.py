@@ -17,6 +17,13 @@ with all history sums and the nonlinear source explicit.  The linear
 update is then unconditionally stable mode by mode: every coefficient in
 the implicit denominator is nonnegative.
 
+The scalar equation and the two-component system share one step loop over
+channels, one channel per component: the scalar source reads its own
+``|u|^p``, and the system's two sources read each other's (``|v|^p`` for
+``u``, ``|u|^q`` for ``v``).  The loop stops at the first non-finite or
+threshold-crossing sup-norm, and :func:`detect_blowup` alone reads the
+blow-up time from the traces.
+
 Each channel carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
 panel means, and the source integral over ``|u|^p``.  Summed directly they
@@ -93,10 +100,12 @@ class SimConfig:
     """Everything one run needs.
 
     ``bump`` is the initial velocity; ``u0`` (default zero, as the blow-up
-    results assume) the initial datum.  ``bump2``/``v0`` are the second
-    component's data and are only read by :func:`run_system`.
+    results assume) the initial datum.  ``bump2``/``v0_init`` are the second
+    component's data (``bump2`` defaults to ``bump``) and are only read by
+    :func:`run_system`; they are validated like the first component's.
     ``theorem_mode`` enforces the nonnegative-velocity hypothesis.
-    ``snapshot_every`` > 0 stores every k-th state for post-hoc analysis.
+    ``snapshot_every`` > 0 stores every k-th state of every component for
+    post-hoc analysis; 0 stores none.
     """
 
     params: object
@@ -112,17 +121,22 @@ class SimConfig:
     snapshot_every: int = 0
 
     def __post_init__(self):
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ParameterError(f"threshold must be positive, got {self.threshold}")
-        if self.theorem_mode and self.bump.amplitude < 0.0:
+        if self.snapshot_every < 0:
             raise ParameterError(
-                "theorem mode requires a nonnegative initial velocity"
+                f"snapshot_every must be nonnegative, got {self.snapshot_every}"
             )
-        if self.u0 is not None:
-            if self.u0.grid != self.space:
-                raise ParameterError("u0 lives on a different grid")
-            if self.u0.sup_norm() >= self.threshold:
-                raise ParameterError("threshold must exceed the initial sup-norm")
+        bumps = [b for b in (self.bump, self.bump2) if b is not None]
+        if self.theorem_mode and min(b.amplitude for b in bumps) < 0.0:
+            raise ParameterError("theorem mode requires nonnegative initial velocities")
+        for name, datum in (("u0", self.u0), ("v0_init", self.v0_init)):
+            if datum is not None and datum.grid != self.space:
+                raise ParameterError(f"{name} lives on a different grid")
+            if datum is not None and datum.sup_norm() >= self.threshold:
+                raise ParameterError(
+                    f"threshold must exceed the initial sup-norm of {name}"
+                )
 
 
 @dataclass
@@ -131,8 +145,10 @@ class SimResult:
 
     ``status`` is Completed, BlowUp, or Diverged.  ``blowup_time`` holds
     the linearly interpolated threshold crossing for BlowUp and the first
-    non-finite node for Diverged.  The sup-norm trace is truncated at the
-    stopping step, so its grid covers [0, t_stop].
+    non-finite node for Diverged (both from :func:`detect_blowup`).  The
+    sup-norm trace is truncated at the stopping step, so its grid covers
+    [0, t_stop].  ``snapshots`` lists (t, Field) pairs when the config's
+    ``snapshot_every`` is positive, else None.
     """
 
     trace: TimeSeries
@@ -331,6 +347,7 @@ class _Channel:
         # I^{1-src_gamma} of the |.|^p rows its producer feeds in, one per step
         self.source = MemorySum("rect", 1.0 - src_gamma, 1, u0_vals.size, np.float64, n)
         self.store_power = store_power
+        self.u0 = u0_vals
         self.power = np.abs(u0_vals.ravel()) ** store_power  # of the newest state
 
     def source_hat(self) -> np.ndarray:
@@ -365,154 +382,142 @@ def detect_blowup(trace: TimeSeries, threshold: float):
     A non-finite entry counts as a crossing at its own node.  Returns None
     when the trace stays finite and below threshold throughout.
     """
-    vals = trace.values
-    t = trace.grid.nodes()
-    for j, v in enumerate(vals):
-        if not np.isfinite(v):
-            return float(t[j])
-        if v >= threshold:
-            if j == 0:
-                return 0.0
-            a, b = vals[j - 1], v
-            frac = (threshold - a) / (b - a) if b > a else 1.0
-            return float(t[j - 1] + frac * trace.grid.h)
-    return None
+    vals, grid = trace.values, trace.grid
+    hit = ~np.isfinite(vals) | (vals >= threshold)
+    j = int(np.argmax(hit))
+    if not hit[j]:
+        return None
+    # grid.nodes()[k] without building the array: k * h, the horizon at the end
+    if not np.isfinite(vals[j]):
+        return float(grid.horizon if j == grid.steps else j * grid.h)
+    if j == 0:
+        return 0.0
+    a, b = vals[j - 1], vals[j]
+    frac = (threshold - a) / (b - a) if b > a else 1.0
+    return float((j - 1) * grid.h + frac * grid.h)
 
 
-def _zero_vals(space: SpaceGrid):
-    return np.zeros(space.shape())
+def _march(config: SimConfig, channels, feeds):
+    """Advance ``channels`` together; one :class:`SimResult` per channel.
 
-
-def _finish(h, trace, j, status, t_star, snaps, diverged=False):
+    Channel i's source sums the ``|.|^p`` rows of channel ``feeds[i]``.
+    All channels stop at the first step where a sup-norm is non-finite
+    (Diverged) or reaches the threshold (BlowUp) and report the same status
+    and time: :func:`detect_blowup` of the first channel, in channel order,
+    that is non-finite, or failing that the first that crossed.  With the
+    nonlinearity off, a per-step sup-norm growth beyond 10x in any channel
+    trips a step-size error: the implicit linear update is dissipative mode
+    by mode, so such growth can only mean the time step is too coarse.
+    """
+    space, time = config.space, config.time
+    n, h, threshold = time.steps, time.h, config.threshold
+    nonlinear, every = config.nonlinearity, config.snapshot_every
+    traces = [np.zeros(n + 1) for _ in channels]
+    prev = [float(np.max(np.abs(ch.u0))) for ch in channels]
+    for tr, sup in zip(traces, prev):
+        tr[0] = sup
+    snaps = [[(0.0, Field(space, ch.u0.copy()))] if every else None
+             for ch in channels]
+    # loop-invariant lookups: the source feeds and the bound step methods
+    fed = [(ch.source.append, channels[k]) for ch, k in zip(channels, feeds)]
+    source_hats = [ch.source_hat for ch in channels]
+    steps = [ch.step for ch in channels]
+    srcs = [None] * len(channels)
+    for j in range(1, n + 1):
+        if nonlinear:
+            # every source reads its producer's newest row before any steps
+            for append, producer in fed:
+                append(producer.power)
+            srcs = [source_hat() for source_hat in source_hats]
+        states = [step(j, src) for step, src in zip(steps, srcs)]
+        sups = [float(np.abs(u).max()) for u in states]
+        stop = False
+        for tr, sup in zip(traces, sups):
+            tr[j] = sup
+            if not sup < threshold:  # also true for nan
+                stop = True
+        # the blow-up state is kept even off the cadence; a non-finite one is not
+        if every and (stop or j % every == 0) and all(map(math.isfinite, sups)):
+            for snap, u in zip(snaps, states):
+                snap.append((h * j, Field(space, u.copy())))
+        if stop:
+            break
+        if not nonlinear:
+            for sup, before in zip(sups, prev):
+                if before > 0.0 and sup > 10.0 * before:
+                    raise NumericsError(
+                        f"sup-norm grew {sup / before:.2f}x in one linear step at "
+                        f"t={h * j:.3g}; reduce the time step"
+                    )
+        prev = sups
+    else:
+        return [SimResult(TimeSeries(time, tr), "Completed", None, sn, n)
+                for tr, sn in zip(traces, snaps)]
     if j < 2:
         raise NumericsError(
             "run ended before step 2; the step size is far too coarse for "
             "these data (reduce h or the amplitude)"
         )
-    ts = TimeSeries(TimeGrid(h * j, j), trace[: j + 1].copy(), diverged=diverged)
-    return SimResult(ts, status, t_star, snaps, j)
+    diverged = not all(map(math.isfinite, sups))
+    hit = [not math.isfinite(sup) if diverged else sup >= threshold for sup in sups]
+    first = TimeSeries(time, traces[hit.index(True)], diverged)
+    t_star = detect_blowup(first, threshold)
+    grid = time if j == n else TimeGrid(h * j, j)
+    status = "Diverged" if diverged else "BlowUp"
+    return [
+        SimResult(TimeSeries(grid, tr[: j + 1].copy(), diverged), status, t_star, sn, j)
+        for tr, sn in zip(traces, snaps)
+    ]
+
+
+def _checked_params(config: SimConfig, kind, message):
+    pr = config.params
+    if not isinstance(pr, kind):
+        raise ParameterError(message)
+    if pr.dim != config.space.dim:
+        raise ParameterError("params.dim and space.dim disagree")
+    return pr
+
+
+def _initial(space: SpaceGrid, datum: Field | None) -> np.ndarray:
+    return datum.values if datum is not None else np.zeros(space.shape())
 
 
 def run(config: SimConfig) -> SimResult:
     """Advance the scalar problem; stop at blow-up, divergence, or horizon.
 
-    Zero data is preserved exactly (every update is a linear combination
-    of zeros).  With the nonlinearity off, a per-step sup-norm growth
-    beyond 10x trips a step-size error: the implicit linear update is
-    dissipative mode by mode, so such growth can only mean the time step
-    is too coarse for the data.
+    The source is I^{1-gamma}|u|^p: one channel fed by itself.  Zero data
+    is preserved exactly (every update is a linear combination of zeros).
     """
-    if not isinstance(config.params, ParamSet):
-        raise ParameterError("run() needs a scalar ParamSet")
-    pr = config.params
-    if pr.dim != config.space.dim:
-        raise ParameterError("params.dim and space.dim disagree")
-    space, time = config.space, config.time
-    u0 = config.u0.values if config.u0 is not None else _zero_vals(space)
-    v0 = config.bump.render(space).values
+    pr = _checked_params(config, ParamSet, "run() needs a scalar ParamSet")
+    space = config.space
     ch = _Channel(
-        space, time, pr.alpha1, pr.alpha2, pr.sigma, pr.delta,
-        pr.gamma, pr.p, u0, v0,
+        space, config.time, pr.alpha1, pr.alpha2, pr.sigma, pr.delta,
+        pr.gamma, pr.p, _initial(space, config.u0), config.bump.render(space).values,
     )
-    n = time.steps
-    h = time.h
-    trace = np.zeros(n + 1)
-    trace[0] = float(np.max(np.abs(u0)))
-    snaps = None
-    if config.snapshot_every > 0:
-        snaps = [(0.0, Field(space, u0.copy()))]
-    prev = trace[0]
-    for j in range(1, n + 1):
-        if config.nonlinearity:
-            ch.source.append(ch.power)
-            src = ch.source_hat()
-        else:
-            src = None
-        u = ch.step(j, src)
-        sup = float(np.max(np.abs(u)))
-        trace[j] = sup
-        if not np.isfinite(sup):
-            return _finish(h, trace, j, "Diverged", h * j, snaps, diverged=True)
-        if sup >= config.threshold:
-            a = trace[j - 1]
-            frac = (config.threshold - a) / (sup - a) if sup > a else 1.0
-            t_star = h * (j - 1) + frac * h
-            if snaps is not None:
-                snaps.append((h * j, Field(space, u.copy())))
-            return _finish(h, trace, j, "BlowUp", t_star, snaps)
-        if not config.nonlinearity and prev > 0.0 and sup > 10.0 * prev:
-            raise NumericsError(
-                f"sup-norm grew {sup / prev:.2f}x in one linear step at t={h * j:.3g}; "
-                "reduce the time step"
-            )
-        if snaps is not None and j % config.snapshot_every == 0:
-            snaps.append((h * j, Field(space, u.copy())))
-        prev = sup
-    return SimResult(TimeSeries(time, trace), "Completed", None, snaps, n)
+    return _march(config, [ch], [0])[0]
 
 
 def run_system(config: SimConfig):
     """Advance the cross-coupled pair; the components stop together.
 
     Sources are I^{1-gamma1}|v|^p for the first component and
-    I^{1-gamma2}|u|^q for the second.  If either sup-norm crosses the
-    threshold both results report BlowUp at the same interpolated time.
+    I^{1-gamma2}|u|^q for the second: two channels, each fed by the other.
+    If either sup-norm crosses the threshold both results report BlowUp at
+    the same interpolated time.
     """
-    if not isinstance(config.params, SystemParamSet):
-        raise ParameterError("run_system() needs a SystemParamSet")
-    pr = config.params
-    if pr.dim != config.space.dim:
-        raise ParameterError("params.dim and space.dim disagree")
+    pr = _checked_params(config, SystemParamSet, "run_system() needs a SystemParamSet")
     space, time = config.space, config.time
     bump2 = config.bump2 if config.bump2 is not None else config.bump
-    if config.theorem_mode and bump2.amplitude < 0.0:
-        raise ParameterError("theorem mode requires nonnegative initial velocities")
-    u0 = config.u0.values if config.u0 is not None else _zero_vals(space)
-    w0 = config.v0_init.values if config.v0_init is not None else _zero_vals(space)
     ch_u = _Channel(
         space, time, pr.alpha1, pr.alpha2, pr.sigma1, pr.delta1,
-        pr.gamma1, pr.q, u0, config.bump.render(space).values,
+        pr.gamma1, pr.q, _initial(space, config.u0), config.bump.render(space).values,
     )
     ch_v = _Channel(
         space, time, pr.beta1, pr.beta2, pr.sigma2, pr.delta2,
-        pr.gamma2, pr.p, w0, bump2.render(space).values,
+        pr.gamma2, pr.p, _initial(space, config.v0_init), bump2.render(space).values,
     )
-    n, h = time.steps, time.h
-    tr_u = np.zeros(n + 1)
-    tr_v = np.zeros(n + 1)
-    tr_u[0] = float(np.max(np.abs(u0)))
-    tr_v[0] = float(np.max(np.abs(w0)))
-    for j in range(1, n + 1):
-        if config.nonlinearity:
-            # each source sums its partner's |.|^p rows with its own gamma
-            ch_u.source.append(ch_v.power)
-            ch_v.source.append(ch_u.power)
-            src_u = ch_u.source_hat()
-            src_v = ch_v.source_hat()
-        else:
-            src_u = src_v = None
-        uu = ch_u.step(j, src_u)
-        vv = ch_v.step(j, src_v)
-        tr_u[j] = float(np.max(np.abs(uu)))
-        tr_v[j] = float(np.max(np.abs(vv)))
-        bad = not (np.isfinite(tr_u[j]) and np.isfinite(tr_v[j]))
-        if bad:
-            ru = _finish(h, tr_u, j, "Diverged", h * j, None, True)
-            rv = _finish(h, tr_v, j, "Diverged", h * j, None, True)
-            return ru, rv
-        hit_u = tr_u[j] >= config.threshold
-        hit_v = tr_v[j] >= config.threshold
-        if hit_u or hit_v:
-            tr, hit_j = (tr_u, j) if hit_u else (tr_v, j)
-            a = tr[hit_j - 1]
-            frac = (config.threshold - a) / (tr[hit_j] - a) if tr[hit_j] > a else 1.0
-            t_star = h * (hit_j - 1) + frac * h
-            ru = _finish(h, tr_u, j, "BlowUp", t_star, None)
-            rv = _finish(h, tr_v, j, "BlowUp", t_star, None)
-            return ru, rv
-    ru = SimResult(TimeSeries(time, tr_u), "Completed", None, None, n)
-    rv = SimResult(TimeSeries(time, tr_v), "Completed", None, None, n)
-    return ru, rv
+    return tuple(_march(config, [ch_u, ch_v], [1, 0]))
 
 
 def tune_amplitude(config: SimConfig, start: float, max_doublings: int = 12):

@@ -12,13 +12,6 @@ def series(fn, n=256, horizon=1.0):
     return TimeSeries.from_callable(TimeGrid(horizon, n), fn)
 
 
-def test_frac_order_bounds():
-    assert float(fracops.FracOrder(0.5)) == 0.5
-    for bad in (0.0, 1.0, 2.0, -0.3, 2.5):
-        with pytest.raises(OrderError):
-            fracops.FracOrder(bad)
-
-
 def test_time_grid_invariants():
     g = TimeGrid(2.0, 8)
     assert g.h == 0.25

@@ -1,8 +1,14 @@
 import argparse
+import contextlib
+import io
 import os
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclab import harness, testfn
 from fraclab.errors import ParameterError
@@ -257,6 +263,26 @@ def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
     assert "Failed" in render_csv(rows)
 
 
+def test_failed_sweep_rows_keep_their_message(monkeypatch, tmp_path, capsys):
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "f.ini"
+    ini.write_text(
+        "[sweep]\np_values = 2, 3\n[time]\nhorizon = 0.01\nsteps = 2\n"
+        "[space]\npoints = 64\n[bump]\namplitude = 1e12\n"
+    )
+    rows = sweep_p(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
+    assert [r.status for r in rows] == ["Failed", "Failed"]
+    assert rows[0].message.startswith("run ended before step 2")
+    assert harness.main(["sweep", "--config", str(ini), "--jobs", "1"]) == EXIT_OK
+    captured = capsys.readouterr()
+    # the CSV is unchanged; each failure is one stderr line
+    assert captured.out == render_csv(rows)
+    assert captured.out.splitlines()[1] == "2,10,Failed,,nan"
+    assert captured.err.splitlines() == [
+        f"warning: p=2: {rows[0].message}", f"warning: p=3: {rows[1].message}",
+    ]
+
+
 def test_exponent_query_text(monkeypatch):
     clear_fraclab_env(monkeypatch)
     text = harness.exponent_query(build_spec(ns(mode="exponent")))
@@ -312,6 +338,53 @@ def test_non_finite_half_length_exits_two(monkeypatch, capsys):
         assert captured.err == (
             f"error: half_length must be finite and positive, got {raw}\n"
         )
+
+
+# every config key that holds a number (or, for p_values, a list of them)
+NUMERIC_KEYS = [
+    (sec, key) for sec, keys in harness._DEFAULTS.items() for key in keys
+    if (sec, key) not in {("params", "mode"), ("run", "amplitude_policy")}
+]
+# none of these reads as a finite number: without digits float() accepts only
+# nan/inf/infinity; "%" was once taken for configparser interpolation syntax
+NOT_A_FINITE_NUMBER = st.sampled_from(["nan", "inf", "-inf", "Infinity", "2%"]) | st.text(
+    alphabet=string.ascii_letters + "%.+-_()", min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(NUMERIC_KEYS), raw=NOT_A_FINITE_NUMBER)
+def test_bad_numbers_exit_two_with_one_error_line(key, raw):
+    # system-sweep reads every numeric key; it must never get as far as running
+    env = {n: v for n, v in os.environ.items()
+           if not n.startswith("FRACLAB_") or n == "FRACLAB_BACKEND"}
+    env["FRACLAB_%s_%s" % (key[0].upper(), key[1].upper())] = raw
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            mock.patch.object(harness, "sweep_system", side_effect=AssertionError("ran")), \
+            contextlib.redirect_stderr(err):
+        rc = harness.main(["system-sweep", "--jobs", "1"])
+    assert rc == EXIT_BAD_CONFIG, (key, raw)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (key, raw, lines)
+
+
+def test_non_finite_flags_and_values_exit_two(monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    for raw in ("nan", "inf", "-inf"):
+        assert harness.main(["verify", "--tol=" + raw]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+    monkeypatch.setenv("FRACLAB_SWEEP_P_VALUES", "1.5, nan")
+    assert harness.main(["sweep", "--jobs", "1"]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        "error: sweep powers must be finite and exceed 1, got nan\n")
+    monkeypatch.delenv("FRACLAB_SWEEP_P_VALUES")
+    monkeypatch.setenv("FRACLAB_RUN_THRESHOLD", "nan")
+    assert harness.main(["simulate"]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "error: [run] threshold must be finite, got 'nan'\n"
+    monkeypatch.delenv("FRACLAB_RUN_THRESHOLD")
+    monkeypatch.setenv("FRACLAB_RUN_SNAPSHOT_EVERY", "-1")
+    assert harness.main(["simulate"]) == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "error: snapshot_every must be nonnegative, got -1\n"
 
 
 def test_main_simulate_numerics_exit_three(monkeypatch, capsys):

@@ -82,6 +82,29 @@ def test_sim_config_validation():
         cfg(1.0, u0=big, threshold=2.0)
 
 
+def test_sim_config_validates_the_second_component():
+    other = Field(SpaceGrid(1, 10.0, 128), np.zeros(128))
+    with pytest.raises(ParameterError, match="v0_init lives on a different grid"):
+        SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0), v0_init=other)
+    big = Field(GRID, np.full(128, 5.0))
+    with pytest.raises(ParameterError, match="initial sup-norm of v0_init"):
+        SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
+                  v0_init=big, threshold=2.0)
+    with pytest.raises(ParameterError, match="nonnegative initial velocities"):
+        SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
+                  bump2=BumpSpec(-1.0, 1.0))
+    c = SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
+                  bump2=BumpSpec(-1.0, 1.0), theorem_mode=False)
+    assert c.bump2.amplitude == -1.0
+
+
+def test_sim_config_refuses_bad_numbers():
+    with pytest.raises(ParameterError, match="threshold"):
+        cfg(1.0, threshold=float("nan"))
+    with pytest.raises(ParameterError, match="snapshot_every"):
+        cfg(1.0, snapshot_every=-1)
+
+
 def test_2d_run_raises_no_warnings():
     # the inverse 2-D transform once warned on every step under NumPy 2
     c = SimConfig(ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2), SpaceGrid(2, 8.0, 16),
@@ -169,6 +192,34 @@ def test_detect_blowup_interpolates():
     assert detect_blowup(bad, 10.0) == 0.5
 
 
+def _detect_blowup_loop(trace, threshold):
+    # the element-by-element scan detect_blowup replaced; kept as its reference
+    vals = trace.values
+    t = trace.grid.nodes()
+    for j, v in enumerate(vals):
+        if not np.isfinite(v):
+            return float(t[j])
+        if v >= threshold:
+            if j == 0:
+                return 0.0
+            a, b = vals[j - 1], v
+            frac = (threshold - a) / (b - a) if b > a else 1.0
+            return float(t[j - 1] + frac * trace.grid.h)
+    return None
+
+
+def test_detect_blowup_matches_the_loop():
+    rng = np.random.default_rng(3)
+    for steps in (2, 3, 7, 50, 2967):
+        grid = TimeGrid(rng.uniform(0.1, 10.0), steps)
+        for _ in range(40):
+            vals = rng.uniform(0.0, 12.0, steps + 1)
+            j = rng.integers(steps + 1)
+            vals[j] = rng.choice([np.nan, np.inf, -np.inf, vals[j]])
+            trace = TimeSeries(grid, vals, diverged=True)
+            assert detect_blowup(trace, 10.0) == _detect_blowup_loop(trace, 10.0)
+
+
 def test_linear_runs_self_converge():
     finals = []
     for n in (64, 128, 256):
@@ -238,6 +289,43 @@ def test_symmetric_system_reduces_to_scalar():
     rs = run(cfg(8.0))
     assert np.array_equal(rs.trace.values, ru.trace.values)
     assert rs.blowup_time == ru.blowup_time
+
+
+def test_symmetric_system_snapshots_match_scalar():
+    # a completed run keeps every 5th state; a blow-up also keeps the last one
+    for amplitude, horizon, steps in ((0.5, 1.0, 40), (16.0, 10.0, 2000)):
+        rs = run(cfg(amplitude, horizon=horizon, steps=steps, snapshot_every=5))
+        c = SimConfig(SYS_PARAMS, GRID, TimeGrid(horizon, steps),
+                      BumpSpec(amplitude, 1.0), snapshot_every=5)
+        for r in run_system(c):
+            assert r.status == rs.status
+            assert len(r.snapshots) == len(rs.snapshots)
+            for (t, f), (ts, fs) in zip(r.snapshots, rs.snapshots):
+                assert t == ts
+                assert np.array_equal(f.values, fs.values)
+    assert rs.status == "BlowUp"
+    assert rs.snapshots[-1][0] == rs.trace.grid.horizon
+
+
+def test_system_growth_guard_trips_on_coarse_linear_step():
+    # only the second component is too coarse for its step
+    tiny = Field(GRID, 1e-6 * BumpSpec(1.0, 1.0).render(GRID).values)
+    c = SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 100), BumpSpec(1e-6, 1.0),
+                  bump2=BumpSpec(1e3, 1.0), u0=tiny, v0_init=tiny, nonlinearity=False)
+    with pytest.raises(NumericsError, match="reduce the time step"):
+        run_system(c)
+
+
+def test_diverged_system_is_reported_not_raised():
+    c = SimConfig(SYS_PARAMS, GRID, TimeGrid(10.0, 2000), BumpSpec(1e160, 1.0),
+                  threshold=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ru, rv = run_system(c)
+    for r in (ru, rv):
+        assert r.status == "Diverged"
+        assert r.trace.diverged
+        assert r.blowup_time == r.trace.grid.horizon
+    assert ru.steps_taken == rv.steps_taken
 
 
 def test_asymmetric_system_components_differ():
