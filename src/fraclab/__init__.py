@@ -65,7 +65,6 @@ from .solver import (
     SimConfig,
     SimResult,
     detect_blowup,
-    nonlocal_source,
     run,
     run_system,
     tune_amplitude,
@@ -118,7 +117,6 @@ __all__ = [
     "global_decay_exponent",
     "lemma_kk_check",
     "local_nonexistence_exponent",
-    "nonlocal_source",
     "normalization_constant",
     "phi1",
     "phi1_right_derivative_closed",

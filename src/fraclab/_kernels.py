@@ -1,22 +1,25 @@
-"""Backend dispatch for the whole-series convolution and the direct history sums.
+"""Whole-series convolution and backend dispatch for the direct history sums.
 
 Every fractional operator in this package reduces to discrete convolutions
 with power-law weights.  Whole-series transforms in ``fracops`` use
-:func:`causal_conv`, an O(n^2) sum.  The ``hist_dot_*`` kernels are the
-direct O(j) history sums ``sum_k w[j - k] row_k`` that the time stepper
-once made at every step j.  The stepper now keeps an exact window plus a
-sum-of-exponentials tail instead (``solver.MemorySum``), so these kernels
-serve as the reference it is tested against.  Each kernel has two
-interchangeable implementations:
+:func:`causal_conv`, an exact blocked lower-triangular Toeplitz product
+run as BLAS-3 matrix products.  It has one implementation whatever the
+backend.
+
+The ``hist_dot_*`` kernels are the direct O(j) history sums
+``sum_k w[j - k] row_k`` that the time stepper once made at every step j.
+The stepper now keeps an exact window plus a sum-of-exponentials tail
+instead (``solver.MemorySum``), so these kernels serve as the test
+oracles it is checked against.  Each has two interchangeable
+implementations:
 
 * ``numba``: ``@njit``-compiled loops (used when numba imports cleanly),
 * ``numpy``: sliced BLAS calls, no compilation step.
 
-Selection is controlled by the environment variable ``FRACLAB_BACKEND``
-with values ``numba``, ``numpy``, or ``auto`` (default: ``auto``, which
-prefers numba when available).  The chosen backend is exposed as
-``BACKEND``.  Both paths produce identical results to rounding; the
-benchmark script under ``benchmarks/`` compares their throughput.
+The environment variable ``FRACLAB_BACKEND`` selects between them, with
+values ``numba``, ``numpy``, or ``auto`` (default: ``auto``, which prefers
+numba when available).  The chosen backend is exposed as ``BACKEND``.
+Both paths produce identical results to rounding.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 try:
     from numba import njit
@@ -61,31 +65,37 @@ BACKEND = _resolve_backend()
 # causal convolution: out[j] = sum_m w[m] * v[j - m], j = 0..nout-1
 # ---------------------------------------------------------------------------
 
-def causal_conv_np(w: np.ndarray, v: np.ndarray, nout: int) -> np.ndarray:
-    full = np.convolve(w, v)
-    out = np.zeros(nout)
-    m = min(nout, full.shape[0])
-    out[:m] = full[:m]
-    return out
+# Rows per block of the Toeplitz product.  On one BLAS thread of a 2-vCPU
+# Xeon, 64 beat 32 and 128 for n = 2^11..2^14.
+_BLOCK = 64
 
 
-@njit(cache=True)
-def causal_conv_nb(w, v, nout):  # pragma: no cover - compiled
-    out = np.zeros(nout)
-    nw = w.shape[0]
-    nv = v.shape[0]
-    for j in range(nout):
-        lo = j - nv + 1
-        if lo < 0:
-            lo = 0
-        hi = j + 1
-        if hi > nw:
-            hi = nw
-        acc = 0.0
-        for m in range(lo, hi):
-            acc += w[m] * v[j - m]
-        out[j] = acc
-    return out
+def causal_conv(w: np.ndarray, v: np.ndarray, nout: int) -> np.ndarray:
+    """First ``nout`` terms of the convolution of ``w`` and ``v``.
+
+    ``v`` is cut into blocks of ``_BLOCK`` samples, each reversed, and the
+    lower block triangle of the Toeplitz matrix of ``w`` is applied one
+    block diagonal at a time: block diagonal ``d`` is the Hankel matrix
+    ``H[d][c, r] = w[d*B + r + c - (B-1)]``, a strided view of ``w`` padded
+    with ``B-1`` leading zeros.  Every output sums the same products
+    ``w[m] * v[j-m]`` as the direct sum, in another order, plus products
+    with padded zeros, so a zero prefix of ``v`` gives exact zeros.
+    """
+    b = _BLOCK
+    nb = -(-nout // b)
+    vb = np.zeros(nb * b)
+    k = min(v.shape[0], nout)
+    vb[:k] = v[:k]
+    vrev = vb.reshape(nb, b)[:, ::-1].copy()
+    wp = np.zeros(nb * b + b - 1)
+    k = min(w.shape[0], nb * b)
+    wp[b - 1 : b - 1 + k] = w[:k]
+    s = wp.itemsize
+    hankel = as_strided(wp, shape=(nb, b, b), strides=(b * s, s, s), writeable=False)
+    out = np.zeros((nb, b))
+    for d in range(nb):
+        out[d:] += vrev[: nb - d] @ hankel[d]
+    return out.ravel()[:nout]
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +138,9 @@ def hist_dot_complex_nb(wrev, off, rows, lo, hi):  # pragma: no cover - compiled
 
 
 if BACKEND == "numba":
-    causal_conv = causal_conv_nb
     hist_dot_real = hist_dot_real_nb
     hist_dot_complex = hist_dot_complex_nb
 else:
-    causal_conv = causal_conv_np
     hist_dot_real = hist_dot_real_np
     hist_dot_complex = hist_dot_complex_np
 

@@ -4,8 +4,8 @@ Configuration is a flat INI file (sections per module, key = value), any
 entry of which can be overridden through the environment as
 ``FRACLAB_<SECTION>_<KEY>`` (e.g. ``FRACLAB_TIME_STEPS=2000``).  The
 ``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.
-``FRACLAB_BACKEND`` is not a config key; it selects the kernel backend
-(see ``_kernels``).
+``FRACLAB_BACKEND`` is not a config key; it selects the backend of the
+direct history sums (see ``_kernels``).
 
 Exit codes: 0 success (including a run that detects blow-up, which is a
 result, not a failure); 1 verification suite failure; 2 invalid flags,
@@ -240,6 +240,19 @@ class ExperimentSpec:
                 f"amplitude_policy must be 'fixed' or 'double', "
                 f"got {self.amplitude_policy!r}"
             )
+        # sweep rows run every p at the configured amplitude and keep only
+        # the sup-norm trace, so these settings would be silently dropped
+        if self.mode in ("sweep", "system-sweep"):
+            if self.amplitude_policy != "fixed":
+                raise ParameterError(
+                    f"amplitude_policy {self.amplitude_policy!r} applies to "
+                    f"simulate only; {self.mode} needs 'fixed'"
+                )
+            if self.snapshot_every > 0:
+                raise ParameterError(
+                    f"snapshot_every applies to simulate only; {self.mode} "
+                    f"needs 0, got {self.snapshot_every}"
+                )
 
 
 def build_spec(args) -> ExperimentSpec:

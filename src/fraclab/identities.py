@@ -50,10 +50,6 @@ class ResidualReport:
     def final_residual(self) -> float:
         return self.residuals[-1]
 
-    def summary(self) -> str:
-        res = ", ".join(f"{r:.3e}" for r in self.residuals)
-        return f"{self.name}: residuals [{res}] slope {self.slope:.2f}"
-
 
 def _slope(sizes, residuals) -> float:
     if any(r <= 0.0 for r in residuals):

@@ -279,30 +279,6 @@ class MemorySum:
         return out
 
 
-def nonlocal_source(history, gamma, p: float, t_index: int, h: float) -> Field:
-    """I^{1-gamma} |u|^p at node ``t_index`` from the stored past states.
-
-    Product-rectangle quadrature with left-endpoint panel density, so only
-    states strictly before ``t_index`` enter; exact for states constant in
-    time.
-    """
-    gamma = float(gamma)
-    if p <= 1.0:
-        raise ParameterError(f"power must exceed 1, got {p}")
-    if not (0.0 < gamma < 1.0):
-        raise ParameterError(f"gamma must lie in (0,1), got {gamma}")
-    if t_index < 0 or t_index > len(history):
-        raise ParameterError(f"need history through node {t_index - 1}")
-    grid = history[0].grid
-    mu = 1.0 - gamma
-    coeff = h**mu / math.gamma(mu + 1.0)
-    w = rect_weights(mu, t_index + 1)
-    acc = np.zeros(grid.shape())
-    for k in range(t_index):
-        acc += w[t_index - k] * np.abs(history[k].values) ** p
-    return Field(grid, coeff * acc)
-
-
 def _mode_layout(grid: SpaceGrid):
     # rfft layout: squared wavenumbers flattened, plus transform closures
     m = grid.points

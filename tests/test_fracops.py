@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraclab import fracops
+from fraclab import _kernels, fracops
 from fraclab.errors import OrderError, ParameterError, SingularityError
 from fraclab.fracops import TimeGrid, TimeSeries
 
@@ -53,6 +55,54 @@ def test_rect_weights_telescope():
     w = fracops.rect_weights(0.7, 50)
     assert w[0] == 0.0
     assert np.allclose(np.cumsum(w), np.arange(50, dtype=float) ** 0.7)
+
+
+def direct_conv(w, v, nout):
+    """The direct O(n^2) sum out[j] = sum_m w[m] v[j-m], truncated to ``nout``."""
+    full = np.convolve(w, v)
+    out = np.zeros(nout)
+    m = min(nout, full.shape[0])
+    out[:m] = full[:m]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nw=st.integers(1, 5000),
+    nv=st.integers(1, 5000),
+    # None: shorter than the full convolution; else full length plus this
+    extra=st.sampled_from([None, 0, 1, 131]),
+    frac=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_causal_conv_matches_direct_sum(nw, nv, extra, frac, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(nw)
+    v = rng.standard_normal(nv)
+    full = nw + nv - 1
+    nout = max(1, int(frac * full)) if extra is None else full + extra
+    got = _kernels.causal_conv(w, v, nout)
+    want = direct_conv(w, v, nout)
+    assert got.shape == (nout,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.all(got[full:] == 0.0)
+
+
+def test_zero_prefix_stays_exactly_zero():
+    # a plain FFT convolution leaves ~1e-17 where the past is all zero, and
+    # fractional powers of those values downstream turn into NaN
+    rng = np.random.default_rng(3)
+    for n, k in ((100, 37), (1000, 64), (4097, 1500)):
+        v = rng.standard_normal(n)
+        v[:k] = 0.0
+        out = _kernels.causal_conv(rng.standard_normal(n), v, n)
+        assert np.all(out[:k] == 0.0)
+        assert np.all(out[k:k + 5] != 0.0)
+    f = series(lambda t: np.maximum(t - 0.3, 0.0) ** 2, 4096)
+    quiet = f.grid.nodes() <= 0.3
+    for out in (fracops.rl_integral(f, 0.4), fracops.caputo_left(f, 0.6)):
+        assert np.all(out.values[quiet] == 0.0)
+        assert np.all(out.values[~quiet] > 0.0)
 
 
 def test_integral_of_one_is_power():

@@ -448,3 +448,24 @@ def test_main_sweep_empty_p_list_header_only(monkeypatch, tmp_path):
     assert harness.main(["sweep", "--config", str(ini), "--jobs", "1",
                          "--out", str(out)]) == EXIT_OK
     assert out.read_text() == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("mode", ["sweep", "system-sweep"])
+@pytest.mark.parametrize("key,value,needle", [
+    ("AMPLITUDE_POLICY", "double", "amplitude_policy 'double' applies to simulate only"),
+    ("SNAPSHOT_EVERY", "5", "snapshot_every applies to simulate only"),
+])
+def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
+                                                value, needle):
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_RUN_" + key, value)
+    monkeypatch.setattr(harness, "sweep_p", mock.Mock(side_effect=AssertionError("ran")))
+    monkeypatch.setattr(harness, "sweep_system",
+                        mock.Mock(side_effect=AssertionError("ran")))
+    assert harness.main([mode, "--jobs", "1"]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
+    # simulate honours both settings, so it accepts them
+    assert build_spec(ns("simulate")).mode == "simulate"

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -20,7 +19,6 @@ from fraclab.solver import (
     SimConfig,
     default_space_grid,
     detect_blowup,
-    nonlocal_source,
     run,
     run_system,
     tune_amplitude,
@@ -144,42 +142,6 @@ def test_history_buffer_growth():
     assert len(buf) == 9
     assert buf.rows.shape[0] >= 9
     assert np.array_equal(buf.rows[:9, 0], np.arange(9.0))
-
-
-def test_nonlocal_source_exact_on_constants():
-    # I^{1-g} c^p = c^p t^{1-g} / Gamma(2-g), exact for the left-endpoint rule
-    g = SpaceGrid(1, 4.0, 16)
-    hist = [Field(g, np.full(16, 3.0)) for _ in range(9)]
-    h = 0.125
-    gamma = 0.25
-    for idx in (1, 4, 8):
-        out = nonlocal_source(hist, gamma, 2.0, idx, h)
-        t = idx * h
-        exact = 9.0 * t**0.75 / math.gamma(1.75)
-        assert np.allclose(out.values, exact, rtol=1e-13)
-
-
-def test_nonlocal_source_is_causal():
-    g = SpaceGrid(1, 4.0, 16)
-    base = [Field(g, np.full(16, 1.0)) for _ in range(6)]
-    out1 = nonlocal_source(base, 0.3, 2.0, 4, 0.1)
-    # changing states at and after the evaluation node must not matter
-    base[4] = Field(g, np.full(16, 50.0))
-    base[5] = Field(g, np.full(16, 50.0))
-    out2 = nonlocal_source(base, 0.3, 2.0, 4, 0.1)
-    assert np.array_equal(out1.values, out2.values)
-    assert np.array_equal(nonlocal_source(base, 0.3, 2.0, 0, 0.1).values, np.zeros(16))
-
-
-def test_nonlocal_source_validation():
-    g = SpaceGrid(1, 4.0, 16)
-    hist = [Field(g, np.ones(16))]
-    with pytest.raises(ParameterError):
-        nonlocal_source(hist, 0.3, 1.0, 1, 0.1)
-    with pytest.raises(ParameterError):
-        nonlocal_source(hist, 1.0, 2.0, 1, 0.1)
-    with pytest.raises(ParameterError):
-        nonlocal_source(hist, 0.3, 2.0, 5, 0.1)
 
 
 def test_detect_blowup_interpolates():
