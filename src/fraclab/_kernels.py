@@ -18,8 +18,9 @@ implementations:
 
 The environment variable ``FRACLAB_BACKEND`` selects between them, with
 values ``numba``, ``numpy``, or ``auto`` (default: ``auto``, which prefers
-numba when available).  The chosen backend is exposed as ``BACKEND``.
-Both paths produce identical results to rounding.
+numba when available; a value that cannot be honoured leaves numpy, and
+the command line refuses it).  The chosen backend is exposed as
+``BACKEND``.  Both paths produce identical results to rounding.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import os
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .errors import ParameterError
 
 try:
     from numba import njit
@@ -45,20 +48,19 @@ except ImportError:  # pragma: no cover - exercised only without numba
         return wrap
 
 
-def _resolve_backend() -> str:
-    req = os.environ.get("FRACLAB_BACKEND", "auto").strip().lower()
+def check_backend(request: str):
+    """Refuse a ``FRACLAB_BACKEND`` value that cannot be honoured."""
+    req = request.strip().lower()
     if req not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"FRACLAB_BACKEND must be 'numba', 'numpy', or 'auto', got {req!r}"
-        )
-    if req == "numpy":
-        return "numpy"
+        raise ParameterError(f"FRACLAB_BACKEND must be 'auto', 'numba' or 'numpy', "
+                             f"got {request!r}")
     if req == "numba" and not HAVE_NUMBA:
-        raise ImportError("FRACLAB_BACKEND=numba but numba is not importable")
-    return "numba" if HAVE_NUMBA else "numpy"
+        raise ParameterError("FRACLAB_BACKEND=numba but numba is not importable; "
+                             "use 'auto' or 'numpy' (allowed: 'auto', 'numba', 'numpy')")
 
 
-BACKEND = _resolve_backend()
+_REQUEST = os.environ.get("FRACLAB_BACKEND", "auto").strip().lower()
+BACKEND = "numba" if HAVE_NUMBA and _REQUEST in ("auto", "numba") else "numpy"
 
 
 # ---------------------------------------------------------------------------

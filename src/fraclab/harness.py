@@ -5,7 +5,8 @@ entry of which can be overridden through the environment as
 ``FRACLAB_<SECTION>_<KEY>`` (e.g. ``FRACLAB_TIME_STEPS=2000``).  The
 ``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.
 ``FRACLAB_BACKEND`` is not a config key; it selects the backend of the
-direct history sums (see ``_kernels``).
+direct history sums (see ``_kernels``).  Any other ``FRACLAB_*`` name that
+is not a config key is refused, as is a backend that cannot be used.
 
 Exit codes: 0 success (including a run that detects blow-up, which is a
 result, not a failure); 1 verification suite failure; 2 invalid flags,
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exponents, fraclap, fracops, identities, solver, testfn
+from . import _kernels, exponents, fraclap, fracops, identities, solver, testfn
 from .errors import FraclabError, NoInteriorMinimumError, NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
 from .fraclap import SpaceGrid
@@ -98,14 +99,13 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     for name, value in os.environ.items():
         if not name.startswith("FRACLAB_"):
             continue
+        if name == "FRACLAB_BACKEND":
+            _kernels.check_backend(value)
+            continue
         section, _, key = name[len("FRACLAB_"):].lower().partition("_")
-        if section not in _DEFAULTS or not key:
-            continue  # FRACLAB_BACKEND and other non-config names
-        if key not in _DEFAULTS[section]:
-            raise ParameterError(
-                f"environment override {name} names no config key "
-                f"in [{section}]"
-            )
+        if key not in _DEFAULTS.get(section, ()):
+            where = f"in [{section}]" if section in _DEFAULTS else f"of {sorted(_DEFAULTS)}"
+            raise ParameterError(f"environment override {name} names no config key {where}")
         cp[section][key] = value
     return cp
 

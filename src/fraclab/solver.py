@@ -17,34 +17,31 @@ with all history sums and the nonlinear source explicit.  The linear
 update is then unconditionally stable mode by mode: every coefficient in
 the implicit denominator is nonnegative.
 
-The scalar equation and the two-component system share one step loop over
-channels, one channel per component: the scalar source reads its own
-``|u|^p``, and the system's two sources read each other's (``|v|^p`` for
-``u``, ``|u|^q`` for ``v``).  The loop stops at the first non-finite or
-threshold-crossing sup-norm, and :func:`detect_blowup` alone reads the
-blow-up time from the traces.
+The scalar equation (C = 1 component, sourced by its own ``|u|^p``) and
+the two-component system (C = 2; ``|v|^p`` sources ``u`` and ``|u|^q``
+sources ``v``) share one stepper that advances all components together on
+``(C, modes)`` arrays, and :func:`detect_blowup` alone reads blow-up times.
 
-Each channel carries three memory sums ``sum_k w[j - k] row_k``: the L1
+Each component carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
-panel means, and the source integral over ``|u|^p``.  Summed directly they
-cost O(j) at step j, O(n^2) per run, and keep every row.  A
-:class:`MemorySum` instead keeps the newest ``WINDOW`` = 32 to
-``WINDOW + BLOCK`` = 64 rows and sums them with the exact weights.  Older
-rows are folded, ``BLOCK`` = 32 at a time, into a sum-of-exponentials (SOE)
-state, one row per exponential term (:func:`fracops.soe_weights`; Jiang,
-Zhang, Zhang & Zhang, CiCP 21, 2017).  That is 84 terms for 3000 steps, 112
-for 5e4 and 119 for 1e5.  Each step reads the tail through a rank-r
-projection of that state instead of the state itself: the coefficient rows
-the window's fill can pick span a space of numerical rank r = 10 to 13
-(singular values above ``TAIL_RANK_RTOL`` = 1e-13 of the largest; Beylkin &
-Monzon, ACHA 28, 2010).  The cost per step and the memory are then fixed by
-``WINDOW``, ``BLOCK``, the term count and r, whatever the step index or the
-horizon.  Each fit is checked when it is built and certified in the tests
+panel means, and the source integral over ``|u|^p``, held in mode space
+(the sum is linear, so summing the rfft of each row needs no FFT of its
+own).  The Caputo and damping sums start with a zero row, which adds
+exactly zero, so all 3C sums hold the same number of rows and form one
+stacked :class:`MemorySum` that appends, sums and folds in lock step; a
+step makes one inverse and one forward FFT for all components.  Summed
+directly the sums would cost O(j) at step j and keep every row; a
+:class:`MemorySum` keeps the newest ``WINDOW`` = 32 to ``WINDOW + BLOCK``
+= 64 rows exact and folds older ones, ``BLOCK`` = 32 at a time, into a
+sum-of-exponentials (SOE) state (:func:`fracops.soe_weights`; Jiang,
+Zhang, Zhang & Zhang, CiCP 21, 2017) of 84 to 119 terms, read each step
+through a rank-r projection, r = 10 to 13 (Beylkin & Monzon, ACHA 28,
+2010).  Cost per step and memory are then fixed whatever the step index
+or the horizon.  Each fit is checked when built and certified in the tests
 to relative error 1e-9 against ``l1_weights``/``rect_weights``, for orders
-in [0.05, 0.95] and up to 1e5 steps, and the rank-r tail is tested against
-the full one to 1e-12.  A run of at most 64 steps never folds, so it sums
-exactly as the direct sums do; the direct sums (``_kernels.hist_dot_*``)
-remain as the reference in the tests.
+in [0.05, 0.95] and up to 1e5 steps, and the rank-r tail against the full
+one to 1e-12.  A run of at most 64 steps never folds, so it sums exactly
+as the direct sums (``_kernels.hist_dot_*``, the tests' reference) do.
 """
 
 from __future__ import annotations
@@ -167,11 +164,7 @@ TAIL_RANK_RTOL = 1e-13
 
 
 class HistoryBuffer:
-    """Per-step rows, oldest first, in one contiguous array.
-
-    Grows by doubling when full; :class:`MemorySum` sizes its window so that
-    it never does.
-    """
+    """Per-step rows, oldest first, in one preallocated array."""
 
     def __init__(self, width: int, dtype=np.float64, capacity: int = 1024):
         self._rows = np.zeros((capacity, width), dtype=dtype)
@@ -185,12 +178,6 @@ class HistoryBuffer:
         return self._rows
 
     def append(self, row: np.ndarray):
-        if self._count == self._rows.shape[0]:
-            grown = np.zeros(
-                (2 * self._rows.shape[0], self._rows.shape[1]), dtype=self._rows.dtype
-            )
-            grown[: self._count] = self._rows
-            self._rows = grown
         self._rows[self._count] = row
         self._count += 1
 
@@ -202,154 +189,185 @@ class HistoryBuffer:
 
 
 class MemorySum:
-    """``sum_k w[lag + age_k] * row_k`` over every row appended so far.
+    """A stack of S sums ``sum_k w_s[lag_s + age_k] * row_k[s]``, s < S.
 
-    ``age`` is 0 for the newest row and ``w`` are the ``kind`` weights of
-    ``order`` (``"l1"``: :func:`l1_weights`, ``"rect"``: :func:`rect_weights`),
-    for weight indices up to ``steps + lag``.  The newest rows, ``WINDOW`` to
-    ``WINDOW + BLOCK`` of them, are summed against the exact weights.  When
-    the window is full, its oldest ``BLOCK`` rows are folded into the
-    sum-of-exponentials state ``S[i] = sum e^{-x_i d_k} row_k`` (one real
-    GEMM; complex rows are read as pairs of floats) and dropped.
-
-    The tail of the sum is the coefficient row picked by the window's fill
-    times ``S``.  The ``BLOCK`` x terms block of those rows has numerical
-    rank r of 10 to 13, so at the first fold it is cut to its r singular
-    triplets above ``TAIL_RANK_RTOL`` times the largest, ``U_r Sigma_r
-    V_r^T``.  Each fold then projects ``P = V_r^T S`` (r rows), and each
-    step sums ``(U_r Sigma_r)[fill] @ P``, reading r rows instead of one per
-    term.  ``S`` is kept for the next fold.  The fit is built at the first
-    fold, so runs of at most ``WINDOW + BLOCK`` = 64 rows sum exactly.
+    ``families`` gives each sum's ``(kind, order, lag)``; ``w_s`` are the
+    ``kind`` (``"l1"``/``"rect"``) weights of ``order`` up to index
+    ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`append`
+    adds one ``(S, width)`` row to every sum, so all fill and fold in lock
+    step; complex rows are held as float pairs.  The newest ``WINDOW`` to
+    ``WINDOW + BLOCK`` rows sit in one window, summed against the exact
+    weights by one batched product that reads each sum's columns in place.
+    A full window folds its oldest ``BLOCK`` rows, one sum at a time, into
+    that sum's sum-of-exponentials state ``S[i] = sum e^{-x_i d_k} row_k``.
+    A sum's tail is the coefficient row picked by the window's fill times
+    ``S``; the ``BLOCK`` x terms block of those rows is cut at the first
+    fold to its r = 10 to 13 singular triplets above ``TAIL_RANK_RTOL``
+    times the largest, ``U_r Sigma_r V_r^T``.  Each fold projects ``P =
+    V_r^T S`` and each step adds ``(U_r Sigma_r)[fill] @ P``, batched over
+    the stack.  Term counts and ranks are padded to the stack's largest
+    with zero rows, so padded state and projection rows stay exactly 0.
     """
 
-    def __init__(self, kind: str, order: float, lag: int, width: int, dtype,
-                 steps: int):
-        weights = l1_weights if kind == "l1" else rect_weights
-        # reversed, so that the weights of the n newest rows are _wrev[-n:]
-        self._wrev = weights(order, lag + WINDOW + BLOCK)[lag:][::-1].copy()
-        self._window = HistoryBuffer(width, dtype, capacity=WINDOW + BLOCK)
-        self._fit = (kind, order, lag + WINDOW + 1, steps + lag)
-        self._complex = np.dtype(dtype).kind == "c"
+    def __init__(self, families, width: int, dtype, steps: int):
+        self._dtype = np.dtype(dtype)
+        self._cols = width * (2 if self._dtype.kind == "c" else 1)
+        # reversed, so that the weights of the n newest rows are [..., -n:]
+        self._wrev = np.array([
+            (l1_weights if kind == "l1" else rect_weights)(order, lag + WINDOW + BLOCK)
+            [lag:][::-1] for kind, order, lag in families
+        ])[:, None, :]
+        self._window = HistoryBuffer(len(families) * self._cols, capacity=WINDOW + BLOCK)
+        self._fits = [(k, order, lag + WINDOW + 1, steps + lag) for k, order, lag in families]
         self._state = None
-        self.rank = 0
+        self.ranks = (0,) * len(families)
 
     def append(self, row: np.ndarray):
         if len(self._window) == WINDOW + BLOCK:
             self._fold()
-        self._window.append(row)
+        self._window.append(np.ravel(row).view(np.float64))
 
-    def _fold(self):
-        if self._state is None:
-            x, c = soe_weights(*self._fit)
-            first = self._fit[2]
-            # the newest folded row has offset 0 in S; at the next fold every
-            # offset grows by BLOCK
-            self._decay = np.exp(-BLOCK * x)[:, None]
-            self._fold_w = np.exp(-np.outer(x, np.arange(BLOCK - 1.0, -1.0, -1.0)))
+    def _build_tail(self):
+        parts = []
+        for kind, order, first, last in self._fits:
+            x, c = soe_weights(kind, order, first, last)
             # a window of WINDOW + 1 + f rows puts the newest folded row at
             # weight index first + f
             tail = c * np.exp(-np.outer(np.arange(first, first + BLOCK), x))
             u, sv, vt = np.linalg.svd(tail, full_matrices=False)
-            self.rank = int(np.count_nonzero(sv > TAIL_RANK_RTOL * sv[0]))
-            self._coef = u[:, : self.rank] * sv[: self.rank]
-            self._basis = vt[: self.rank].copy()
-            width = self._window.rows.shape[1] * (2 if self._complex else 1)
-            self._state = np.zeros((x.size, width))
-            self._proj = np.empty((self.rank, width))
+            r = int(np.count_nonzero(sv > TAIL_RANK_RTOL * sv[0]))
+            # the newest folded row has offset 0 in S; at the next fold every
+            # offset grows by BLOCK
+            parts.append((np.exp(-BLOCK * x)[:, None],
+                          np.exp(-np.outer(x, np.arange(BLOCK - 1.0, -1.0, -1.0))),
+                          u[:, :r] * sv[:r], vt[:r]))
+        self.ranks = tuple(basis.shape[0] for *_, basis in parts)
+        self._decay, self._fold_w, self._coef, self._basis = map(_zero_padded, zip(*parts))
+        self._state = np.zeros(self._fold_w.shape[:2] + (self._cols,))
+        self._proj = np.empty(self._basis.shape[:2] + (self._cols,))
+
+    def _fold(self):
+        if self._state is None:
+            self._build_tail()
         else:
             self._state *= self._decay
-        self._state += self._fold_w @ self._window.rows[:BLOCK].view(np.float64)
+        old = self._window.rows[:BLOCK].reshape(BLOCK, len(self._fits), self._cols)
+        # one sum at a time: a batched product would allocate S x terms rows
+        for s, state in enumerate(self._state):
+            state += self._fold_w[s] @ old[:, s]
         np.matmul(self._basis, self._state, out=self._proj)
         self._window.drop_oldest(BLOCK)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of history held: the window's rows, the SOE state and its
-        projection."""
-        if self._state is None:
-            return self._window.rows.nbytes
-        return self._window.rows.nbytes + self._state.nbytes + self._proj.nbytes
+        """Bytes held: the window's rows, the SOE states and their projections."""
+        tail = () if self._state is None else (self._state, self._proj)
+        return sum(a.nbytes for a in (self._window.rows, *tail))
 
     def total(self) -> np.ndarray:
-        n = len(self._window)
-        out = np.dot(self._wrev[WINDOW + BLOCK - n :], self._window.rows[:n])
+        """The S sums over every row appended so far, as ``(S, width)``."""
+        n, count = len(self._window), len(self._fits)
+        rows = self._window.rows[:n].reshape(n, count, self._cols).transpose(1, 0, 2)
+        out = np.matmul(self._wrev[:, :, WINDOW + BLOCK - n :], rows)
         if self._state is not None:
-            tail = self._coef[n - WINDOW - 1] @ self._proj
-            out += tail.view(np.complex128) if self._complex else tail
-        return out
+            out += np.matmul(self._coef[:, n - WINDOW - 1, None], self._proj)
+        return out.reshape(count, self._cols).view(self._dtype)
+
+
+def _zero_padded(arrays) -> np.ndarray:
+    """Stack 2-D arrays, padding each with zeros to the largest shape."""
+    out = np.zeros((len(arrays),) + tuple(map(max, zip(*(a.shape for a in arrays)))))
+    for dst, a in zip(out, arrays):
+        dst[: a.shape[0], : a.shape[1]] = a
+    return out
 
 
 def _mode_layout(grid: SpaceGrid):
-    # rfft layout: squared wavenumbers flattened, plus transform closures
+    # rfft layout: squared wavenumbers flattened, plus transform closures over
+    # the trailing space axes, so that they batch over leading ones
     m = grid.points
     if grid.dim == 1:
         kr = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kr**2
-        shape = k2.shape
         fwd = np.fft.rfft
         inv = lambda a: np.fft.irfft(a, n=m)
     else:
         kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
         ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        shape = k2.shape
-        fwd = np.fft.rfftn
-        inv = lambda a: np.fft.irfftn(a, s=(m, m), axes=(0, 1))
-    return k2.ravel(), shape, fwd, inv
+        fwd = lambda a: np.fft.rfftn(a, axes=(-2, -1))
+        inv = lambda a: np.fft.irfftn(a, s=(m, m), axes=(-2, -1))
+    return k2.ravel(), k2.shape, fwd, inv
 
 
 class _Channel:
-    """One component of the first-order system, advanced in mode space."""
+    """The C components of the first-order system, advanced together.
 
-    def __init__(self, space, time, alpha1, alpha2, sigma, delta,
-                 src_gamma, store_power, u0_vals, v0_vals):
-        self.space = space
-        self.h = time.h
-        n = time.steps
-        k2, self.mode_shape, self.fwd, self.inv = _mode_layout(space)
-        self.c1 = self.h ** (-alpha1) / math.gamma(2.0 - alpha1)
-        self.q2 = self.h ** (1.0 - alpha2) / math.gamma(2.0 - alpha2)
-        self.cg = self.h ** (1.0 - src_gamma) / math.gamma(2.0 - src_gamma)
-        self.lsig = k2**sigma
-        self.ldel = k2**delta
-        self.denom = self.c1 + 0.5 * self.q2 * self.ldel + 0.5 * self.h * self.lsig
-        k = k2.shape[0]
-        self.uhat = self.fwd(u0_vals).ravel().astype(np.complex128)
-        self.vhat = self.fwd(v0_vals).ravel().astype(np.complex128)
-        # at step j: dv holds v_k - v_{k-1} for k < j, weighted b_{j-k};
-        # pv holds (v_k + v_{k+1})/2 for k < j - 1, weighted w_{j-k}
-        self.dv = MemorySum("l1", alpha1, 1, k, np.complex128, n)
-        self.pv = MemorySum("rect", 1.0 - alpha2, 2, k, np.complex128, n)
-        # I^{1-src_gamma} of the |.|^p rows its producer feeds in, one per step
-        self.source = MemorySum("rect", 1.0 - src_gamma, 1, u0_vals.size, np.float64, n)
-        self.store_power = store_power
-        self.u0 = u0_vals
-        self.power = np.abs(u0_vals.ravel()) ** store_power  # of the newest state
+    ``comps[i]`` is ``(alpha1, alpha2, sigma, delta, gamma, power, u0, v0)``;
+    component i's source is I^{1-gamma}|u_{feeds[i]}|^power.  At step j the
+    stacked history holds, per component, a zero row and v_k - v_{k-1} for
+    0 < k < j (weights b), a zero row and (v_{k-1} + v_k)/2 (weights w),
+    and the rfft of the source's |.|^power row of every state k < j.
+    """
 
-    def source_hat(self) -> np.ndarray:
-        raw = self.cg * self.source.total()
-        return self.fwd(raw.reshape(self.space.shape())).ravel()
+    def __init__(self, space, time, comps, feeds):
+        self.h = h = time.h
+        k2, shape, self.fwd, self.inv = _mode_layout(space)
+        count = len(comps)
+        self.mode_shape, self.feeds = (count,) + shape, feeds
+        coefs, families = [], []
+        for alpha1, alpha2, sigma, delta, gamma, *_ in comps:
+            c1 = h ** (-alpha1) / math.gamma(2.0 - alpha1)
+            q2 = h ** (1.0 - alpha2) / math.gamma(2.0 - alpha2)
+            lsig, ldel = k2**sigma, k2**delta
+            # c1 and cg as (C, 1) columns
+            coefs.append(([c1], [h ** (1.0 - gamma) / math.gamma(2.0 - gamma)], lsig,
+                          ldel * q2, c1 + 0.5 * q2 * ldel + 0.5 * h * lsig))
+            families.append((("l1", alpha1, 1), ("rect", 1.0 - alpha2, 2),
+                             ("rect", 1.0 - gamma, 1)))
+        self.c1, self.cg, self.lsig, self.qdel, self.denom = map(np.array, zip(*coefs))
+        self.powers = [c[5] for c in comps]
+        self.u0 = np.array([c[6] for c in comps])
+        self.uhat, self.vhat = (
+            self.fwd(np.array(a)).reshape(count, -1).astype(np.complex128)
+            for a in (self.u0, [c[7] for c in comps]))
+        # kind-major: every Caputo sum, then every damping sum, then the sources
+        self.history = MemorySum([f[k] for k in range(3) for f in families], k2.size,
+                                 np.complex128, time.steps)
+        # the next row to append; its source part stays 0 while the source is off
+        self._row = np.zeros((3, count, k2.size), dtype=np.complex128)
+        first = self._source_rows(np.abs(self.u0))[None]
+        self.history.append(np.concatenate((self._row[:2], first)))
 
-    def step(self, j: int, src_hat) -> np.ndarray:
-        """Advance from node j - 1 to node j; ``src_hat`` is the source or None."""
-        hist1 = self.dv.total()
-        hist2 = self.pv.total()
+    def _source_rows(self, mag: np.ndarray) -> np.ndarray:
+        # a Python-float exponent keeps numpy's fast path for squares
+        power = np.array([mag[k] ** p for k, p in zip(self.feeds, self.powers)])
+        return self.fwd(power).reshape(len(self.feeds), -1)
+
+    def step(self, j: int, source: bool):
+        """Advance from node j - 1 to node j, with the source if ``source``;
+        returns the new states and their sup-norms."""
+        caputo, damping, src = self.history.total().reshape(3, len(self.feeds), -1)
+        vhat = self.vhat
         rhs = (
-            self.c1 * self.vhat
-            - self.c1 * hist1
-            - self.ldel * self.q2 * (0.5 * self.vhat + hist2)
-            - self.lsig * (self.uhat + 0.5 * self.h * self.vhat)
+            self.c1 * vhat
+            - self.c1 * caputo
+            - self.qdel * (0.5 * vhat + damping)
+            - self.lsig * (self.uhat + 0.5 * self.h * vhat)
         )
-        if src_hat is not None:
-            rhs = rhs + src_hat
+        if source:
+            rhs += self.cg * src
         vnew = rhs / self.denom
-        self.uhat = self.uhat + 0.5 * self.h * (vnew + self.vhat)
-        self.dv.append(vnew - self.vhat)
-        self.pv.append(0.5 * (vnew + self.vhat))
+        row = self._row
+        row[0], row[1] = vnew - vhat, 0.5 * (vnew + vhat)
+        self.uhat += self.h * row[1]  # the trapezoidal rule on v
         self.vhat = vnew
         u = self.inv(self.uhat.reshape(self.mode_shape))
-        self.power = np.abs(u.ravel()) ** self.store_power
-        return u
+        mag = np.abs(u)
+        if source:
+            row[2] = self._source_rows(mag)
+        self.history.append(row)
+        return u, mag.reshape(len(mag), -1).max(axis=1).tolist()
 
 
 def detect_blowup(trace: TimeSeries, threshold: float):
@@ -373,45 +391,29 @@ def detect_blowup(trace: TimeSeries, threshold: float):
     return float((j - 1) * grid.h + frac * grid.h)
 
 
-def _march(config: SimConfig, channels, feeds):
-    """Advance ``channels`` together; one :class:`SimResult` per channel.
+def _march(config: SimConfig, stepper: _Channel):
+    """Advance the stepper's components; one :class:`SimResult` each.
 
-    Channel i's source sums the ``|.|^p`` rows of channel ``feeds[i]``.
-    All channels stop at the first step where a sup-norm is non-finite
+    All components stop at the first step where a sup-norm is non-finite
     (Diverged) or reaches the threshold (BlowUp) and report the same status
-    and time: :func:`detect_blowup` of the first channel, in channel order,
-    that is non-finite, or failing that the first that crossed.  With the
-    nonlinearity off, a per-step sup-norm growth beyond 10x in any channel
-    trips a step-size error: the implicit linear update is dissipative mode
-    by mode, so such growth can only mean the time step is too coarse.
+    and time: :func:`detect_blowup` of the first component, in order, that
+    is non-finite, or failing that the first that crossed.  With the
+    nonlinearity off, a per-step sup-norm growth beyond 10x in any
+    component trips a step-size error: the implicit linear update is
+    dissipative mode by mode, so such growth can only mean the time step is
+    too coarse.
     """
     space, time = config.space, config.time
     n, h, threshold = time.steps, time.h, config.threshold
     nonlinear, every = config.nonlinearity, config.snapshot_every
-    traces = [np.zeros(n + 1) for _ in channels]
-    prev = [float(np.max(np.abs(ch.u0))) for ch in channels]
-    for tr, sup in zip(traces, prev):
-        tr[0] = sup
-    snaps = [[(0.0, Field(space, ch.u0.copy()))] if every else None
-             for ch in channels]
-    # loop-invariant lookups: the source feeds and the bound step methods
-    fed = [(ch.source.append, channels[k]) for ch, k in zip(channels, feeds)]
-    source_hats = [ch.source_hat for ch in channels]
-    steps = [ch.step for ch in channels]
-    srcs = [None] * len(channels)
+    prev = [float(np.abs(u).max()) for u in stepper.u0]
+    traces = np.zeros((len(prev), n + 1))  # pages past the stop step stay untouched
+    traces[:, 0] = prev
+    snaps = [[(0.0, Field(space, u.copy()))] if every else None for u in stepper.u0]
     for j in range(1, n + 1):
-        if nonlinear:
-            # every source reads its producer's newest row before any steps
-            for append, producer in fed:
-                append(producer.power)
-            srcs = [source_hat() for source_hat in source_hats]
-        states = [step(j, src) for step, src in zip(steps, srcs)]
-        sups = [float(np.abs(u).max()) for u in states]
-        stop = False
-        for tr, sup in zip(traces, sups):
-            tr[j] = sup
-            if not sup < threshold:  # also true for nan
-                stop = True
+        states, sups = stepper.step(j, nonlinear)
+        traces[:, j] = sups
+        stop = not all(sup < threshold for sup in sups)  # a nan stops too
         # the blow-up state is kept even off the cadence; a non-finite one is not
         if every and (stop or j % every == 0) and all(map(math.isfinite, sups)):
             for snap, u in zip(snaps, states):
@@ -462,38 +464,32 @@ def _initial(space: SpaceGrid, datum: Field | None) -> np.ndarray:
 def run(config: SimConfig) -> SimResult:
     """Advance the scalar problem; stop at blow-up, divergence, or horizon.
 
-    The source is I^{1-gamma}|u|^p: one channel fed by itself.  Zero data
+    The source is I^{1-gamma}|u|^p: one component fed by itself.  Zero data
     is preserved exactly (every update is a linear combination of zeros).
     """
     pr = _checked_params(config, ParamSet, "run() needs a scalar ParamSet")
     space = config.space
-    ch = _Channel(
-        space, config.time, pr.alpha1, pr.alpha2, pr.sigma, pr.delta,
-        pr.gamma, pr.p, _initial(space, config.u0), config.bump.render(space).values,
-    )
-    return _march(config, [ch], [0])[0]
+    comp = (pr.alpha1, pr.alpha2, pr.sigma, pr.delta, pr.gamma, pr.p,
+            _initial(space, config.u0), config.bump.render(space).values)
+    return _march(config, _Channel(space, config.time, [comp], [0]))[0]
 
 
 def run_system(config: SimConfig):
     """Advance the cross-coupled pair; the components stop together.
 
     Sources are I^{1-gamma1}|v|^p for the first component and
-    I^{1-gamma2}|u|^q for the second: two channels, each fed by the other.
-    If either sup-norm crosses the threshold both results report BlowUp at
-    the same interpolated time.
+    I^{1-gamma2}|u|^q for the second: two components, each fed by the
+    other.  If either sup-norm crosses the threshold both results report
+    BlowUp at the same interpolated time.
     """
     pr = _checked_params(config, SystemParamSet, "run_system() needs a SystemParamSet")
-    space, time = config.space, config.time
+    space = config.space
     bump2 = config.bump2 if config.bump2 is not None else config.bump
-    ch_u = _Channel(
-        space, time, pr.alpha1, pr.alpha2, pr.sigma1, pr.delta1,
-        pr.gamma1, pr.q, _initial(space, config.u0), config.bump.render(space).values,
-    )
-    ch_v = _Channel(
-        space, time, pr.beta1, pr.beta2, pr.sigma2, pr.delta2,
-        pr.gamma2, pr.p, _initial(space, config.v0_init), bump2.render(space).values,
-    )
-    return tuple(_march(config, [ch_u, ch_v], [1, 0]))
+    comp_u = (pr.alpha1, pr.alpha2, pr.sigma1, pr.delta1, pr.gamma1, pr.p,
+              _initial(space, config.u0), config.bump.render(space).values)
+    comp_v = (pr.beta1, pr.beta2, pr.sigma2, pr.delta2, pr.gamma2, pr.q,
+              _initial(space, config.v0_init), bump2.render(space).values)
+    return tuple(_march(config, _Channel(space, config.time, [comp_u, comp_v], [1, 0])))
 
 
 def tune_amplitude(config: SimConfig, start: float, max_doublings: int = 12):

@@ -3,6 +3,8 @@ import contextlib
 import io
 import os
 import string
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab import harness, testfn
+from fraclab import _kernels, harness, testfn
 from fraclab.errors import ParameterError
 from fraclab.harness import (
     CSV_HEADER,
@@ -81,14 +83,52 @@ def test_env_override_validation(monkeypatch):
     with pytest.raises(ParameterError, match="FRACLAB_TIME_HORIZONT"):
         load_config(None)
     monkeypatch.delenv("FRACLAB_TIME_HORIZONT")
-    # backend selector and unknown sections are not config overrides
+    # the backend selector is not a config override; an unknown section is
+    # refused like an unknown key
     monkeypatch.setenv("FRACLAB_BACKEND", "numpy")
-    monkeypatch.setenv("FRACLAB_NOSECTION_KEY", "1")
     cp = load_config(None)
     assert cp["time"]["horizon"] == "50.0"
+    monkeypatch.setenv("FRACLAB_NOSECTION_KEY", "1")
+    with pytest.raises(ParameterError, match="FRACLAB_NOSECTION_KEY names no config key"):
+        load_config(None)
+    monkeypatch.delenv("FRACLAB_NOSECTION_KEY")
     # underscores inside key names survive the section split
     monkeypatch.setenv("FRACLAB_RUN_SNAPSHOT_EVERY", "5")
     assert load_config(None)["run"]["snapshot_every"] == "5"
+
+
+@pytest.mark.parametrize("name", ["FRACLAB_RUNN_THRESHOLD", "FRACLAB_RUN_THRESHOLDD",
+                                  "FRACLAB_RUN", "FRACLAB_"])
+def test_unknown_env_names_exit_two(name, monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv(name, "5")
+    assert harness.main(["exponent"]) == EXIT_BAD_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+
+
+def _exponent_with_backend(value):
+    # the backend is chosen when fraclab is imported, so only a fresh
+    # interpreter sees the request
+    env = dict(os.environ, FRACLAB_BACKEND=value)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fraclab", "exponent"],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("value", ["bogus", "numba", "numpy", " Auto "])
+def test_backend_request_keeps_the_exit_code_contract(value):
+    proc = _exponent_with_backend(value)
+    usable = value != "bogus" and (value != "numba" or _kernels.HAVE_NUMBA)
+    if usable:
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        return
+    assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FRACLAB_BACKEND"), lines
+    assert all(v in lines[0] for v in ("'auto'", "'numba'", "'numpy'"))
 
 
 def test_parse_p_values():

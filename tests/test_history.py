@@ -1,11 +1,12 @@
 """The solver's memory sums: exact window plus sum-of-exponentials tail.
 
-``solver.MemorySum`` replaces the direct full-history sums
-``_kernels.hist_dot_*``; those stay as the reference here.  The fit of the
-weights is certified against ``l1_weights``/``rect_weights``, the sums
-against the direct sums at every step, runs that never fold must match
-the direct sums bit for bit, and whole runs must keep the blow-up times
-the direct sums gave.
+``solver.MemorySum`` holds a stack of sums and replaces the direct
+full-history sums ``_kernels.hist_dot_*``; those stay as the reference
+here.  The fit of the weights is certified against
+``l1_weights``/``rect_weights``, every sum of a stack against its own
+direct sum at every step, runs that never fold must match the direct sums
+bit for bit, and whole runs must keep the blow-up times the direct sums
+gave.
 """
 
 import argparse
@@ -71,63 +72,98 @@ def random_rows(rng, count, width, complex_rows):
     return rng.random((count, width)) ** 2  # nonnegative, like |u|^p
 
 
+def as_floats(rows):
+    # the float columns a stacked sum holds for these rows
+    return np.ascontiguousarray(rows).view(np.float64)
+
+
 @pytest.mark.parametrize("kind,order,lag", FAMILIES)
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
     steps, width = 3000, 7
     rows = random_rows(rng, steps + 1, width, complex_rows)
     dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
-    hist = MemorySum(kind, order, lag, width, rows.dtype, steps)
+    hist = MemorySum([(kind, order, lag)], width, rows.dtype, steps)
     assert not np.any(hist.total())
     for n in range(1, steps + 2):  # covers the folds at W+B, W+B+1, ... and k*B
-        hist.append(rows[n - 1])
+        hist.append(rows[n - 1][None])
         want = direct_sum(kind, order, lag, rows, n, dot)
-        err = np.max(np.abs(hist.total() - want)) / np.max(np.abs(want))
+        err = np.max(np.abs(hist.total()[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-9, f"after {n} rows: rel {err:.2e}"
+
+
+def test_stacked_families_match_their_direct_sums(rng):
+    # the seven families have different ranks, so the stack pads its
+    # projections (and would pad term counts, which at one horizon agree);
+    # every member must still match its own direct sum, and every padded
+    # row must stay exactly zero
+    steps, width = 3000, 5
+    terms = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)[0].size
+             for kind, order, lag in FAMILIES]
+    rows = random_rows(rng, (steps + 1) * len(FAMILIES), width, True)
+    rows = rows.reshape(steps + 1, len(FAMILIES), width)
+    hist = MemorySum(FAMILIES, width, np.complex128, steps)
+    for n in range(1, steps + 2):
+        hist.append(rows[n - 1])
+        got = hist.total()
+        for s, (kind, order, lag) in enumerate(FAMILIES):
+            want = direct_sum(kind, order, lag, rows[:, s], n, _kernels.hist_dot_complex)
+            err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
+            assert err <= 1e-9, f"{kind} {order} {lag} after {n} rows: rel {err:.2e}"
+        if n > WINDOW + BLOCK:
+            for s, (t, r) in enumerate(zip(terms, hist.ranks)):
+                assert np.all(hist._state[s, t:] == 0.0), f"state {s} after {n} rows"
+                assert np.all(hist._proj[s, r:] == 0.0), f"projection {s} after {n} rows"
+    assert hist._state.shape[1] == max(terms)
+    assert len(set(hist.ranks)) > 1 and hist._proj.shape[1] == max(hist.ranks)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
-    width = 33
-    rows = random_rows(rng, WINDOW + BLOCK, width, complex_rows)
-    dot = _kernels.hist_dot_complex_np if complex_rows else _kernels.hist_dot_real_np
-    for kind, order, lag in FAMILIES[:3]:
-        hist = MemorySum(kind, order, lag, width, rows.dtype, 10_000)
-        for n in range(1, WINDOW + BLOCK + 1):
-            hist.append(rows[n - 1])
-            want = direct_sum(kind, order, lag, rows, n, dot)
-            assert np.array_equal(hist.total(), want), f"{kind} {order}: row {n}"
+    width, families = 33, FAMILIES[:3]
+    rows = random_rows(rng, (WINDOW + BLOCK) * len(families), width, complex_rows)
+    rows = rows.reshape(WINDOW + BLOCK, len(families), width)
+    hist = MemorySum(families, width, rows.dtype, 10_000)
+    for n in range(1, WINDOW + BLOCK + 1):
+        hist.append(rows[n - 1])
+        got = as_floats(hist.total())
+        for s, (kind, order, lag) in enumerate(families):
+            want = direct_sum(kind, order, lag, as_floats(rows[:, s]), n,
+                              _kernels.hist_dot_real_np)
+            assert np.array_equal(got[s], want), f"{kind} {order}: row {n}"
 
 
 def test_memory_sum_memory_is_flat(rng):
-    width = 16
-    hist = MemorySum("rect", 0.7, 2, width, np.complex128, 100_000)
+    width, steps = 16, 100_000
+    families = FAMILIES[:3]  # the solver's three sums of one component
+    hist = MemorySum(families, width, np.complex128, steps)
     sizes = set()
     for n in range(1, 2001):
-        hist.append(random_rows(rng, 1, width, True)[0])
+        hist.append(random_rows(rng, len(families), width, True))
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
-    terms = soe_weights("rect", 0.7, 2 + WINDOW + 1, 100_002)[0].size
-    # the window's rows plus one float pair per column for each term of the
-    # state and each row of its rank-r projection
-    assert sizes.pop() == (WINDOW + BLOCK) * width * 16 + (terms + hist.rank) * width * 16
+    terms = max(soe_weights(kind, order, lag + WINDOW + 1, steps + lag)[0].size
+                for kind, order, lag in families)
+    # the window's rows plus one float pair per column for each term of every
+    # state and each row of every rank-r projection, padded to the largest
+    assert sizes.pop() == len(families) * width * 16 * (
+        WINDOW + BLOCK + terms + max(hist.ranks))
 
 
-def folded(kind, order, lag, steps):
-    hist = MemorySum(kind, order, lag, 1, np.float64, steps)
+def folded(families, steps):
+    hist = MemorySum(families, 1, np.float64, steps)
     for _ in range(WINDOW + BLOCK + 1):
-        hist.append(np.ones(1))
+        hist.append(np.ones(len(families)))
     return hist
 
 
 @pytest.mark.parametrize("steps", [200, 3000, 100_000])
 def test_tail_rank_is_small(steps):
-    for kind in ("l1", "rect"):
-        for order in (0.05, 0.25, 0.5, 0.75, 0.95):
-            for lag in (1, 2):
-                rank = folded(kind, order, lag, steps).rank
-                assert 0 < rank <= 16, f"{kind} order {order} lag {lag}: rank {rank}"
+    families = [(kind, order, lag) for kind in ("l1", "rect")
+                for order in (0.05, 0.25, 0.5, 0.75, 0.95) for lag in (1, 2)]
+    for (kind, order, lag), rank in zip(families, folded(families, steps).ranks):
+        assert 0 < rank <= 16, f"{kind} order {order} lag {lag}: rank {rank}"
 
 
 @pytest.mark.parametrize("kind,order,lag", FAMILIES)
@@ -140,10 +176,10 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
     rows = random_rows(rng, count, width, False)
     if complex_rows:
         rows = rows + 1j * random_rows(rng, count, width, False)
-    hist = MemorySum(kind, order, lag, width, rows.dtype, steps)
+    hist = MemorySum([(kind, order, lag)], width, rows.dtype, steps)
     for row in rows:
-        hist.append(row)
-    zero = np.zeros(width, dtype=rows.dtype)
+        hist.append(row[None])
+    zero = np.zeros((1, width), dtype=rows.dtype)
     for _ in range(WINDOW + BLOCK):
         hist.append(zero)
     x, c = soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
@@ -156,7 +192,7 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
         # weight index of folded row k: first + fill + its offset in S
         m = lag + WINDOW + 1 + fill + (done - 1 - np.arange(count))
         want = (np.exp(-np.outer(m, x)) @ c) @ rows
-        err = np.max(np.abs(hist.total() - want) / np.abs(want))
+        err = np.max(np.abs(hist.total()[0] - want) / np.abs(want))
         assert err <= 1e-12, f"fill {fill}: rel {err:.2e}"
         fills.add(fill)
         hist.append(zero)
@@ -164,22 +200,43 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
     assert fills == set(range(BLOCK))
 
 
-class DirectSum:
-    """Stand-in for MemorySum that keeps every row and sums them directly."""
+def test_mode_space_source_matches_rfft_of_physical_sum(rng):
+    # the solver sums rfft(|u|^p) rows; the sum is linear, so its total must
+    # be the rfft of the sum of the physical rows
+    steps, points = 500, 64
+    family = [("rect", 0.75, 1)]
+    modes = MemorySum(family, points // 2 + 1, np.complex128, steps)
+    physical = MemorySum(family, points, np.float64, steps)
+    for n in range(1, steps + 2):
+        row = random_rows(rng, 1, points, False)
+        modes.append(np.fft.rfft(row))
+        physical.append(row)
+        want = np.fft.rfft(physical.total()[0])
+        err = np.max(np.abs(modes.total()[0] - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"after {n} rows: rel {err:.2e}"
 
-    def __init__(self, kind, order, lag, width, dtype, steps):
-        self.wrev = WEIGHTS[kind](order, steps + lag + 1)[::-1].copy()
-        self.lag = lag
-        self.rows = HistoryBuffer(width, dtype)
-        complex_rows = np.dtype(dtype).kind == "c"
-        self.dot = _kernels.hist_dot_complex_np if complex_rows else _kernels.hist_dot_real_np
+
+class DirectSum:
+    """Stand-in for MemorySum that keeps every row and sums each of its
+    stacked sums directly, on the same float columns."""
+
+    def __init__(self, families, width, dtype, steps):
+        self.dtype = np.dtype(dtype)
+        self.cols = width * (2 if self.dtype.kind == "c" else 1)
+        self.wrevs = [(WEIGHTS[kind](order, steps + lag + 2)[::-1].copy(), lag)
+                      for kind, order, lag in families]
+        self.rows = HistoryBuffer(len(families) * self.cols, capacity=steps + 2)
 
     def append(self, row):
-        self.rows.append(row)
+        self.rows.append(np.ravel(row).view(np.float64))
 
     def total(self):
-        n = len(self.rows)
-        return self.dot(self.wrev, self.wrev.size - self.lag - n, self.rows.rows, 0, n)
+        n, cols = len(self.rows), self.cols
+        return np.array([
+            _kernels.hist_dot_real_np(wrev, wrev.size - lag - n,
+                                      self.rows.rows[:, s * cols : (s + 1) * cols], 0, n)
+            for s, (wrev, lag) in enumerate(self.wrevs)
+        ]).view(self.dtype)
 
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)

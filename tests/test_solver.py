@@ -15,7 +15,6 @@ from fraclab.fraclap import Field, SpaceGrid
 from fraclab.fracops import TimeGrid, TimeSeries
 from fraclab.solver import (
     BumpSpec,
-    HistoryBuffer,
     SimConfig,
     default_space_grid,
     detect_blowup,
@@ -133,15 +132,6 @@ def test_zero_data_is_fixed_point():
     assert r.status == "Completed"
     assert r.steps_taken == 16
     assert np.array_equal(r.trace.values, np.zeros(17))
-
-
-def test_history_buffer_growth():
-    buf = HistoryBuffer(3, capacity=2)
-    for i in range(9):
-        buf.append(np.full(3, float(i)))
-    assert len(buf) == 9
-    assert buf.rows.shape[0] >= 9
-    assert np.array_equal(buf.rows[:9, 0], np.arange(9.0))
 
 
 def test_detect_blowup_interpolates():
