@@ -202,15 +202,67 @@ def test_verify_tol_zero_separates_exact_from_quadrature(monkeypatch):
                  "laplacian-cross-method", "laplacian-constants"):
         assert not by_name[name].passed
     # adjointness is exact, so the residual is pure roundoff; whether the
-    # two sums cancel to exactly 0.0 depends on summation order (np.dot
-    # does on this fixture, the compiled loop leaves ~1e-16), so assert
-    # the invariant rather than the backend-specific outcome
+    # two sums cancel to exactly 0.0 depends on the summation order of the
+    # BLAS products behind the operators, so assert the invariant rather
+    # than the outcome on one BLAS build
     ibp = by_name["integration-by-parts"]
     assert ibp.residual < 1e-14
     assert bool(ibp.passed) == (ibp.residual == 0.0)
     # identities with no floating accumulation survive even a zero tolerance
     for name in ("exponent-table", "zero-fixed-point"):
         assert by_name[name].passed
+
+
+def test_verify_report_is_stable(monkeypatch):
+    # the nine checks, their order and their printed digits at seed 7; the
+    # roundoff-level residuals (integration-by-parts, lemma3-scaling) are
+    # those of one summation order and may move with the BLAS build
+    clear_fraclab_env(monkeypatch)
+    assert verify_all(ExperimentSpec(mode="verify", seed=7)).render() == (
+        "[PASS] power-rule-phi1          residual=9.053e-05  tol=1.000e-02  slope=+1.30\n"
+        "[PASS] integration-by-parts     residual=0.000e+00  tol=1.000e-02  slope=+inf\n"
+        "[PASS] composition-integral     residual=3.837e-04  tol=2.000e-02  slope=+1.11\n"
+        "[PASS] composition-derivative   residual=1.443e-04  tol=2.000e-02  slope=+1.16\n"
+        "[PASS] lemma3-scaling           residual=1.741e-13  tol=2.000e-02\n"
+        "[PASS] laplacian-cross-method   residual=1.491e-02  tol=2.000e-02\n"
+        "[PASS] laplacian-constants      residual=4.179e-06  tol=1.000e-01\n"
+        "[PASS] exponent-table           residual=0.000e+00  tol=1.000e-12\n"
+        "[PASS] zero-fixed-point         residual=0.000e+00  tol=1.000e-12\n"
+        "9/9 checks passed"
+    )
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["verify", "--seed", "-1"], {}),
+    (["verify"], {"FRACLAB_VERIFY_SEED": "-5"}),
+])
+def test_negative_seed_exits_two(monkeypatch, capsys, argv, env):
+    clear_fraclab_env(monkeypatch)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert harness.main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed must be nonnegative")
+
+
+@pytest.mark.parametrize("flag,value,field,modes", [
+    ("--tol", "0.5", "tol", ("verify",)),
+    ("--seed", "5", "seed", ("verify",)),
+    ("--jobs", "3", "jobs", ("sweep", "system-sweep")),
+])
+def test_flags_only_where_they_apply(monkeypatch, capsys, flag, value, field, modes):
+    clear_fraclab_env(monkeypatch)
+    for mode in harness._MODES:
+        if mode in modes:
+            spec = build_spec(harness._parse_args([mode, flag, value]))
+            assert getattr(spec, field) == float(value)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            harness.main([mode, flag, value])
+        assert exc.value.code == EXIT_BAD_CONFIG
+        assert "unrecognized arguments: %s %s" % (flag, value) in capsys.readouterr().err
 
 
 def test_verify_catches_injected_fault(monkeypatch):
