@@ -233,7 +233,8 @@ class ExperimentSpec:
             raise ParameterError(
                 f"tolerance must be finite and nonnegative, got {self.tol}"
             )
-        if self.seed < 0:
+        # only verify draws from the seed, so only verify refuses a bad one
+        if self.mode == "verify" and self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.jobs is not None and self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
@@ -337,17 +338,17 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-# The verify checks.  Each takes (tol, rng) and returns a CheckResult; its
-# keyword arguments set its strength, with verify's values as defaults
-# (tests/test_acceptance.py runs some of them stronger).
+# The verify checks: fn(tol, rng) -> CheckResult.  Keyword arguments set the
+# strength, verify's as defaults; the acceptance suite runs some stronger.
 
 
 def _tf(eta: int) -> testfn.TestFunctionParams:
     return testfn.TestFunctionParams(eta=eta, horizon=1.0, theta=3.0, p=2.0)
 
 
-def check_power_rule(tol, rng, *, sizes=(2**10, 2**11, 2**12)) -> CheckResult:
+def check_power_rule(tol, rng) -> CheckResult:
     params = _tf(8)
+    sizes = (2**10, 2**11, 2**12)
     errs = []
     for n in sizes:
         closed = testfn.phi1_right_derivative_closed(params, 0.7, n)
@@ -358,7 +359,7 @@ def check_power_rule(tol, rng, *, sizes=(2**10, 2**11, 2**12)) -> CheckResult:
             float(np.max(np.abs(numeric.values[lo:hi] - closed.values[lo:hi])) / scale)
         )
     slope = float(np.polyfit(np.log2(sizes), np.log2(errs), 1)[0]) * -1.0
-    monotone = all(a > b for a, b in zip(errs, errs[1:]))
+    monotone = errs[0] > errs[1] > errs[2]
     return CheckResult(
         "power-rule-phi1", errs[-1] <= tol and monotone, errs[-1], tol, slope
     )
@@ -518,8 +519,7 @@ _REGISTRY = (
 
 
 def verify_all(spec: ExperimentSpec) -> VerifyReport:
-    """Run every registered identity/scaling/bound check at its default
-    strength.
+    """Run every registered identity/scaling/bound check at default strength.
 
     ``spec.tol`` (when set) replaces each check's default tolerance.  The
     acceptance suite calls the same check functions with larger sizes,
@@ -750,8 +750,7 @@ def _parse_args(argv):
         description="Numerical laboratory for a damped time-space fractional "
                     "wave equation with a memory-in-time source.",
     )
-    # flags a mode does not use are not registered on it, so argparse
-    # refuses them instead of dropping them
+    # each mode registers only its own flags, so argparse refuses the rest
     parser.set_defaults(tol=None, jobs=None, seed=None)
     sub = parser.add_subparsers(dest="mode", required=True)
     helps = {

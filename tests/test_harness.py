@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import os
+import re
 import string
 import subprocess
 import sys
@@ -214,16 +215,22 @@ def test_verify_tol_zero_separates_exact_from_quadrature(monkeypatch):
 
 
 def test_verify_report_is_stable(monkeypatch):
-    # the nine checks, their order and their printed digits at seed 7; the
-    # roundoff-level residuals (integration-by-parts, lemma3-scaling) are
-    # those of one summation order and may move with the BLAS build
+    # the nine checks, their order, PASS flags and printed digits at seed 7;
+    # two residuals are roundoff whose digits (and the IBP slope) depend on
+    # the summation order of the BLAS products, so they are bounded instead
     clear_fraclab_env(monkeypatch)
-    assert verify_all(ExperimentSpec(mode="verify", seed=7)).render() == (
+    report = verify_all(ExperimentSpec(mode="verify", seed=7))
+    by_name = {r.name: r for r in report.results}
+    for name in ("integration-by-parts", "lemma3-scaling"):
+        assert by_name[name].residual < 1e-12
+    text = re.sub(r"(by-parts|scaling)( +)residual=\S+(  tol=\S+)(  slope=\S+)?",
+                  r"\1\2residual=*\3", report.render())
+    assert text == (
         "[PASS] power-rule-phi1          residual=9.053e-05  tol=1.000e-02  slope=+1.30\n"
-        "[PASS] integration-by-parts     residual=0.000e+00  tol=1.000e-02  slope=+inf\n"
+        "[PASS] integration-by-parts     residual=*  tol=1.000e-02\n"
         "[PASS] composition-integral     residual=3.837e-04  tol=2.000e-02  slope=+1.11\n"
         "[PASS] composition-derivative   residual=1.443e-04  tol=2.000e-02  slope=+1.16\n"
-        "[PASS] lemma3-scaling           residual=1.741e-13  tol=2.000e-02\n"
+        "[PASS] lemma3-scaling           residual=*  tol=2.000e-02\n"
         "[PASS] laplacian-cross-method   residual=1.491e-02  tol=2.000e-02\n"
         "[PASS] laplacian-constants      residual=4.179e-06  tol=1.000e-01\n"
         "[PASS] exponent-table           residual=0.000e+00  tol=1.000e-12\n"
@@ -241,10 +248,12 @@ def test_negative_seed_exits_two(monkeypatch, capsys, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert harness.main(argv) == EXIT_BAD_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: seed must be nonnegative")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: seed must be nonnegative")
+    assert err.count("\n") == 1
+    # only verify draws from the seed, so a bad one does not stop other modes
+    monkeypatch.setenv("FRACLAB_VERIFY_SEED", "-5")
+    assert harness.main(["exponent"]) == 0
 
 
 @pytest.mark.parametrize("flag,value,field,modes", [
