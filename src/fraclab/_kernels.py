@@ -1,66 +1,30 @@
-"""Whole-series convolution and backend dispatch for the direct history sums.
+"""Whole-series convolution and the direct history sums.
 
 Every fractional operator in this package reduces to discrete convolutions
 with power-law weights.  Whole-series transforms in ``fracops`` use
 :func:`causal_conv`, an exact blocked lower-triangular Toeplitz product
-run as BLAS-3 matrix products.  It has one implementation whatever the
-backend.
+run as BLAS-3 matrix products.
 
 The ``hist_dot_*`` kernels are the direct O(j) history sums
 ``sum_k w[j - k] row_k`` that the time stepper once made at every step j.
 The stepper now keeps an exact window plus a sum-of-exponentials tail
 instead (``solver.MemorySum``), so these kernels serve as the test
-oracles it is checked against.  Each has two interchangeable
-implementations:
+oracles it is checked against.  Each function has one numpy
+implementation.
 
-* ``numba``: ``@njit``-compiled loops (used when numba imports cleanly),
-* ``numpy``: sliced BLAS calls, no compilation step.
-
-The environment variable ``FRACLAB_BACKEND`` selects between them, with
-values ``numba``, ``numpy``, or ``auto`` (default: ``auto``, which prefers
-numba when available; a value that cannot be honoured leaves numpy, and
-the command line refuses it).  The chosen backend is exposed as
-``BACKEND``.  Both paths produce identical results to rounding.
+``BACKEND`` and the flag beside it are fixed constants kept only because
+the benchmark's child process (``perfbench/child.py``) reports them; the
+benchmark changes only on its own, so they go when it next does.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ParameterError
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def check_backend(request: str):
-    """Refuse a ``FRACLAB_BACKEND`` value that cannot be honoured."""
-    req = request.strip().lower()
-    if req not in ("auto", "numba", "numpy"):
-        raise ParameterError(f"FRACLAB_BACKEND must be 'auto', 'numba' or 'numpy', "
-                             f"got {request!r}")
-    if req == "numba" and not HAVE_NUMBA:
-        raise ParameterError("FRACLAB_BACKEND=numba but numba is not importable; "
-                             "use 'auto' or 'numpy' (allowed: 'auto', 'numba', 'numpy')")
-
-
-_REQUEST = os.environ.get("FRACLAB_BACKEND", "auto").strip().lower()
-BACKEND = "numba" if HAVE_NUMBA and _REQUEST in ("auto", "numba") else "numpy"
+# Only perfbench/child.py reads these; the next benchmark change retires them.
+BACKEND = "numpy"
+HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -105,54 +69,13 @@ def causal_conv(w: np.ndarray, v: np.ndarray, nout: int) -> np.ndarray:
 # (weights pre-reversed by the caller so the slice is contiguous)
 # ---------------------------------------------------------------------------
 
-def hist_dot_real_np(wrev, off, rows, lo, hi):
+def hist_dot_real(wrev, off, rows, lo, hi):
     if hi <= lo:
         return np.zeros(rows.shape[1])
     return np.dot(wrev[off + lo : off + hi], rows[lo:hi])
 
 
-@njit(cache=True)
-def hist_dot_real_nb(wrev, off, rows, lo, hi):  # pragma: no cover - compiled
-    m = rows.shape[1]
-    out = np.zeros(m)
-    for k in range(lo, hi):
-        c = wrev[off + k]
-        for i in range(m):
-            out[i] += c * rows[k, i]
-    return out
-
-
-def hist_dot_complex_np(wrev, off, rows, lo, hi):
+def hist_dot_complex(wrev, off, rows, lo, hi):
     if hi <= lo:
         return np.zeros(rows.shape[1], dtype=np.complex128)
     return np.dot(wrev[off + lo : off + hi], rows[lo:hi])
-
-
-@njit(cache=True)
-def hist_dot_complex_nb(wrev, off, rows, lo, hi):  # pragma: no cover - compiled
-    m = rows.shape[1]
-    out = np.zeros(m, dtype=np.complex128)
-    for k in range(lo, hi):
-        c = wrev[off + k]
-        for i in range(m):
-            out[i] += c * rows[k, i]
-    return out
-
-
-if BACKEND == "numba":
-    hist_dot_real = hist_dot_real_nb
-    hist_dot_complex = hist_dot_complex_nb
-else:
-    hist_dot_real = hist_dot_real_np
-    hist_dot_complex = hist_dot_complex_np
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs so timed runs stay clean."""
-    w = np.array([1.0, 0.5, 0.25])
-    v = np.array([1.0, 2.0, 3.0])
-    causal_conv(w, v, 3)
-    rows_r = np.ones((3, 2))
-    rows_c = np.ones((3, 2), dtype=np.complex128)
-    hist_dot_real(w, 0, rows_r, 0, 3)
-    hist_dot_complex(w, 0, rows_c, 0, 3)

@@ -3,10 +3,8 @@ r"""Command-line front end: verification suite, exponent queries, runs, sweeps.
 Configuration is a flat INI file (sections per module, key = value), any
 entry of which can be overridden through the environment as
 ``FRACLAB_<SECTION>_<KEY>`` (e.g. ``FRACLAB_TIME_STEPS=2000``).  The
-``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.
-``FRACLAB_BACKEND`` is not a config key; it selects the backend of the
-direct history sums (see ``_kernels``).  Any other ``FRACLAB_*`` name that
-is not a config key is refused, as is a backend that cannot be used.
+``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.  Any
+``FRACLAB_*`` name that is not a config key is refused.
 
 Exit codes: 0 success (including a run that detects blow-up, which is a
 result, not a failure); 1 verification suite failure; 2 invalid flags,
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, exponents, fraclap, fracops, identities, solver, testfn
+from . import exponents, fraclap, fracops, identities, solver, testfn
 from .errors import FraclabError, NoInteriorMinimumError, NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
 from .fraclap import SpaceGrid
@@ -98,9 +96,6 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         cp.read(path)
     for name, value in os.environ.items():
         if not name.startswith("FRACLAB_"):
-            continue
-        if name == "FRACLAB_BACKEND":
-            _kernels.check_backend(value)
             continue
         section, _, key = name[len("FRACLAB_"):].lower().partition("_")
         if key not in _DEFAULTS.get(section, ()):
@@ -229,13 +224,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.tol is not None and not 0.0 <= self.tol < math.inf:
-            raise ParameterError(
-                f"tolerance must be finite and nonnegative, got {self.tol}"
-            )
-        # only verify draws from the seed, so only verify refuses a bad one
-        if self.mode == "verify" and self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        # only verify reads the tolerance and the seed, so only verify
+        # refuses bad ones
+        if self.mode == "verify":
+            if self.tol is not None and not 0.0 <= self.tol < math.inf:
+                raise ParameterError(
+                    f"tolerance must be finite and nonnegative, got {self.tol}"
+                )
+            if self.seed < 0:
+                raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.jobs is not None and self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
         if self.amplitude_policy not in ("fixed", "double"):
@@ -582,7 +579,11 @@ def _sweep_row(task) -> SweepRow:
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _run_tasks(tasks, worker, jobs: int) -> list:
+def _run_tasks(tasks, worker, jobs: int | None) -> list:
+    """Run ``worker`` over ``tasks`` in order on ``jobs`` processes
+    (default: one per CPU)."""
+    if jobs is None:
+        jobs = os.cpu_count() or 1
     if jobs == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
     # Workers are fresh interpreters that read their BLAS thread count when
@@ -611,8 +612,7 @@ def sweep_p(spec: ExperimentSpec) -> list:
                           base.delta, p, base.dim, base.mode)
         tasks.append((params, spec.space, spec.time, spec.bump,
                       spec.threshold, p_star))
-    jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
-    return _run_tasks(tasks, _sweep_row, jobs)
+    return _run_tasks(tasks, _sweep_row, spec.jobs)
 
 
 def sweep_system(spec: ExperimentSpec) -> list:
@@ -629,8 +629,7 @@ def sweep_system(spec: ExperimentSpec) -> list:
         bound = exponents.system_dimension_bound(params).bound
         tasks.append((params, spec.space, spec.time, spec.bump,
                       spec.threshold, bound))
-    jobs = spec.jobs if spec.jobs is not None else (os.cpu_count() or 1)
-    return _run_tasks(tasks, _sweep_row, jobs)
+    return _run_tasks(tasks, _sweep_row, spec.jobs)
 
 
 def render_csv(rows) -> str:

@@ -166,8 +166,8 @@ TAIL_RANK_RTOL = 1e-13
 class HistoryBuffer:
     """Per-step rows, oldest first, in one preallocated array."""
 
-    def __init__(self, width: int, dtype=np.float64, capacity: int = 1024):
-        self._rows = np.zeros((capacity, width), dtype=dtype)
+    def __init__(self, width: int, capacity: int):
+        self._rows = np.zeros((capacity, width))
         self._count = 0
 
     def __len__(self) -> int:

@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from fraclab import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger any JIT compilation once, outside the timed tests
-    _kernels.warmup()
-
 
 @pytest.fixture()
 def rng():

@@ -4,8 +4,6 @@ import io
 import os
 import re
 import string
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -13,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab import _kernels, harness, testfn
+from fraclab import harness, testfn
 from fraclab.errors import ParameterError
 from fraclab.harness import (
     CSV_HEADER,
@@ -39,7 +37,7 @@ def ns(mode="verify", config=None, out=None, tol=None, jobs=None, seed=None):
 def clear_fraclab_env(monkeypatch):
     import os
     for name in list(os.environ):
-        if name.startswith("FRACLAB_") and name != "FRACLAB_BACKEND":
+        if name.startswith("FRACLAB_"):
             monkeypatch.delenv(name)
 
 
@@ -84,11 +82,7 @@ def test_env_override_validation(monkeypatch):
     with pytest.raises(ParameterError, match="FRACLAB_TIME_HORIZONT"):
         load_config(None)
     monkeypatch.delenv("FRACLAB_TIME_HORIZONT")
-    # the backend selector is not a config override; an unknown section is
-    # refused like an unknown key
-    monkeypatch.setenv("FRACLAB_BACKEND", "numpy")
-    cp = load_config(None)
-    assert cp["time"]["horizon"] == "50.0"
+    # an unknown section is refused like an unknown key
     monkeypatch.setenv("FRACLAB_NOSECTION_KEY", "1")
     with pytest.raises(ParameterError, match="FRACLAB_NOSECTION_KEY names no config key"):
         load_config(None)
@@ -99,37 +93,15 @@ def test_env_override_validation(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["FRACLAB_RUNN_THRESHOLD", "FRACLAB_RUN_THRESHOLDD",
-                                  "FRACLAB_RUN", "FRACLAB_"])
+                                  "FRACLAB_RUN", "FRACLAB_", "FRACLAB_BACKEND"])
 def test_unknown_env_names_exit_two(name, monkeypatch, capsys):
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv(name, "5")
     assert harness.main(["exponent"]) == EXIT_BAD_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
-
-
-def _exponent_with_backend(value):
-    # the backend is chosen when fraclab is imported, so only a fresh
-    # interpreter sees the request
-    env = dict(os.environ, FRACLAB_BACKEND=value)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fraclab", "exponent"],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
-@pytest.mark.parametrize("value", ["bogus", "numba", "numpy", " Auto "])
-def test_backend_request_keeps_the_exit_code_contract(value):
-    proc = _exponent_with_backend(value)
-    usable = value != "bogus" and (value != "numba" or _kernels.HAVE_NUMBA)
-    if usable:
-        assert proc.returncode == EXIT_OK, proc.stderr
-        assert proc.stderr == ""
-        return
-    assert proc.returncode == EXIT_BAD_CONFIG, proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: FRACLAB_BACKEND"), lines
-    assert all(v in lines[0] for v in ("'auto'", "'numba'", "'numpy'"))
+    # refused for its name, whatever the value
+    assert "names no config key" in lines[0]
 
 
 def test_parse_p_values():
@@ -242,17 +214,25 @@ def test_verify_report_is_stable(monkeypatch):
 @pytest.mark.parametrize("argv,env", [
     (["verify", "--seed", "-1"], {}),
     (["verify"], {"FRACLAB_VERIFY_SEED": "-5"}),
+    (["verify", "--tol", "-1"], {}),
+    (["verify"], {"FRACLAB_VERIFY_TOL": "-1"}),
 ])
 def test_negative_seed_exits_two(monkeypatch, capsys, argv, env):
+    # a negative tolerance is refused the same way
     clear_fraclab_env(monkeypatch)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert harness.main(argv) == EXIT_BAD_CONFIG
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: seed must be nonnegative")
+    bad_tol = "--tol" in argv or "FRACLAB_VERIFY_TOL" in env
+    assert out == "" and err.startswith(
+        "error: tolerance must be finite and nonnegative" if bad_tol
+        else "error: seed must be nonnegative")
     assert err.count("\n") == 1
-    # only verify draws from the seed, so a bad one does not stop other modes
+    # only verify reads the seed and the tolerance, so bad ones do not stop
+    # other modes
     monkeypatch.setenv("FRACLAB_VERIFY_SEED", "-5")
+    monkeypatch.setenv("FRACLAB_VERIFY_TOL", "-1")
     assert harness.main(["exponent"]) == 0
 
 
@@ -457,7 +437,7 @@ NOT_A_FINITE_NUMBER = st.sampled_from(["nan", "inf", "-inf", "Infinity", "2%"]) 
 def test_bad_numbers_exit_two_with_one_error_line(key, raw):
     # system-sweep reads every numeric key; it must never get as far as running
     env = {n: v for n, v in os.environ.items()
-           if not n.startswith("FRACLAB_") or n == "FRACLAB_BACKEND"}
+           if not n.startswith("FRACLAB_")}
     env["FRACLAB_%s_%s" % (key[0].upper(), key[1].upper())] = raw
     err = io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), \

@@ -129,7 +129,7 @@ def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
         got = as_floats(hist.total())
         for s, (kind, order, lag) in enumerate(families):
             want = direct_sum(kind, order, lag, as_floats(rows[:, s]), n,
-                              _kernels.hist_dot_real_np)
+                              _kernels.hist_dot_real)
             assert np.array_equal(got[s], want), f"{kind} {order}: row {n}"
 
 
@@ -233,8 +233,8 @@ class DirectSum:
     def total(self):
         n, cols = len(self.rows), self.cols
         return np.array([
-            _kernels.hist_dot_real_np(wrev, wrev.size - lag - n,
-                                      self.rows.rows[:, s * cols : (s + 1) * cols], 0, n)
+            _kernels.hist_dot_real(wrev, wrev.size - lag - n,
+                                   self.rows.rows[:, s * cols : (s + 1) * cols], 0, n)
             for s, (wrev, lag) in enumerate(self.wrevs)
         ]).view(self.dtype)
 
@@ -287,7 +287,7 @@ DEFAULT_SWEEP = {1.5: 5.548173171027825, 2.0: 2.9652495994381267, 3.0: 1.5790067
 
 def test_default_sweep_blowup_times(monkeypatch):
     for name in list(os.environ):
-        if name.startswith("FRACLAB_") and name != "FRACLAB_BACKEND":
+        if name.startswith("FRACLAB_"):
             monkeypatch.delenv(name)
     spec = harness.build_spec(argparse.Namespace(
         mode="sweep", config=None, out=None, tol=None, jobs=1, seed=None))

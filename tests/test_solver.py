@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import _kernels
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
 from fraclab.fraclap import Field, SpaceGrid
@@ -319,15 +318,10 @@ def test_tune_amplitude_keeps_the_rest_of_the_config():
     assert np.array_equal(r.trace.values, direct.trace.values)
 
 
-def test_numpy_backend_matches_numba():
-    # The same run in a fresh process forced onto the numpy kernels, against
-    # the in-process run on this process's _kernels.BACKEND. Without numba
-    # both sides are numpy: the test then checks that FRACLAB_BACKEND selects
-    # the backend in a fresh process and that a run is reproducible across
-    # processes, not numba against numpy.
+def test_run_is_reproducible_across_processes():
+    # The same run in a fresh interpreter and in this process.
     code = (
         "import fraclab\n"
-        "from fraclab import _kernels\n"
         "from fraclab.exponents import ParamSet\n"
         "from fraclab.fraclap import SpaceGrid\n"
         "from fraclab.fracops import TimeGrid\n"
@@ -335,29 +329,25 @@ def test_numpy_backend_matches_numba():
         "p = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)\n"
         "c = SimConfig(p, SpaceGrid(1, 20.0, 128), TimeGrid(10.0, 2000), BumpSpec(8.0, 1.0))\n"
         "r = run(c)\n"
-        "print(_kernels.BACKEND)\n"
         "print(fraclab.__file__)\n"
         "print(repr(float(r.blowup_time)), r.trace.values[-1].hex())\n"
     )
     # the child imports the same fraclab source as this process, whether the
     # suite runs from an install or from src/
     src_root = str(Path(fraclab.__file__).parents[1])
-    env = dict(os.environ, FRACLAB_BACKEND="numpy")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert out.returncode == 0, f"numpy-backend child failed:\n{out.stderr}"
-    backend, child_file, result = out.stdout.splitlines()
-    assert backend == "numpy", f"child ran on {backend!r}, not 'numpy':\n{out.stderr}"
+    assert out.returncode == 0, f"child run failed:\n{out.stderr}"
+    child_file, result = out.stdout.splitlines()
     assert Path(child_file).resolve() == Path(fraclab.__file__).resolve(), (
         f"child imported {child_file}, this process {fraclab.__file__}"
     )
     t_star_s, final_hex = result.split()
     r = run(cfg(8.0))
-    # numba and numpy differ only in summation order: a few ulps at most;
-    # numpy against numpy should agree exactly
-    msg = f"{_kernels.BACKEND} in process vs numpy in a fresh process"
+    msg = "this process vs a fresh process"
     assert np.isclose(float(t_star_s), r.blowup_time, rtol=1e-12, atol=0.0), msg
     assert np.isclose(float.fromhex(final_hex), r.trace.values[-1], rtol=1e-9, atol=0.0), msg
