@@ -114,14 +114,6 @@ class SystemParamSet:
     def q_prime(self) -> float:
         return self.q / (self.q - 1.0)
 
-    @property
-    def theta1(self) -> float:
-        return (self.alpha1 + 1.0) / self.sigma1
-
-    @property
-    def theta2(self) -> float:
-        return (self.beta1 + 1.0) / self.sigma2
-
 
 @dataclass(frozen=True)
 class ExponentReport:

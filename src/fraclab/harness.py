@@ -6,6 +6,12 @@ entry of which can be overridden through the environment as
 ``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.  Any
 ``FRACLAB_*`` name that is not a config key is refused.
 
+``simulate``, ``sweep`` and ``system-sweep`` share the one run that
+:func:`run_config` builds and checks while the spec is resolved, so a run
+the solver would refuse exits 2 before any row runs; a ``Failed`` sweep
+row means that row's run failed.  :func:`main` prints each mode's text and
+writes ``--out`` in one place.
+
 Exit codes: 0 success (including a run that detects blow-up, which is a
 result, not a failure); 1 verification suite failure; 2 invalid flags,
 config, or parameters; 3 numerical failure (divergence, no blow-up found
@@ -21,7 +27,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,6 +226,7 @@ class ExperimentSpec:
     snapshot_every: int = 0
     amplitude_policy: str = "fixed"
     radius: float = 1.0
+    config: SimConfig | None = None  # the checked run, in the run modes
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -276,26 +283,34 @@ def build_spec(args) -> ExperimentSpec:
             params=_build_params(cp), system_params=_build_system(cp), **common
         )
     bump = _build_bump(cp)
-    if mode == "system-sweep":
-        sp = _build_system(cp)
-        return ExperimentSpec(
-            system_params=sp,
-            space=_build_space(cp, sp.dim, bump),
-            time=_build_time(cp),
-            bump=bump,
-            sweep_p=_parse_p_values(cp["sweep"]["p_values"]),
-            **common,
-        )
-    params = _build_params(cp)
+    system = mode == "system-sweep"
+    params = _build_system(cp) if system else _build_params(cp)
     spec = ExperimentSpec(
-        params=params,
+        params=None if system else params,
+        system_params=params if system else None,
         space=_build_space(cp, params.dim, bump),
         time=_build_time(cp),
         bump=bump,
-        sweep_p=_parse_p_values(cp["sweep"]["p_values"]) if mode == "sweep" else (),
+        sweep_p=() if mode == "simulate" else _parse_p_values(cp["sweep"]["p_values"]),
         **common,
     )
+    spec.config = run_config(spec)
     return spec
+
+
+def run_config(spec: ExperimentSpec) -> SimConfig:
+    """The run ``simulate`` advances and a sweep varies in ``p``.
+
+    Built once, while the spec is resolved: the config refuses a bad
+    threshold or amplitude, and rendering the bump once refuses a bump that
+    does not fit its box, before any run starts."""
+    config = SimConfig(
+        params=spec.system_params if spec.mode == "system-sweep" else spec.params,
+        space=spec.space, time=spec.time, bump=spec.bump,
+        threshold=spec.threshold, snapshot_every=spec.snapshot_every,
+    )
+    spec.bump.render(spec.space)
+    return config
 
 
 # ---------------------------------------------------------------- verify
@@ -557,22 +572,19 @@ CSV_HEADER = "p,p_star,status,blowup_time,final_supnorm"
 
 
 def _sweep_row(task) -> SweepRow:
-    params, space, time_grid, bump, threshold, p_star = task
+    config, p_star = task
+    p = config.params.p
     try:
-        config = SimConfig(
-            params=params, space=space, time=time_grid, bump=bump,
-            threshold=threshold,
-        )
-        if isinstance(params, SystemParamSet):
+        if isinstance(config.params, SystemParamSet):
             results = solver.run_system(config)
         else:
             results = (solver.run(config),)
     except FraclabError as exc:
-        return SweepRow(params.p, p_star, "Failed", None, float("nan"), str(exc))
+        return SweepRow(p, p_star, "Failed", None, float("nan"), str(exc))
     first = results[0]
     bt = first.blowup_time if first.status == "BlowUp" else None
     final = max(float(r.trace.values[-1]) for r in results)
-    return SweepRow(params.p, p_star, first.status, bt, final)
+    return SweepRow(p, p_star, first.status, bt, final)
 
 
 # Thread-count variables of the BLAS pools a sweep worker's numpy may start.
@@ -602,33 +614,19 @@ def _run_tasks(tasks, worker, jobs: int | None) -> list:
             del os.environ[name]
 
 
-def sweep_p(spec: ExperimentSpec) -> list:
-    """One scalar run per requested p, identical data, ordered by p."""
-    base = spec.params
-    p_star = exponents.critical_exponent(base).value
+def sweep(spec: ExperimentSpec) -> list:
+    """One run per requested p of the spec's run, otherwise identical,
+    ordered by p.  The p_star column holds the critical exponent, or for
+    the system (q fixed) the dimension bound, the nearest analogue of a
+    critical threshold there."""
     tasks = []
     for p in spec.sweep_p:
-        params = ParamSet(base.alpha1, base.alpha2, base.gamma, base.sigma,
-                          base.delta, p, base.dim, base.mode)
-        tasks.append((params, spec.space, spec.time, spec.bump,
-                      spec.threshold, p_star))
-    return _run_tasks(tasks, _sweep_row, spec.jobs)
-
-
-def sweep_system(spec: ExperimentSpec) -> list:
-    """System sweep over p (q fixed); the p_star column holds the
-    dimension bound, the nearest analogue of a critical threshold here."""
-    base = spec.system_params
-    tasks = []
-    for p in spec.sweep_p:
-        params = SystemParamSet(
-            base.alpha1, base.alpha2, base.gamma1, base.sigma1, base.delta1,
-            base.beta1, base.beta2, base.gamma2, base.sigma2, base.delta2,
-            p, base.q, base.dim,
-        )
-        bound = exponents.system_dimension_bound(params).bound
-        tasks.append((params, spec.space, spec.time, spec.bump,
-                      spec.threshold, bound))
+        params = replace(spec.config.params, p=p)
+        if isinstance(params, SystemParamSet):
+            p_star = exponents.system_dimension_bound(params).bound
+        else:
+            p_star = exponents.critical_exponent(params).value
+        tasks.append((replace(spec.config, params=params), p_star))
     return _run_tasks(tasks, _sweep_row, spec.jobs)
 
 
@@ -678,22 +676,23 @@ def exponent_query(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------- simulate
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
+def _grid_header(title: str, space: SpaceGrid, time_grid: TimeGrid,
+                 columns: str) -> list:
+    return [
+        f"# fraclab {title}",
+        f"# dim={space.dim} points={space.points} "
+        f"half_length={_fmt(space.half_length)} spacing={_fmt(space.spacing)}",
+        f"# horizon={_fmt(time_grid.horizon)} steps={time_grid.steps} "
+        f"h={_fmt(time_grid.h)}",
+        f"# columns: {columns}",
+    ]
 
 
 def render_snapshots(space: SpaceGrid, time_grid: TimeGrid, snaps) -> str:
     """Delimited text: metadata header lines, then one row (t, values...)
     per snapshot, 12 significant digits, row-major flattening in 2-D."""
-    lines = [
-        "# fraclab snapshots",
-        f"# dim={space.dim} points={space.points} "
-        f"half_length={_fmt(space.half_length)} spacing={_fmt(space.spacing)}",
-        f"# horizon={_fmt(time_grid.horizon)} steps={time_grid.steps} "
-        f"h={_fmt(time_grid.h)}",
-        "# columns: t value[i] (grid values flattened row-major)",
-    ]
+    lines = _grid_header("snapshots", space, time_grid,
+                         "t value[i] (grid values flattened row-major)")
     for t, field in snaps:
         row = [_fmt(t)] + [_fmt(v) for v in field.values.ravel()]
         lines.append(" ".join(row))
@@ -702,42 +701,53 @@ def render_snapshots(space: SpaceGrid, time_grid: TimeGrid, snaps) -> str:
 
 def render_trace(space: SpaceGrid, result) -> str:
     grid = result.trace.grid
-    lines = [
-        "# fraclab sup-norm trace",
-        f"# dim={space.dim} points={space.points} "
-        f"half_length={_fmt(space.half_length)} spacing={_fmt(space.spacing)}",
-        f"# horizon={_fmt(grid.horizon)} steps={grid.steps} h={_fmt(grid.h)}",
-        "# columns: t supnorm",
-    ]
+    lines = _grid_header("sup-norm trace", space, grid, "t supnorm")
     t = grid.nodes()
     for i, v in enumerate(result.trace.values):
         lines.append(f"{_fmt(t[i])} {_fmt(v)}")
     return "\n".join(lines) + "\n"
 
 
-def simulate(spec: ExperimentSpec) -> int:
-    cfg = SimConfig(
-        params=spec.params, space=spec.space, time=spec.time, bump=spec.bump,
-        threshold=spec.threshold, snapshot_every=spec.snapshot_every,
-    )
+def simulate(spec: ExperimentSpec) -> tuple:
+    """Advance the spec's run: (summary, trace or snapshot text, exit code)."""
     amplitude = spec.bump.amplitude
     if spec.amplitude_policy == "double":
-        amplitude, result = solver.tune_amplitude(cfg, spec.bump.amplitude)
+        amplitude, result = solver.tune_amplitude(spec.config, amplitude)
     else:
-        result = solver.run(cfg)
-    print(f"status = {result.status}")
-    print(f"amplitude = {_fmt(amplitude)}")
-    print(f"blowup_time = {_fmt(result.blowup_time)}")
-    print(f"final_supnorm = {_fmt(float(result.trace.values[-1]))}")
-    print(f"steps_taken = {result.steps_taken}")
+        result = solver.run(spec.config)
+    lines = [
+        f"status = {result.status}",
+        f"amplitude = {_fmt(amplitude)}",
+        f"blowup_time = {_fmt(result.blowup_time)}",
+        f"final_supnorm = {_fmt(float(result.trace.values[-1]))}",
+        f"steps_taken = {result.steps_taken}",
+    ]
+    saved = ""
     if spec.out:
-        if result.snapshots:
-            _write_text(spec.out, render_snapshots(spec.space, spec.time,
-                                                   result.snapshots))
-        else:
-            _write_text(spec.out, render_trace(spec.space, result))
-        print(f"wrote {spec.out}")
-    return EXIT_NUMERICS if result.status == "Diverged" else EXIT_OK
+        saved = (render_snapshots(spec.space, spec.time, result.snapshots)
+                 if result.snapshots else render_trace(spec.space, result))
+        lines.append(f"wrote {spec.out}")
+    code = EXIT_NUMERICS if result.status == "Diverged" else EXIT_OK
+    return "\n".join(lines) + "\n", saved, code
+
+
+def _outcome(spec: ExperimentSpec) -> tuple:
+    """(stdout text, the text ``--out`` saves, exit code) of one mode."""
+    if spec.mode == "verify":
+        report = verify_all(spec)
+        text = report.render() + "\n"
+        return text, text, EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+    if spec.mode == "exponent":
+        text = exponent_query(spec)
+        return text, text, EXIT_OK
+    if spec.mode == "simulate":
+        return simulate(spec)
+    rows = sweep(spec)
+    for row in rows:
+        if row.status == "Failed":
+            print(f"warning: p={_fmt(row.p)}: {row.message}", file=sys.stderr)
+    text = render_csv(rows)
+    return text, text, EXIT_OK
 
 
 # ---------------------------------------------------------------- main
@@ -781,40 +791,18 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         spec = build_spec(args)
-    except FraclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        if spec.mode == "verify":
-            report = verify_all(spec)
-            text = report.render()
-            print(text)
-            if spec.out:
-                _write_text(spec.out, text + "\n")
-            return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
-        if spec.mode == "exponent":
-            text = exponent_query(spec)
-            print(text, end="")
-            if spec.out:
-                _write_text(spec.out, text)
-            return EXIT_OK
-        if spec.mode == "simulate":
-            return simulate(spec)
-        rows = sweep_p(spec) if spec.mode == "sweep" else sweep_system(spec)
-        for row in rows:
-            if row.status == "Failed":
-                print(f"warning: p={_fmt(row.p)}: {row.message}", file=sys.stderr)
-        text = render_csv(rows)
-        print(text, end="")
-        if spec.out:
-            _write_text(spec.out, text)
-        return EXIT_OK
+        text, saved, code = _outcome(spec)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
     except FraclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    if spec.out:
+        with open(spec.out, "w") as fh:
+            fh.write(saved)
+    print(text, end="")
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import numpy as np
 from . import fracops, testfn
 from .errors import GridGeometryError, HypothesisError, ParameterError
 from .fraclap import Field, apply_spectral
-from .fracops import TimeGrid, TimeSeries, rect_weights
+from .fracops import TimeGrid, TimeSeries
 
 FLOOR = 1e-30
 
@@ -249,16 +249,10 @@ def weak_form_residual(snapshots, params, tf: testfn.TestFunctionParams, u1: Fie
 
     lhs = float(np.dot(tw, d_main * u_phi + d_diff * u_sig + d_damp * u_del))
 
-    # nonlocal source by midpoint product-rectangle, columnwise in space
-    mu = 1.0 - g
-    power = np.abs(stack) ** p
-    dens = 0.5 * (power[:-1] + power[1:])
-    w = rect_weights(mu, n + 1)
-    coeff = h**mu / math.gamma(mu + 1.0)
-    source = np.zeros_like(power)
-    for j in range(1, n + 1):
-        source[j] = coeff * np.dot(w[1 : j + 1][::-1], dens[:j])
-    s_phi = source @ w2.values.ravel() * dV
+    # the nonlocal source is linear in space, so pair |u|^p with phi2 first
+    # and apply the operators' product-rectangle integral to that series
+    power_phi = np.abs(stack) ** p @ w2.values.ravel() * dV
+    s_phi = fracops.rl_integral(TimeSeries(TimeGrid(tf.horizon, n), power_phi), 1.0 - g).values
 
     vel = float((u1.values * w2.values).sum() * dV)
     rhs = float(np.dot(tw, d_diff * s_phi)) + vel * float(np.dot(tw, d_vel))

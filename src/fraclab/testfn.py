@@ -97,24 +97,6 @@ class TestFunctionParams:
         return self.p / (self.p - 1.0)
 
 
-@dataclass(frozen=True)
-class ScaledPoint:
-    """Dimensionless coordinates tau = t/T, xi = |x|/T^{theta/2}."""
-
-    tau: float
-    xi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.tau <= 1.0):
-            raise ParameterError(f"tau must lie in [0,1], got {self.tau}")
-        if self.xi < 0.0:
-            raise ParameterError(f"xi must be >= 0, got {self.xi}")
-
-    @classmethod
-    def from_physical(cls, t, x, horizon, theta) -> "ScaledPoint":
-        return cls(t / horizon, abs(x) / horizon ** (theta / 2.0))
-
-
 def phi1(params: TestFunctionParams, steps: int) -> TimeSeries:
     """Sample (1 - t/T)^eta on a uniform grid over [0, T]."""
     grid = TimeGrid(params.horizon, steps)

@@ -119,8 +119,6 @@ def test_system_paramset_validation():
     with pytest.raises(ParameterError):
         SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7, p=1.0, q=2.0)
     s = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8, p=2.0, q=3.0)
-    assert s.theta1 == 3.0
-    assert s.theta2 == 4.0
     assert s.q_prime == 1.5
 
 

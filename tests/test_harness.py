@@ -24,7 +24,7 @@ from fraclab.harness import (
     build_spec,
     load_config,
     render_csv,
-    sweep_p,
+    sweep,
     verify_all,
 )
 
@@ -293,8 +293,8 @@ def sweep_spec(monkeypatch, tmp_path, p_values="1.5, 2", jobs=None):
 
 
 def test_sweep_serial_matches_parallel(monkeypatch, tmp_path):
-    serial = sweep_p(sweep_spec(monkeypatch, tmp_path, jobs=1))
-    parallel = sweep_p(sweep_spec(monkeypatch, tmp_path, jobs=2))
+    serial = sweep(sweep_spec(monkeypatch, tmp_path, jobs=1))
+    parallel = sweep(sweep_spec(monkeypatch, tmp_path, jobs=2))
     assert [r.p for r in serial] == [1.5, 2.0]
     assert all(r.status == "Completed" for r in serial)
     assert all(r.p_star == 10.0 for r in serial)
@@ -337,7 +337,7 @@ def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
         "[sweep]\np_values = 2\n[time]\nhorizon = 0.01\nsteps = 2\n"
         "[space]\npoints = 64\n[bump]\namplitude = 1e12\n"
     )
-    rows = sweep_p(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
+    rows = sweep(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
     assert len(rows) == 1
     assert rows[0].status == "Failed"
     assert np.isnan(rows[0].final_supnorm)
@@ -351,7 +351,7 @@ def test_failed_sweep_rows_keep_their_message(monkeypatch, tmp_path, capsys):
         "[sweep]\np_values = 2, 3\n[time]\nhorizon = 0.01\nsteps = 2\n"
         "[space]\npoints = 64\n[bump]\namplitude = 1e12\n"
     )
-    rows = sweep_p(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
+    rows = sweep(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
     assert [r.status for r in rows] == ["Failed", "Failed"]
     assert rows[0].message.startswith("run ended before step 2")
     assert harness.main(["sweep", "--config", str(ini), "--jobs", "1"]) == EXIT_OK
@@ -441,7 +441,7 @@ def test_bad_numbers_exit_two_with_one_error_line(key, raw):
     env["FRACLAB_%s_%s" % (key[0].upper(), key[1].upper())] = raw
     err = io.StringIO()
     with mock.patch.dict(os.environ, env, clear=True), \
-            mock.patch.object(harness, "sweep_system", side_effect=AssertionError("ran")), \
+            mock.patch.object(harness, "sweep", side_effect=AssertionError("ran")), \
             contextlib.redirect_stderr(err):
         rc = harness.main(["system-sweep", "--jobs", "1"])
     assert rc == EXIT_BAD_CONFIG, (key, raw)
@@ -540,9 +540,7 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
                                                 value, needle):
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_RUN_" + key, value)
-    monkeypatch.setattr(harness, "sweep_p", mock.Mock(side_effect=AssertionError("ran")))
-    monkeypatch.setattr(harness, "sweep_system",
-                        mock.Mock(side_effect=AssertionError("ran")))
+    monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
     assert harness.main([mode, "--jobs", "1"]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -550,3 +548,26 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
     assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
     # simulate honours both settings, so it accepts them
     assert build_spec(ns("simulate")).mode == "simulate"
+
+
+@pytest.mark.parametrize("mode", ["simulate", "sweep", "system-sweep"])
+@pytest.mark.parametrize("key,value,needle", [
+    ("RUN_THRESHOLD", "-1", "threshold must be positive"),
+    ("BUMP_AMPLITUDE", "-1", "theorem mode requires nonnegative initial velocities"),
+    ("SPACE_HALF_LENGTH", "1", "bump support does not fit inside the box"),
+], ids=["threshold", "amplitude", "box"])
+def test_run_modes_refuse_bad_run_config_up_front(monkeypatch, capsys, mode, key,
+                                                  value, needle):
+    # the solver would refuse these runs, so every run mode exits 2 before
+    # one starts rather than reporting each sweep row as Failed
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_" + key, value)
+    for name in ("run", "run_system"):
+        monkeypatch.setattr(harness.solver, name,
+                            mock.Mock(side_effect=AssertionError("ran")))
+    argv = [mode] if mode == "simulate" else [mode, "--jobs", "1"]
+    assert harness.main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines

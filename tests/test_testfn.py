@@ -7,7 +7,6 @@ from fraclab import fracops, testfn
 from fraclab.errors import GridGeometryError, ParameterError
 from fraclab.fraclap import SpaceGrid
 from fraclab.testfn import (
-    ScaledPoint,
     TestFunctionParams,
     bump_profile,
     default_eta,
@@ -59,16 +58,6 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         # eta <= p'(theta_max) - 1
         TestFunctionParams(2.0, 2.0, 3.0, p=2.0, theta_max=2.0)
-
-
-def test_scaled_point():
-    pt = ScaledPoint.from_physical(1.0, -3.0, horizon=4.0, theta=2.0)
-    assert pt.tau == 0.25
-    assert np.isclose(pt.xi, 0.75)
-    with pytest.raises(ParameterError):
-        ScaledPoint(1.5, 0.0)
-    with pytest.raises(ParameterError):
-        ScaledPoint(0.5, -1.0)
 
 
 def test_phi1_profile():
