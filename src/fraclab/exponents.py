@@ -22,6 +22,11 @@ def _check_unit(name: str, value: float):
         raise ParameterError(f"{name} must lie in (0,1), got {value}")
 
 
+def _check_dim(dim: int):
+    if dim < 1 or dim != int(dim):
+        raise ParameterError(f"dimension must be a positive integer, got {dim}")
+
+
 @dataclass(frozen=True)
 class ParamSet:
     """Orders and power of the scalar problem.
@@ -59,8 +64,7 @@ class ParamSet:
                 )
         if self.p <= 1.0:
             raise ParameterError(f"power must exceed 1, got {self.p}")
-        if self.dim < 1 or self.dim != int(self.dim):
-            raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
+        _check_dim(self.dim)
 
     @property
     def p_prime(self) -> float:
@@ -103,8 +107,7 @@ class SystemParamSet:
             raise ParameterError("each block requires 0<sigma<delta<1")
         if self.p <= 1.0 or self.q <= 1.0:
             raise ParameterError(f"powers must exceed 1, got p={self.p}, q={self.q}")
-        if self.dim < 1:
-            raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
+        _check_dim(self.dim)
 
     @property
     def p_prime(self) -> float:

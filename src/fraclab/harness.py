@@ -6,6 +6,11 @@ entry of which can be overridden through the environment as
 ``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.  Any
 ``FRACLAB_*`` name that is not a config key is refused.
 
+:data:`_DEFAULTS` is the schema: every key and its typed default.
+:func:`build_spec` converts each section a mode reads by those types and
+passes it by keyword to the constructor it feeds.  A bad ``--out`` is
+refused there too, before any work.
+
 ``simulate``, ``sweep`` and ``system-sweep`` share the one run that
 :func:`run_config` builds and checks while the spec is resolved, so a run
 the solver would refuse exits 2 before any row runs; a ``Failed`` sweep
@@ -45,23 +50,26 @@ EXIT_NUMERICS = 3
 
 _MODES = ("verify", "exponent", "simulate", "sweep", "system-sweep")
 
+# The config schema: every key, with a default whose type is the key's type.
+# A float must be finite; "" marks a number that may be left blank (unset);
+# a tuple is a list of sweep powers.
 _DEFAULTS = {
     "params": {
-        "alpha1": "0.5", "alpha2": "0.3", "gamma": "0.25",
-        "sigma": "0.5", "delta": "0.7", "p": "2.0",
-        "dim": "1", "mode": "strict",
+        "alpha1": 0.5, "alpha2": 0.3, "gamma": 0.25,
+        "sigma": 0.5, "delta": 0.7, "p": 2.0,
+        "dim": 1, "mode": "strict",
     },
     "system": {
-        "beta1": "0.5", "beta2": "0.3", "gamma2": "0.25",
-        "sigma2": "0.5", "delta2": "0.7", "q": "2.0",
+        "beta1": 0.5, "beta2": 0.3, "gamma2": 0.25,
+        "sigma2": 0.5, "delta2": 0.7, "q": 2.0,
     },
-    "space": {"points": "256", "half_length": ""},
-    "time": {"horizon": "50.0", "steps": "50000"},
-    "bump": {"amplitude": "4.0", "width": "1.0", "center": "0.0"},
-    "run": {"threshold": "1e8", "snapshot_every": "0", "amplitude_policy": "fixed"},
-    "sweep": {"p_values": "1.5, 2, 3"},
-    "exponent": {"radius": "1.0"},
-    "verify": {"seed": "7", "tol": ""},
+    "space": {"points": 256, "half_length": ""},
+    "time": {"horizon": 50.0, "steps": 50000},
+    "bump": {"amplitude": 4.0, "width": 1.0, "center": 0.0},
+    "run": {"threshold": 1e8, "snapshot_every": 0, "amplitude_policy": "fixed"},
+    "sweep": {"p_values": (1.5, 2.0, 3.0)},
+    "exponent": {"radius": 1.0},
+    "verify": {"seed": 7, "tol": ""},
 }
 
 
@@ -79,7 +87,11 @@ def load_config(path: str | None) -> configparser.ConfigParser:
 
     Values are read literally: ``%`` is not interpolation syntax."""
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict(_DEFAULTS)
+    cp.read_dict({
+        sec: {key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+              for key, v in keys.items()}
+        for sec, keys in _DEFAULTS.items()
+    })
     if path is not None:
         if not os.path.exists(path):
             raise ParameterError(f"config file not found: {path}")
@@ -111,81 +123,6 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     return cp
 
 
-def _as_number(cp, sec: str, key: str) -> float:
-    raw = cp[sec][key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParameterError(f"[{sec}] {key} must be a number, got {raw!r}")
-
-
-def _as_float(cp, sec: str, key: str) -> float:
-    value = _as_number(cp, sec, key)
-    if not math.isfinite(value):
-        raise ParameterError(f"[{sec}] {key} must be finite, got {cp[sec][key]!r}")
-    return value
-
-
-def _as_int(cp, sec: str, key: str) -> int:
-    raw = cp[sec][key]
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"[{sec}] {key} must be an integer, got {raw!r}")
-
-
-def _build_params(cp) -> ParamSet:
-    return ParamSet(
-        alpha1=_as_float(cp, "params", "alpha1"),
-        alpha2=_as_float(cp, "params", "alpha2"),
-        gamma=_as_float(cp, "params", "gamma"),
-        sigma=_as_float(cp, "params", "sigma"),
-        delta=_as_float(cp, "params", "delta"),
-        p=_as_float(cp, "params", "p"),
-        dim=_as_int(cp, "params", "dim"),
-        mode=cp["params"]["mode"].strip(),
-    )
-
-
-def _build_system(cp) -> SystemParamSet:
-    # block one reuses [params]; block two comes from [system]
-    return SystemParamSet(
-        alpha1=_as_float(cp, "params", "alpha1"),
-        alpha2=_as_float(cp, "params", "alpha2"),
-        gamma1=_as_float(cp, "params", "gamma"),
-        sigma1=_as_float(cp, "params", "sigma"),
-        delta1=_as_float(cp, "params", "delta"),
-        beta1=_as_float(cp, "system", "beta1"),
-        beta2=_as_float(cp, "system", "beta2"),
-        gamma2=_as_float(cp, "system", "gamma2"),
-        sigma2=_as_float(cp, "system", "sigma2"),
-        delta2=_as_float(cp, "system", "delta2"),
-        p=_as_float(cp, "params", "p"),
-        q=_as_float(cp, "system", "q"),
-        dim=_as_int(cp, "params", "dim"),
-    )
-
-
-def _build_bump(cp) -> BumpSpec:
-    return BumpSpec(
-        amplitude=_as_float(cp, "bump", "amplitude"),
-        width=_as_float(cp, "bump", "width"),
-        center=_as_float(cp, "bump", "center"),
-    )
-
-
-def _build_space(cp, dim: int, bump: BumpSpec) -> SpaceGrid:
-    points = _as_int(cp, "space", "points")
-    if cp["space"]["half_length"].strip() == "":
-        return solver.default_space_grid(dim, bump, points)
-    # SpaceGrid refuses a non-finite length with its own message
-    return SpaceGrid(dim, _as_number(cp, "space", "half_length"), points)
-
-
-def _build_time(cp) -> TimeGrid:
-    return TimeGrid(_as_float(cp, "time", "horizon"), _as_int(cp, "time", "steps"))
-
-
 def _parse_p_values(raw: str) -> tuple:
     items = [s.strip() for s in raw.replace(";", ",").split(",") if s.strip()]
     try:
@@ -201,6 +138,33 @@ def _parse_p_values(raw: str) -> tuple:
                 "sweep powers must be strictly ascending (duplicates rejected), "
                 f"got {values}"
             )
+    return values
+
+
+def _section(cp, sec: str) -> dict:
+    """Every key of ``[sec]``, converted by the type of its default."""
+    values = {}
+    for key, default in _DEFAULTS[sec].items():
+        raw = cp[sec][key]
+        if isinstance(default, tuple):
+            values[key] = _parse_p_values(raw)
+        elif default == "" and not raw.strip():
+            values[key] = None
+        elif isinstance(default, str) and default:
+            values[key] = raw.strip()
+        elif isinstance(default, int):
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                raise ParameterError(f"[{sec}] {key} must be an integer, got {raw!r}")
+        else:
+            try:
+                values[key] = float(raw)
+            except ValueError:
+                raise ParameterError(f"[{sec}] {key} must be a number, got {raw!r}")
+            # SpaceGrid refuses a non-finite half_length with its own message
+            if not math.isfinite(values[key]) and key != "half_length":
+                raise ParameterError(f"[{sec}] {key} must be finite, got {raw!r}")
     return values
 
 
@@ -242,6 +206,12 @@ class ExperimentSpec:
                 raise ParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.jobs is not None and self.jobs < 1:
             raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
+        # refused before any work, so a run never ends in a failed write
+        if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(
+                os.path.dirname(self.out) or ".")):
+            raise ParameterError(
+                f"--out {self.out} must name a file in an existing directory"
+            )
         if self.amplitude_policy not in ("fixed", "double"):
             raise ParameterError(
                 f"amplitude_policy must be 'fixed' or 'double', "
@@ -263,36 +233,44 @@ class ExperimentSpec:
 
 
 def build_spec(args) -> ExperimentSpec:
+    """One pass over the config sections ``args.mode`` reads, each feeding
+    its constructor by keyword; flags override ``[verify]``."""
     cp = load_config(args.config)
     mode = args.mode
-    seed = args.seed if args.seed is not None else _as_int(cp, "verify", "seed")
-    tol = args.tol
-    if tol is None and cp["verify"]["tol"].strip():
-        tol = _as_float(cp, "verify", "tol")
-    common = dict(
-        mode=mode, out=args.out, tol=tol, jobs=args.jobs, seed=seed,
-        threshold=_as_float(cp, "run", "threshold"),
-        snapshot_every=_as_int(cp, "run", "snapshot_every"),
-        amplitude_policy=cp["run"]["amplitude_policy"].strip(),
-        radius=_as_float(cp, "exponent", "radius"),
+    verify = _section(cp, "verify")
+    fields = dict(
+        mode=mode, out=args.out, jobs=args.jobs,
+        seed=verify["seed"] if args.seed is None else args.seed,
+        tol=verify["tol"] if args.tol is None else args.tol,
+        **_section(cp, "run"), **_section(cp, "exponent"),
     )
     if mode == "verify":
-        return ExperimentSpec(**common)
-    if mode == "exponent":
-        return ExperimentSpec(
-            params=_build_params(cp), system_params=_build_system(cp), **common
+        return ExperimentSpec(**fields)
+    params = _section(cp, "params")
+    if mode != "system-sweep":
+        fields["params"] = ParamSet(**params)
+    elif params["mode"] != "strict":
+        raise ParameterError(
+            f"system-sweep needs [params] mode 'strict' (the system has no "
+            f"permissive mode), got {params['mode']!r}"
         )
-    bump = _build_bump(cp)
-    system = mode == "system-sweep"
-    params = _build_system(cp) if system else _build_params(cp)
+    if mode in ("exponent", "system-sweep"):
+        # block one of the system is [params], with its orders renamed
+        block_one = {key + "1" if key in ("gamma", "sigma", "delta") else key: v
+                     for key, v in params.items() if key != "mode"}
+        fields["system_params"] = SystemParamSet(**block_one, **_section(cp, "system"))
+    if mode == "exponent":
+        return ExperimentSpec(**fields)
+    bump = BumpSpec(**_section(cp, "bump"))
+    space = _section(cp, "space")
+    if space["half_length"] is None:
+        grid = solver.default_space_grid(params["dim"], bump, space["points"])
+    else:
+        grid = SpaceGrid(params["dim"], **space)
     spec = ExperimentSpec(
-        params=None if system else params,
-        system_params=params if system else None,
-        space=_build_space(cp, params.dim, bump),
-        time=_build_time(cp),
-        bump=bump,
-        sweep_p=() if mode == "simulate" else _parse_p_values(cp["sweep"]["p_values"]),
-        **common,
+        bump=bump, space=grid, time=TimeGrid(**_section(cp, "time")),
+        sweep_p=() if mode == "simulate" else _section(cp, "sweep")["p_values"],
+        **fields,
     )
     spec.config = run_config(spec)
     return spec
@@ -799,8 +777,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if spec.out:
-        with open(spec.out, "w") as fh:
-            fh.write(saved)
+        try:
+            with open(spec.out, "w") as fh:
+                fh.write(saved)
+        except OSError as exc:
+            print(f"error: cannot write --out {spec.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_BAD_CONFIG
     print(text, end="")
     return code
 

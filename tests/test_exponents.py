@@ -118,6 +118,10 @@ def test_system_paramset_validation():
         SystemParamSet(0.5, 0.3, 0.25, 0.7, 0.5, 0.5, 0.3, 0.25, 0.5, 0.7, p=2.0, q=2.0)
     with pytest.raises(ParameterError):
         SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7, p=1.0, q=2.0)
+    # the dimension is checked as in ParamSet
+    with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+        SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7,
+                       p=2.0, q=2.0, dim=1.5)
     s = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8, p=2.0, q=3.0)
     assert s.q_prime == 1.5
 

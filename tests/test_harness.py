@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import os
+import pathlib
 import re
 import string
 from unittest import mock
@@ -548,6 +549,96 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
     assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
     # simulate honours both settings, so it accepts them
     assert build_spec(ns("simulate")).mode == "simulate"
+
+
+@pytest.mark.parametrize("value", ["weird", "permissive"])
+def test_system_sweep_refuses_non_strict_mode(monkeypatch, capsys, value):
+    # the system has strict orderings only, so any other [params] mode
+    # would be silently dropped
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_PARAMS_MODE", value)
+    monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
+    assert harness.main(["system-sweep", "--jobs", "1"]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: system-sweep needs [params] mode 'strict' (the system has no "
+        f"permissive mode), got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--jobs", "1"]])
+def test_permissive_scalar_config_runs_from_the_cli(monkeypatch, capsys, argv):
+    # gamma > alpha2 is outside the strict ordering; the scalar run modes
+    # build no system block, so nothing applies the system's strict check
+    clear_fraclab_env(monkeypatch)
+    for key, value in (("PARAMS_MODE", "permissive"), ("PARAMS_GAMMA", "0.4"),
+                       ("TIME_HORIZON", "0.5"), ("TIME_STEPS", "50"),
+                       ("SPACE_POINTS", "64")):
+        monkeypatch.setenv("FRACLAB_" + key, value)
+    assert harness.main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_config_value_under_a_flag_is_still_checked(monkeypatch, capsys):
+    # [verify] is read as a whole, and a value that is not a number stops
+    # every mode, also when a flag overrides it
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_VERIFY_SEED", "abc")
+    assert harness.main(["verify", "--seed", "3"]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [verify] seed must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("mode", ["exponent", "simulate"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_bad_out_refused_before_any_work(monkeypatch, capsys, tmp_path, mode, target):
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setattr(harness.solver, "run", mock.Mock(side_effect=AssertionError("ran")))
+    out = str(tmp_path / "no" / "x.txt") if target == "missing" else str(tmp_path)
+    assert harness.main([mode, "--out", out]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --out {out} must name a file in an existing directory\n")
+
+
+def test_failed_out_write_exits_two(monkeypatch, capsys, tmp_path):
+    # a write that fails after the up-front check is one error line too
+    clear_fraclab_env(monkeypatch)
+
+    def refuse(path, mode):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(harness, "open", refuse, raising=False)
+    out = str(tmp_path / "x.txt")
+    assert harness.main(["exponent", "--out", out]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --out {out}: Permission denied\n"
+
+
+def test_defaults_read_back_as_their_typed_values(monkeypatch):
+    # the text load_config holds for each default converts back to it
+    clear_fraclab_env(monkeypatch)
+    cp = load_config(None)
+    for sec, keys in harness._DEFAULTS.items():
+        want = {key: None if v == "" else v for key, v in keys.items()}
+        assert harness._section(cp, sec) == want
+
+
+def test_readme_config_block_names_every_key():
+    # README's configuration block has one "[section] ; ..." line per
+    # section of the schema, naming every key of that section
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Configuration", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    lines = re.findall(r"^\[(\w+)\] +;(.*)$", block, flags=re.MULTILINE)
+    assert sorted(sec for sec, _ in lines) == sorted(harness._DEFAULTS)
+    for sec, doc in lines:
+        words = set(re.findall(r"\w+", doc))
+        missing = set(harness._DEFAULTS[sec]) - words
+        assert not missing, (sec, missing)
 
 
 @pytest.mark.parametrize("mode", ["simulate", "sweep", "system-sweep"])
