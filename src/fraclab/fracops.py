@@ -190,10 +190,9 @@ def soe_weights(kind: str, order: float, first: int, last: int):
     last = max(last, first)
     x0 = 2.0 / last
     lo = x0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (first * x0)))))
-    m = np.unique(np.concatenate([
-        np.arange(first, min(first + 64, last + 1)),
-        np.round(np.geomspace(first, last, 256)),
-    ]))
+    # a set, not np.unique, which imports numpy.ma (1.2 MB resident)
+    m = np.array(sorted({*range(first, min(first + 64, last + 1)),
+                         *np.round(np.geomspace(first, last, 256)).tolist()}))
     want = _weights_accurate(kind, order, m)
     for nodes in range(_SOE_NODES[0], _SOE_NODES[1] + 1):
         y, eta = _gauss_jacobi(nodes, a)
@@ -204,7 +203,8 @@ def soe_weights(kind: str, order: float, first: int, last: int):
             eta * x0**a * phi(x0 * y) / (x0 * y),
             np.outer(0.5 * lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
         ])
-        got = np.exp(-np.outer(m, x)) @ c
+        e = np.outer(m, -x)
+        got = np.exp(e, out=e) @ c
         if np.max(np.abs(got / want - 1.0)) <= SOE_RTOL:
             return x, c
     raise NumericsError(

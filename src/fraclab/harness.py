@@ -255,10 +255,14 @@ def build_spec(args) -> ExperimentSpec:
             f"permissive mode), got {params['mode']!r}"
         )
     if mode in ("exponent", "system-sweep"):
-        # block one of the system is [params], with its orders renamed
-        block_one = {key + "1" if key in ("gamma", "sigma", "delta") else key: v
-                     for key, v in params.items() if key != "mode"}
-        fields["system_params"] = SystemParamSet(**block_one, **_section(cp, "system"))
+        system = _section(cp, "system")  # checked also where it goes unused
+        # block one of the system is [params], with its orders renamed; the
+        # system has strict orderings only, so a permissive exponent table
+        # leaves it out
+        if params["mode"] == "strict":
+            block_one = {key + "1" if key in ("gamma", "sigma", "delta") else key: v
+                         for key, v in params.items() if key != "mode"}
+            fields["system_params"] = SystemParamSet(**block_one, **system)
     if mode == "exponent":
         return ExperimentSpec(**fields)
     bump = BumpSpec(**_section(cp, "bump"))
@@ -638,6 +642,10 @@ def exponent_query(spec: ExperimentSpec) -> str:
     except NoInteriorMinimumError as exc:
         lines.append(f"t_natural: no interior minimum ({exc})")
     sp = spec.system_params
+    if sp is None:
+        lines.append(f"system: not evaluated; the system needs [params] mode "
+                     f"'strict', got {pr.mode!r}")
+        return "\n".join(lines) + "\n"
     bound = exponents.system_dimension_bound(sp)
     lines.append(
         f"system inputs: q={_fmt(sp.q)} beta1={_fmt(sp.beta1)} "

@@ -31,17 +31,21 @@ exactly zero, so all 3C sums hold the same number of rows and form one
 stacked :class:`MemorySum` that appends, sums and folds in lock step; a
 step makes one inverse and one forward FFT for all components.  Summed
 directly the sums would cost O(j) at step j and keep every row; a
-:class:`MemorySum` keeps the newest ``WINDOW`` = 32 to ``WINDOW + BLOCK``
-= 64 rows exact and folds older ones, ``BLOCK`` = 32 at a time, into a
-sum-of-exponentials (SOE) state (:func:`fracops.soe_weights`; Jiang,
-Zhang, Zhang & Zhang, CiCP 21, 2017) of 84 to 119 terms, read each step
-through a rank-r projection, r = 10 to 13 (Beylkin & Monzon, ACHA 28,
-2010).  Cost per step and memory are then fixed whatever the step index
-or the horizon.  Each fit is checked when built and certified in the tests
-to relative error 1e-9 against ``l1_weights``/``rect_weights``, for orders
-in [0.05, 0.95] and up to 1e5 steps, and the rank-r tail against the full
-one to 1e-12.  A run of at most 64 steps never folds, so it sums exactly
-as the direct sums (``_kernels.hist_dot_*``, the tests' reference) do.
+:class:`MemorySum` keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK``
+= 24 rows exact and folds older ones, ``BLOCK`` = 16 at a time, into a
+reduced sum-of-exponentials (SOE) state.  The SOE fit of the weights
+(:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
+has 70 to 133 terms; its tail functionals span only r' = 24 to 72
+dimensions, and the state is kept in those (Baffet & Hesthaven, SINUM 55,
+2017) and read each step through a rank-r projection, r = 14 or 15 (Beylkin &
+Monzon, ACHA 28, 2010).  Cost per step and memory are then fixed whatever
+the step index or the horizon.  Each fit is checked when built and
+certified in the tests to relative error 1e-9 against
+``l1_weights``/``rect_weights``, for orders in [0.05, 0.95] and up to 1e5
+steps, and the reduced, rank-r tail against the full fit's to 1e-12.  A
+run of at most ``WINDOW + BLOCK - 1`` = 23 steps never folds, so it sums
+exactly as the direct sums (``_kernels.hist_dot_*``, the tests'
+reference) do.
 """
 
 from __future__ import annotations
@@ -156,11 +160,16 @@ class SimResult:
 
 
 # Rows of every memory sum kept exact (WINDOW to WINDOW + BLOCK of them), and
-# rows folded into the sum-of-exponentials state at once.
-WINDOW = 32
-BLOCK = 32
-# Singular values of the tail-coefficient block kept, relative to the largest.
+# rows folded into the tail state at once.
+WINDOW = 8
+BLOCK = 16
+# Singular values kept, relative to the largest: of the sampled tail
+# functionals (the reduced SOE), and of the tail-coefficient block.
+SOE_REDUCE_RTOL = 1e-14
 TAIL_RANK_RTOL = 1e-13
+# Geometric samples of the tail functionals between the fit's first offset
+# and one fold past its last.
+REDUCE_SAMPLES = 128
 
 
 class HistoryBuffer:
@@ -199,14 +208,15 @@ class MemorySum:
     ``WINDOW + BLOCK`` rows sit in one window, summed against the exact
     weights by one batched product that reads each sum's columns in place.
     A full window folds its oldest ``BLOCK`` rows, one sum at a time, into
-    that sum's sum-of-exponentials state ``S[i] = sum e^{-x_i d_k} row_k``.
-    A sum's tail is the coefficient row picked by the window's fill times
-    ``S``; the ``BLOCK`` x terms block of those rows is cut at the first
-    fold to its r = 10 to 13 singular triplets above ``TAIL_RANK_RTOL``
-    times the largest, ``U_r Sigma_r V_r^T``.  Each fold projects ``P =
-    V_r^T S`` and each step adds ``(U_r Sigma_r)[fill] @ P``, batched over
-    the stack.  Term counts and ranks are padded to the stack's largest
-    with zero rows, so padded state and projection rows stay exactly 0.
+    that sum's reduced SOE state ``S = sum_k decay^(folds since k) fold_w
+    row_k`` of r' terms (:func:`reduced_soe`), built at the first fold.  A
+    sum's tail is the row of the ``BLOCK`` x r' tail block picked by the
+    window's fill times ``S``; that block is cut to its r = 14 or 15 singular
+    triplets above ``TAIL_RANK_RTOL`` times the largest, ``U_r Sigma_r
+    V_r^T``.  Each fold projects ``P = V_r^T S`` and each step adds
+    ``(U_r Sigma_r)[fill] @ P``, batched over the stack.  Term counts and
+    ranks are padded to the stack's largest with zero rows, so padded state
+    and projection rows stay exactly 0.
     """
 
     def __init__(self, families, width: int, dtype, steps: int):
@@ -229,18 +239,11 @@ class MemorySum:
 
     def _build_tail(self):
         parts = []
-        for kind, order, first, last in self._fits:
-            x, c = soe_weights(kind, order, first, last)
-            # a window of WINDOW + 1 + f rows puts the newest folded row at
-            # weight index first + f
-            tail = c * np.exp(-np.outer(np.arange(first, first + BLOCK), x))
+        for fit in self._fits:
+            decay, fold_w, tail = reduced_soe(*fit)
             u, sv, vt = np.linalg.svd(tail, full_matrices=False)
             r = int(np.count_nonzero(sv > TAIL_RANK_RTOL * sv[0]))
-            # the newest folded row has offset 0 in S; at the next fold every
-            # offset grows by BLOCK
-            parts.append((np.exp(-BLOCK * x)[:, None],
-                          np.exp(-np.outer(x, np.arange(BLOCK - 1.0, -1.0, -1.0))),
-                          u[:, :r] * sv[:r], vt[:r]))
+            parts.append((decay[:, None], fold_w, u[:, :r] * sv[:r], vt[:r]))
         self.ranks = tuple(basis.shape[0] for *_, basis in parts)
         self._decay, self._fold_w, self._coef, self._basis = map(_zero_padded, zip(*parts))
         self._state = np.zeros(self._fold_w.shape[:2] + (self._cols,))
@@ -272,6 +275,43 @@ class MemorySum:
         if self._state is not None:
             out += np.matmul(self._coef[:, n - WINDOW - 1, None], self._proj)
         return out.reshape(count, self._cols).view(self._dtype)
+
+
+def reduced_soe(kind: str, order: float, first: int, last: int):
+    """The ``kind`` weights from index ``first`` to ``last`` as a reduced sum
+    of exponentials: ``(decay, fold_w, tail)``.
+
+    With ``x, c`` the :func:`fracops.soe_weights` fit, a row folded at
+    offset d adds ``g_{first+d} = c e^{-x (first+d)}`` times itself to the
+    full T-term state, a fold multiplies that state by ``e^{-BLOCK x}``, and
+    a read at fill f is ``e^{-x f}`` times it.  The functionals ``g_m``,
+    sampled at the ``2 BLOCK`` offsets a fold and its first decay meet and
+    at ``REDUCE_SAMPLES`` geometric ones up to ``last + BLOCK``, each
+    normalised by its weight, span few dimensions: the right singular
+    vectors V above ``SOE_REDUCE_RTOL`` (Baffet & Hesthaven, SINUM 55,
+    2017).  The one-fold decay ``V^T diag(e^{-BLOCK x}) V`` is symmetric
+    with eigenvalues in (0, 1), and in its eigenbasis Q the r' terms decay
+    one by one again.  ``decay`` holds those eigenvalues, ``fold_w`` (r' x
+    BLOCK) the folded rows' ``(VQ)^T g``, oldest first, and ``tail`` (BLOCK
+    x r') the reads ``e^{-x f} VQ``.
+    """
+    x, c = soe_weights(kind, order, first, last)
+    offsets = np.array(sorted({*range(first, first + 2 * BLOCK), *np.round(
+        np.geomspace(first, last + BLOCK, REDUCE_SAMPLES)).tolist()}))
+    # in place: the first fold's transient sets a 1-D run's peak RSS
+    g = np.outer(offsets, -x)
+    np.exp(g, out=g)
+    g *= c
+    g /= g.sum(axis=1, keepdims=True)
+    _, sv, vt = np.linalg.svd(np.linalg.qr(g, mode="r"), full_matrices=False)
+    v = vt[sv > SOE_REDUCE_RTOL * sv[0]].T
+    decay, q = np.linalg.eigh((v.T * np.exp(-BLOCK * x)) @ v)
+    basis = v @ q
+    # the newest folded row has offset 0, the oldest BLOCK - 1
+    ages = np.arange(BLOCK - 1.0, -1.0, -1.0)
+    fold_w = basis.T @ (c[:, None] * np.exp(-np.outer(x, first + ages)))
+    tail = np.exp(-np.outer(np.arange(BLOCK), x)) @ basis
+    return decay, fold_w, tail
 
 
 def _zero_padded(arrays) -> np.ndarray:

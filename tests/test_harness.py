@@ -580,6 +580,23 @@ def test_permissive_scalar_config_runs_from_the_cli(monkeypatch, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+def test_permissive_exponent_prints_the_scalar_table(monkeypatch, capsys):
+    # the system block has strict orderings only: a permissive [params]
+    # gets its scalar exponents and one line in place of the system's
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_PARAMS_MODE", "permissive")
+    monkeypatch.setenv("FRACLAB_PARAMS_GAMMA", "0.4")
+    assert harness.main(["exponent"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("inputs: alpha1=0.5 alpha2=0.3 gamma=0.4 ")
+    assert "p_star = 6.25 (denominator = 0.8)" in lines
+    assert lines[-1] == ("system: not evaluated; the system needs [params] mode "
+                         "'strict', got 'permissive'")
+    assert not any(line.startswith(("system inputs", "dimension_bound")) for line in lines)
+
+
 def test_config_value_under_a_flag_is_still_checked(monkeypatch, capsys):
     # [verify] is read as a whole, and a value that is not a number stops
     # every mode, also when a flag overrides it

@@ -1,12 +1,12 @@
-"""The solver's memory sums: exact window plus sum-of-exponentials tail.
+"""The solver's memory sums: exact window plus reduced sum-of-exponentials tail.
 
 ``solver.MemorySum`` holds a stack of sums and replaces the direct
 full-history sums ``_kernels.hist_dot_*``; those stay as the reference
 here.  The fit of the weights is certified against
-``l1_weights``/``rect_weights``, every sum of a stack against its own
-direct sum at every step, runs that never fold must match the direct sums
-bit for bit, and whole runs must keep the blow-up times the direct sums
-gave.
+``l1_weights``/``rect_weights``, its reduction against the full fit,
+every sum of a stack against its own direct sum at every step, runs that
+never fold must match the direct sums bit for bit, and whole runs must
+keep the blow-up times the direct sums gave.
 """
 
 import argparse
@@ -20,12 +20,16 @@ from fraclab.errors import NumericsError
 from fraclab.exponents import ParamSet, SystemParamSet
 from fraclab.fraclap import SpaceGrid
 from fraclab.fracops import TimeGrid, l1_weights, rect_weights, soe_weights
-from fraclab.solver import BLOCK, WINDOW, BumpSpec, HistoryBuffer, MemorySum, SimConfig
+from fraclab.solver import (BLOCK, WINDOW, BumpSpec, HistoryBuffer, MemorySum, SimConfig,
+                            reduced_soe)
 
 WEIGHTS = {"l1": l1_weights, "rect": rect_weights}
 # the solver's own families at the default parameters, then the extremes
 FAMILIES = [("l1", 0.5, 1), ("rect", 0.7, 2), ("rect", 0.75, 1),
             ("l1", 0.05, 1), ("l1", 0.95, 1), ("rect", 0.05, 2), ("rect", 0.95, 1)]
+# every family the fits are certified for
+ALL_FAMILIES = [(kind, order, lag) for kind in ("l1", "rect")
+                for order in (0.05, 0.25, 0.5, 0.75, 0.95) for lag in (1, 2)]
 
 
 def soe_eval(x, c, m):
@@ -93,12 +97,11 @@ def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
 
 
 def test_stacked_families_match_their_direct_sums(rng):
-    # the seven families have different ranks, so the stack pads its
-    # projections (and would pad term counts, which at one horizon agree);
-    # every member must still match its own direct sum, and every padded
-    # row must stay exactly zero
+    # the seven families have different reduced term counts and ranks, so
+    # the stack pads its states and projections; every member must still
+    # match its own direct sum, and every padded row must stay exactly zero
     steps, width = 3000, 5
-    terms = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)[0].size
+    terms = [reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
              for kind, order, lag in FAMILIES]
     rows = random_rows(rng, (steps + 1) * len(FAMILIES), width, True)
     rows = rows.reshape(steps + 1, len(FAMILIES), width)
@@ -114,7 +117,7 @@ def test_stacked_families_match_their_direct_sums(rng):
             for s, (t, r) in enumerate(zip(terms, hist.ranks)):
                 assert np.all(hist._state[s, t:] == 0.0), f"state {s} after {n} rows"
                 assert np.all(hist._proj[s, r:] == 0.0), f"projection {s} after {n} rows"
-    assert hist._state.shape[1] == max(terms)
+    assert len(set(terms)) > 1 and hist._state.shape[1] == max(terms)
     assert len(set(hist.ranks)) > 1 and hist._proj.shape[1] == max(hist.ranks)
 
 
@@ -143,12 +146,24 @@ def test_memory_sum_memory_is_flat(rng):
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
-    terms = max(soe_weights(kind, order, lag + WINDOW + 1, steps + lag)[0].size
+    terms = max(reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
                 for kind, order, lag in families)
     # the window's rows plus one float pair per column for each term of every
-    # state and each row of every rank-r projection, padded to the largest
+    # reduced state and each row of every rank-r projection, padded to the
+    # largest
     assert sizes.pop() == len(families) * width * 16 * (
         WINDOW + BLOCK + terms + max(hist.ranks))
+
+
+def test_sim_2d_history_fits_in_8_mb():
+    # the three sums of a 64 x 64 scalar run (33 rfft columns per row) over
+    # 500 steps, after the first fold has built every reduced state
+    families, width = FAMILIES[:3], 64 * 33
+    hist = MemorySum(families, width, np.complex128, 500)
+    zero = np.zeros((len(families), width), dtype=np.complex128)
+    for _ in range(WINDOW + BLOCK + 1):
+        hist.append(zero)
+    assert hist.nbytes <= 8e6, f"{hist.nbytes / 1e6:.1f} MB"
 
 
 def folded(families, steps):
@@ -160,10 +175,65 @@ def folded(families, steps):
 
 @pytest.mark.parametrize("steps", [200, 3000, 100_000])
 def test_tail_rank_is_small(steps):
-    families = [(kind, order, lag) for kind in ("l1", "rect")
-                for order in (0.05, 0.25, 0.5, 0.75, 0.95) for lag in (1, 2)]
-    for (kind, order, lag), rank in zip(families, folded(families, steps).ranks):
+    for (kind, order, lag), rank in zip(ALL_FAMILIES, folded(ALL_FAMILIES, steps).ranks):
         assert 0 < rank <= 16, f"{kind} order {order} lag {lag}: rank {rank}"
+
+
+@pytest.mark.parametrize("steps", [200, 3000, 100_000])
+def test_reduced_soe_is_smaller_and_decays(steps):
+    # fewer terms than the fit, each decaying by a factor in (0, 1) per fold,
+    # and a row folded n folds ago at window position b and read at fill f
+    # weighs what the full fit gives its offset, at every n up to the
+    # horizon.  Far out, rounding of decay**n builds up to ~1e-11; 1e-10 is
+    # half the fit's own SOE_RTOL, well inside the 1e-9 certification.
+    pos = np.arange(BLOCK)
+    for kind, order, lag in ALL_FAMILIES:
+        first, last = lag + WINDOW + 1, steps + lag
+        x, c = soe_weights(kind, order, first, last)
+        decay, fold_w, tail = reduced_soe(kind, order, first, last)
+        assert decay.size < x.size, f"{kind} {order} {lag}: {decay.size} terms"
+        assert np.all((decay > 0.0) & (decay < 1.0)), f"{kind} {order} {lag}"
+        folds = (last - first - 2 * BLOCK + 2) // BLOCK
+        n = np.unique(np.concatenate([np.arange(8),
+                                      np.round(np.geomspace(8, folds, 64))])).astype(int)
+        got = np.einsum("fi,ni,ib->nfb", tail, decay ** n[:, None], fold_w)
+        m = first + BLOCK * n[:, None, None] + pos[:, None] + pos[::-1]
+        err = np.max(np.abs(got / (np.exp(-m[..., None] * x) @ c) - 1.0))
+        assert err <= 1e-10, f"{kind} {order} {lag}: rel {err:.2e}"
+
+
+@pytest.mark.parametrize("steps", [200, 3000, 100_000])
+def test_reduced_tail_matches_full_tail(steps, rng):
+    # all twenty families stacked: four folds of nonzero rows, then the
+    # WINDOW + 1 zero rows that fold the last of them, so that total() is the
+    # reduced tail alone; read at every fill from that fold on, over four
+    # folds, it must equal the full T-term fit's tail on the folded rows
+    width, count = 3, 4 * BLOCK
+    rows = random_rows(rng, count * len(ALL_FAMILIES), width, False)
+    rows = rows.reshape(count, len(ALL_FAMILIES), width)
+    hist = MemorySum(ALL_FAMILIES, width, np.float64, steps)
+    for row in rows:
+        hist.append(row)
+    zero = np.zeros((len(ALL_FAMILIES), width))
+    for _ in range(WINDOW + 1):
+        hist.append(zero)
+    fits = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
+            for kind, order, lag in ALL_FAMILIES]
+    appended, fills = count + WINDOW + 1, []
+    for _ in range(4 * BLOCK):
+        fill = (appended - WINDOW - BLOCK - 1) % BLOCK
+        done = appended - WINDOW - 1 - fill  # rows folded so far
+        assert done == count + BLOCK * (len(fills) // BLOCK)
+        got = hist.total()
+        for s, ((kind, order, lag), (x, c)) in enumerate(zip(ALL_FAMILIES, fits)):
+            m = lag + WINDOW + 1 + fill + (done - 1 - np.arange(count))
+            want = (np.exp(-np.outer(m, x)) @ c) @ rows[:, s]
+            err = np.max(np.abs(got[s] / want - 1.0))
+            assert err <= 1e-12, f"{kind} {order} {lag} fill {fill}: rel {err:.2e}"
+        fills.append(fill)
+        hist.append(zero)
+        appended += 1
+    assert fills == list(range(BLOCK)) * 4
 
 
 @pytest.mark.parametrize("kind,order,lag", FAMILIES)
