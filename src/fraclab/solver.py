@@ -26,26 +26,26 @@ Each component carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
 panel means, and the source integral over ``|u|^p``, held in mode space
 (the sum is linear, so summing the rfft of each row needs no FFT of its
-own).  The Caputo and damping sums start with a zero row, which adds
+own), each row scaled on entry by its term's per-mode factor in the
+update.  The Caputo and damping sums start with a zero row, which adds
 exactly zero, so all 3C sums hold the same number of rows and form one
 stacked :class:`MemorySum` that appends, sums and folds in lock step; a
 step makes one inverse and one forward FFT for all components.  Summed
 directly the sums would cost O(j) at step j and keep every row; a
-:class:`MemorySum` keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK``
-= 24 rows exact and folds older ones, ``BLOCK`` = 16 at a time, into a
+:class:`MemorySum` keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` =
+24 rows exact and folds older ones, ``BLOCK`` = 16 at a time, into a
 reduced sum-of-exponentials (SOE) state.  The SOE fit of the weights
 (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
 has 70 to 133 terms; its tail functionals span only r' = 24 to 72
 dimensions, and the state is kept in those (Baffet & Hesthaven, SINUM 55,
-2017) and read each step through a rank-r projection, r = 14 or 15 (Beylkin &
-Monzon, ACHA 28, 2010).  Cost per step and memory are then fixed whatever
-the step index or the horizon.  Each fit is checked when built and
-certified in the tests to relative error 1e-9 against
+2017).  Each fold precomputes every sum's reads for the next ``BLOCK``
+steps, so a step sums only the rows appended since; cost per step and
+memory are fixed whatever the step index or horizon.  Each fit is checked
+when built and certified in the tests to relative error 1e-9 against
 ``l1_weights``/``rect_weights``, for orders in [0.05, 0.95] and up to 1e5
-steps, and the reduced, rank-r tail against the full fit's to 1e-12.  A
-run of at most ``WINDOW + BLOCK - 1`` = 23 steps never folds, so it sums
-exactly as the direct sums (``_kernels.hist_dot_*``, the tests'
-reference) do.
+steps, and the reduced tail against the full fit's to 1e-12.  A run of at
+most ``WINDOW + BLOCK - 1`` = 23 steps never folds, so it sums exactly as
+the direct sums (``_kernels.hist_dot_*``, the tests' reference) do.
 """
 
 from __future__ import annotations
@@ -163,13 +163,13 @@ class SimResult:
 # rows folded into the tail state at once.
 WINDOW = 8
 BLOCK = 16
-# Singular values kept, relative to the largest: of the sampled tail
-# functionals (the reduced SOE), and of the tail-coefficient block.
+# Singular values of the sampled tail functionals kept, relative to the largest.
 SOE_REDUCE_RTOL = 1e-14
-TAIL_RANK_RTOL = 1e-13
 # Geometric samples of the tail functionals between the fit's first offset
 # and one fold past its last.
 REDUCE_SAMPLES = 128
+# Columns a fold multiplies at once, which bounds its temporaries.
+FOLD_SLICE = 1024
 
 
 class HistoryBuffer:
@@ -205,18 +205,17 @@ class MemorySum:
     ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`append`
     adds one ``(S, width)`` row to every sum, so all fill and fold in lock
     step; complex rows are held as float pairs.  The newest ``WINDOW`` to
-    ``WINDOW + BLOCK`` rows sit in one window, summed against the exact
-    weights by one batched product that reads each sum's columns in place.
-    A full window folds its oldest ``BLOCK`` rows, one sum at a time, into
-    that sum's reduced SOE state ``S = sum_k decay^(folds since k) fold_w
-    row_k`` of r' terms (:func:`reduced_soe`), built at the first fold.  A
-    sum's tail is the row of the ``BLOCK`` x r' tail block picked by the
-    window's fill times ``S``; that block is cut to its r = 14 or 15 singular
-    triplets above ``TAIL_RANK_RTOL`` times the largest, ``U_r Sigma_r
-    V_r^T``.  Each fold projects ``P = V_r^T S`` and each step adds
-    ``(U_r Sigma_r)[fill] @ P``, batched over the stack.  Term counts and
-    ranks are padded to the stack's largest with zero rows, so padded state
-    and projection rows stay exactly 0.
+    ``WINDOW + BLOCK`` rows sit in one window.  A full window folds its
+    oldest ``BLOCK`` rows, one sum at a time, into that sum's reduced SOE
+    state ``S = sum_k decay^(folds since k) fold_w row_k`` of r' terms
+    (:func:`reduced_soe`), built at the first fold.  The fold then reads,
+    for each fill f < ``BLOCK`` of the window until the next fold, all it
+    has seen: ``tail[f] @ S`` plus the ``WINDOW`` rows it kept times their
+    exact weights at f.  A step adds that read row to the rows appended
+    since the fold times their exact weights, one batched product that
+    reads each sum's columns in place; before the first fold that product
+    covers the whole window.  Term counts are padded to the stack's largest
+    with zero rows, so padded state rows stay exactly 0.
     """
 
     def __init__(self, families, width: int, dtype, steps: int):
@@ -230,7 +229,6 @@ class MemorySum:
         self._window = HistoryBuffer(len(families) * self._cols, capacity=WINDOW + BLOCK)
         self._fits = [(k, order, lag + WINDOW + 1, steps + lag) for k, order, lag in families]
         self._state = None
-        self.ranks = (0,) * len(families)
 
     def append(self, row: np.ndarray):
         if len(self._window) == WINDOW + BLOCK:
@@ -238,42 +236,43 @@ class MemorySum:
         self._window.append(np.ravel(row).view(np.float64))
 
     def _build_tail(self):
-        parts = []
-        for fit in self._fits:
-            decay, fold_w, tail = reduced_soe(*fit)
-            u, sv, vt = np.linalg.svd(tail, full_matrices=False)
-            r = int(np.count_nonzero(sv > TAIL_RANK_RTOL * sv[0]))
-            parts.append((decay[:, None], fold_w, u[:, :r] * sv[:r], vt[:r]))
-        self.ranks = tuple(basis.shape[0] for *_, basis in parts)
-        self._decay, self._fold_w, self._coef, self._basis = map(_zero_padded, zip(*parts))
+        # each distinct family is fitted once
+        fitted = {fit: reduced_soe(*fit) for fit in dict.fromkeys(self._fits)}
+        self._decay, self._fold_w, self._tail = map(
+            _zero_padded, zip(*map(fitted.get, self._fits)))
+        # kept row i at fill f has age WINDOW + f - i
+        self._keep_w = self._wrev[:, 0, np.arange(BLOCK)[::-1, None] + np.arange(WINDOW)]
         self._state = np.zeros(self._fold_w.shape[:2] + (self._cols,))
-        self._proj = np.empty(self._basis.shape[:2] + (self._cols,))
+        self._reads = np.empty((len(self._fits), BLOCK, self._cols))
 
     def _fold(self):
         if self._state is None:
             self._build_tail()
-        else:
-            self._state *= self._decay
-        old = self._window.rows[:BLOCK].reshape(BLOCK, len(self._fits), self._cols)
-        # one sum at a time: a batched product would allocate S x terms rows
-        for s, state in enumerate(self._state):
-            state += self._fold_w[s] @ old[:, s]
-        np.matmul(self._basis, self._state, out=self._proj)
+        rows = self._window.rows.reshape(WINDOW + BLOCK, len(self._fits), self._cols)
+        # one sum, and FOLD_SLICE columns of its fold, at a time: small temporaries
+        for s, (state, reads) in enumerate(zip(self._state, self._reads)):
+            state *= self._decay[s, :, None]
+            for c in range(0, self._cols, FOLD_SLICE):
+                cut = slice(c, c + FOLD_SLICE)
+                state[:, cut] += self._fold_w[s] @ rows[:BLOCK, s, cut]
+            np.matmul(self._tail[s], state, out=reads)
+            reads += self._keep_w[s] @ rows[BLOCK:, s]
         self._window.drop_oldest(BLOCK)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the window's rows, the SOE states and their projections."""
-        tail = () if self._state is None else (self._state, self._proj)
+        """Bytes held: the window's rows, the SOE states and the read rows."""
+        tail = () if self._state is None else (self._state, self._reads)
         return sum(a.nbytes for a in (self._window.rows, *tail))
 
     def total(self) -> np.ndarray:
         """The S sums over every row appended so far, as ``(S, width)``."""
         n, count = len(self._window), len(self._fits)
         rows = self._window.rows[:n].reshape(n, count, self._cols).transpose(1, 0, 2)
-        out = np.matmul(self._wrev[:, :, WINDOW + BLOCK - n :], rows)
+        kept = 0 if self._state is None else WINDOW  # the read rows hold the kept rows
+        out = np.matmul(self._wrev[:, :, WINDOW + BLOCK - n + kept :], rows[:, kept:])
         if self._state is not None:
-            out += np.matmul(self._coef[:, n - WINDOW - 1, None], self._proj)
+            out += self._reads[:, n - WINDOW - 1, None]
         return out.reshape(count, self._cols).view(self._dtype)
 
 
@@ -315,10 +314,10 @@ def reduced_soe(kind: str, order: float, first: int, last: int):
 
 
 def _zero_padded(arrays) -> np.ndarray:
-    """Stack 2-D arrays, padding each with zeros to the largest shape."""
+    """Stack arrays, padding each with zeros to the largest shape."""
     out = np.zeros((len(arrays),) + tuple(map(max, zip(*(a.shape for a in arrays)))))
     for dst, a in zip(out, arrays):
-        dst[: a.shape[0], : a.shape[1]] = a
+        dst[tuple(map(slice, a.shape))] = a
     return out
 
 
@@ -327,16 +326,16 @@ def _mode_layout(grid: SpaceGrid):
     # the trailing space axes, so that they batch over leading ones
     m = grid.points
     if grid.dim == 1:
-        kr = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
-        k2 = kr**2
+        k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
         fwd = np.fft.rfft
         inv = lambda a: np.fft.irfft(a, n=m)
     else:
         kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
         ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        fwd = lambda a: np.fft.rfftn(a, axes=(-2, -1))
-        inv = lambda a: np.fft.irfftn(a, s=(m, m), axes=(-2, -1))
+        # rfftn/irfftn over the last two axes, without their argument handling
+        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2)
+        inv = lambda a: np.fft.irfft(np.fft.ifft(a, axis=-2), n=m)
     return k2.ravel(), k2.shape, fwd, inv
 
 
@@ -344,28 +343,32 @@ class _Channel:
     """The C components of the first-order system, advanced together.
 
     ``comps[i]`` is ``(alpha1, alpha2, sigma, delta, gamma, power, u0, v0)``;
-    component i's source is I^{1-gamma}|u_{feeds[i]}|^power.  At step j the
-    stacked history holds, per component, a zero row and v_k - v_{k-1} for
-    0 < k < j (weights b), a zero row and (v_{k-1} + v_k)/2 (weights w),
-    and the rfft of the source's |.|^power row of every state k < j.
+    component i's source, on with the config's ``nonlinearity``, is
+    I^{1-gamma}|u_{feeds[i]}|^power.  At step j the history holds, per
+    component, a zero row and v_k - v_{k-1} for 0 < k < j (weights b), a zero
+    row and v_{k-1} + v_k (weights w), and the rfft of |u_{feeds[i]}|^power at
+    every k < j (0 if off), each scaled by its factor in v_j = a v_{j-1} + b
+    u_{j-1} + the totals.
     """
 
-    def __init__(self, space, time, comps, feeds):
-        self.h = h = time.h
-        k2, shape, self.fwd, self.inv = _mode_layout(space)
+    def __init__(self, config: SimConfig, comps, feeds):
+        self.h = h = config.time.h
+        k2, shape, self.fwd, self.inv = _mode_layout(config.space)
         count = len(comps)
         self.mode_shape, self.feeds = (count,) + shape, feeds
-        coefs, families = [], []
+        factors, families = [], []
         for alpha1, alpha2, sigma, delta, gamma, *_ in comps:
             c1 = h ** (-alpha1) / math.gamma(2.0 - alpha1)
-            q2 = h ** (1.0 - alpha2) / math.gamma(2.0 - alpha2)
-            lsig, ldel = k2**sigma, k2**delta
-            # c1 and cg as (C, 1) columns
-            coefs.append(([c1], [h ** (1.0 - gamma) / math.gamma(2.0 - gamma)], lsig,
-                          ldel * q2, c1 + 0.5 * q2 * ldel + 0.5 * h * lsig))
+            qdel = k2**delta * (h ** (1.0 - alpha2) / math.gamma(2.0 - alpha2))
+            lsig = k2**sigma
+            denom = c1 + 0.5 * qdel + 0.5 * h * lsig
+            # the Caputo, damping and source rows' factors, then a and b
+            factors.append([t / denom for t in (
+                -c1, -0.5 * qdel, h ** (1.0 - gamma) / math.gamma(2.0 - gamma),
+                c1 - 0.5 * qdel - 0.5 * h * lsig, -lsig)])
             families.append((("l1", alpha1, 1), ("rect", 1.0 - alpha2, 2),
                              ("rect", 1.0 - gamma, 1)))
-        self.c1, self.cg, self.lsig, self.qdel, self.denom = map(np.array, zip(*coefs))
+        *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=np.complex128)
         self.powers = [c[5] for c in comps]
         self.u0 = np.array([c[6] for c in comps])
         self.uhat, self.vhat = (
@@ -373,39 +376,36 @@ class _Channel:
             for a in (self.u0, [c[7] for c in comps]))
         # kind-major: every Caputo sum, then every damping sum, then the sources
         self.history = MemorySum([f[k] for k in range(3) for f in families], k2.size,
-                                 np.complex128, time.steps)
+                                 np.complex128, config.time.steps)
         # the next row to append; its source part stays 0 while the source is off
         self._row = np.zeros((3, count, k2.size), dtype=np.complex128)
-        first = self._source_rows(np.abs(self.u0))[None]
-        self.history.append(np.concatenate((self._row[:2], first)))
+        if config.nonlinearity:
+            self._put_source(np.abs(self.u0))
+        self.history.append(self._row)
 
-    def _source_rows(self, mag: np.ndarray) -> np.ndarray:
+    def _put_source(self, mag: np.ndarray):
         # a Python-float exponent keeps numpy's fast path for squares
         power = np.array([mag[k] ** p for k, p in zip(self.feeds, self.powers)])
-        return self.fwd(power).reshape(len(self.feeds), -1)
+        modes = self.fwd(power).reshape(len(self.feeds), -1)
+        np.multiply(modes, self.scale[2], out=self._row[2])
 
     def step(self, j: int, source: bool):
         """Advance from node j - 1 to node j, with the source if ``source``;
         returns the new states and their sup-norms."""
-        caputo, damping, src = self.history.total().reshape(3, len(self.feeds), -1)
-        vhat = self.vhat
-        rhs = (
-            self.c1 * vhat
-            - self.c1 * caputo
-            - self.qdel * (0.5 * vhat + damping)
-            - self.lsig * (self.uhat + 0.5 * self.h * vhat)
-        )
-        if source:
-            rhs += self.cg * src
-        vnew = rhs / self.denom
-        row = self._row
-        row[0], row[1] = vnew - vhat, 0.5 * (vnew + vhat)
-        self.uhat += self.h * row[1]  # the trapezoidal rule on v
+        vhat, row = self.vhat, self._row
+        caputo, damping, src = self.history.total().reshape(row.shape)
+        vnew = caputo + damping + src
+        vnew += self.a * vhat
+        vnew += self.b * self.uhat
+        np.multiply(vnew - vhat, self.scale[0], out=row[0])
+        vhat += vnew  # v_{j-1} + v_j
+        np.multiply(vhat, self.scale[1], out=row[1])
+        self.uhat += 0.5 * self.h * vhat  # the trapezoidal rule on v
         self.vhat = vnew
         u = self.inv(self.uhat.reshape(self.mode_shape))
         mag = np.abs(u)
         if source:
-            row[2] = self._source_rows(mag)
+            self._put_source(mag)
         self.history.append(row)
         return u, mag.reshape(len(mag), -1).max(axis=1).tolist()
 
@@ -511,7 +511,7 @@ def run(config: SimConfig) -> SimResult:
     space = config.space
     comp = (pr.alpha1, pr.alpha2, pr.sigma, pr.delta, pr.gamma, pr.p,
             _initial(space, config.u0), config.bump.render(space).values)
-    return _march(config, _Channel(space, config.time, [comp], [0]))[0]
+    return _march(config, _Channel(config, [comp], [0]))[0]
 
 
 def run_system(config: SimConfig):
@@ -529,7 +529,7 @@ def run_system(config: SimConfig):
               _initial(space, config.u0), config.bump.render(space).values)
     comp_v = (pr.beta1, pr.beta2, pr.sigma2, pr.delta2, pr.gamma2, pr.q,
               _initial(space, config.v0_init), bump2.render(space).values)
-    return tuple(_march(config, _Channel(space, config.time, [comp_u, comp_v], [1, 0])))
+    return tuple(_march(config, _Channel(config, [comp_u, comp_v], [1, 0])))
 
 
 def tune_amplitude(config: SimConfig, start: float, max_doublings: int = 12):

@@ -97,9 +97,9 @@ def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
 
 
 def test_stacked_families_match_their_direct_sums(rng):
-    # the seven families have different reduced term counts and ranks, so
-    # the stack pads its states and projections; every member must still
-    # match its own direct sum, and every padded row must stay exactly zero
+    # the seven families have different reduced term counts, so the stack
+    # pads its states; every member must still match its own direct sum, and
+    # every padded state row must stay exactly zero
     steps, width = 3000, 5
     terms = [reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
              for kind, order, lag in FAMILIES]
@@ -114,11 +114,9 @@ def test_stacked_families_match_their_direct_sums(rng):
             err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
             assert err <= 1e-9, f"{kind} {order} {lag} after {n} rows: rel {err:.2e}"
         if n > WINDOW + BLOCK:
-            for s, (t, r) in enumerate(zip(terms, hist.ranks)):
+            for s, t in enumerate(terms):
                 assert np.all(hist._state[s, t:] == 0.0), f"state {s} after {n} rows"
-                assert np.all(hist._proj[s, r:] == 0.0), f"projection {s} after {n} rows"
     assert len(set(terms)) > 1 and hist._state.shape[1] == max(terms)
-    assert len(set(hist.ranks)) > 1 and hist._proj.shape[1] == max(hist.ranks)
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
@@ -149,10 +147,8 @@ def test_memory_sum_memory_is_flat(rng):
     terms = max(reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
                 for kind, order, lag in families)
     # the window's rows plus one float pair per column for each term of every
-    # reduced state and each row of every rank-r projection, padded to the
-    # largest
-    assert sizes.pop() == len(families) * width * 16 * (
-        WINDOW + BLOCK + terms + max(hist.ranks))
+    # reduced state, padded to the largest, and for each fill's read row
+    assert sizes.pop() == len(families) * width * 16 * (WINDOW + BLOCK + terms + BLOCK)
 
 
 def test_sim_2d_history_fits_in_8_mb():
@@ -166,17 +162,27 @@ def test_sim_2d_history_fits_in_8_mb():
     assert hist.nbytes <= 8e6, f"{hist.nbytes / 1e6:.1f} MB"
 
 
-def folded(families, steps):
-    hist = MemorySum(families, 1, np.float64, steps)
-    for _ in range(WINDOW + BLOCK + 1):
-        hist.append(np.ones(len(families)))
-    return hist
-
-
-@pytest.mark.parametrize("steps", [200, 3000, 100_000])
-def test_tail_rank_is_small(steps):
-    for (kind, order, lag), rank in zip(ALL_FAMILIES, folded(ALL_FAMILIES, steps).ranks):
-        assert 0 < rank <= 16, f"{kind} order {order} lag {lag}: rank {rank}"
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_kept_window_rows_are_read_exactly(complex_rows, rng):
+    # the first fold folds BLOCK zero rows, so its state is exactly zero, and
+    # keeps the WINDOW random rows after them; until the next fold, total()
+    # reads those through the fold's precomputed rows and the rows appended
+    # since directly, and both must carry their exact weights
+    width, families, steps = 9, FAMILIES, 3000
+    rows = random_rows(rng, (2 * BLOCK + WINDOW) * len(families), width, complex_rows)
+    rows = rows.reshape(2 * BLOCK + WINDOW, len(families), width)
+    rows[:BLOCK] = 0.0
+    hist = MemorySum(families, width, rows.dtype, steps)
+    dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
+    for n in range(1, 2 * BLOCK + WINDOW + 1):
+        hist.append(rows[n - 1])
+        if n <= WINDOW + BLOCK:
+            continue
+        got = hist.total()
+        for s, (kind, order, lag) in enumerate(families):
+            want = direct_sum(kind, order, lag, rows[:, s], n, dot)
+            err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
+            assert err <= 1e-14, f"{kind} {order} {lag} after {n} rows: rel {err:.2e}"
 
 
 @pytest.mark.parametrize("steps", [200, 3000, 100_000])
@@ -241,7 +247,7 @@ def test_reduced_tail_matches_full_tail(steps, rng):
 def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
     # several folds of nonzero rows, then zero rows until the window holds
     # nothing else: total() is then the tail alone, which must equal the
-    # full-rank coef_row @ S, i.e. the fitted weights times the folded rows
+    # full fit's weights times the folded rows
     steps, width, count = 3000, 5, WINDOW + 4 * BLOCK
     rows = random_rows(rng, count, width, False)
     if complex_rows:

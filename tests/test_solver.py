@@ -180,6 +180,26 @@ def test_linear_runs_self_converge():
     assert abs(finals[1] - finals[2]) < 1e-4
 
 
+def test_source_off_never_reads_the_power():
+    # with the nonlinearity off the power must not enter a run at all, not
+    # even through the |u0|^p row the source sum starts from
+    u0 = Field(GRID, 0.5 * BumpSpec(1.0, 1.0).render(GRID).values)
+    traces = []
+    for p in (2.0, 3.0):
+        params = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, p)
+        sys_params = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8,
+                                    p=p, q=p)
+        time = TimeGrid(2.0, 200)
+        scalar = run(SimConfig(params, GRID, time, BumpSpec(1.0, 1.0), u0=u0,
+                               nonlinearity=False))
+        pair = run_system(SimConfig(sys_params, GRID, time, BumpSpec(1.0, 1.0), u0=u0,
+                                    v0_init=u0, nonlinearity=False))
+        traces.append([r.trace.values for r in (scalar, *pair)])
+    assert np.any(traces[0][0] != traces[0][0][0])
+    for at_2, at_3 in zip(*traces):
+        assert np.array_equal(at_2, at_3)
+
+
 def test_growth_guard_trips_on_coarse_linear_step():
     u0 = Field(GRID, 1e-6 * BumpSpec(1.0, 1.0).render(GRID).values)
     c = cfg(1e3, horizon=1.0, steps=100, u0=u0, nonlinearity=False)
