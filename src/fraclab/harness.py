@@ -28,10 +28,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -580,6 +578,10 @@ def _run_tasks(tasks, worker, jobs: int | None) -> list:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # imported here: no serial run pays for loading the process pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # Workers are fresh interpreters that read their BLAS thread count when
     # they import numpy: one each, unless the user chose a count.  Forked
     # workers would each start one BLAS thread per core, oversubscribing the

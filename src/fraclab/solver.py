@@ -26,26 +26,26 @@ Each component carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
 panel means, and the source integral over ``|u|^p``, held in mode space
 (the sum is linear, so summing the rfft of each row needs no FFT of its
-own), each row scaled on entry by its term's per-mode factor in the
-update.  The Caputo and damping sums start with a zero row, which adds
-exactly zero, so all 3C sums hold the same number of rows and form one
-stacked :class:`MemorySum` that appends, sums and folds in lock step; a
-step makes one inverse and one forward FFT for all components.  Summed
-directly the sums would cost O(j) at step j and keep every row; a
-:class:`MemorySum` keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` =
-24 rows exact and folds older ones, ``BLOCK`` = 16 at a time, into a
-reduced sum-of-exponentials (SOE) state.  The SOE fit of the weights
-(:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
-has 70 to 133 terms; its tail functionals span only r' = 24 to 72
+own), each row scaled on entry by its term's per-mode factor in the update,
+which needs only their sum.  The Caputo and damping sums start with a zero
+row, which adds exactly zero, so all 3C sums hold the same number of rows
+and form one :class:`MemorySum` of C groups of three that appends, sums
+each group and folds in lock step; a step makes one inverse and one forward
+FFT for all components.  Summed directly the sums would cost O(j) at step j
+and keep every row; a :class:`MemorySum` keeps the newest ``WINDOW`` = 8 to
+``WINDOW + BLOCK`` = 24 rows exact and folds older ones, ``BLOCK`` = 16 at
+a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of the
+weights (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21,
+2017) has 70 to 133 terms; its tail functionals span only r' = 24 to 72
 dimensions, and the state is kept in those (Baffet & Hesthaven, SINUM 55,
-2017).  Each fold precomputes every sum's reads for the next ``BLOCK``
+2017).  Each fold precomputes every group's reads for the next ``BLOCK``
 steps, so a step sums only the rows appended since; cost per step and
 memory are fixed whatever the step index or horizon.  Each fit is checked
 when built and certified in the tests to relative error 1e-9 against
 ``l1_weights``/``rect_weights``, for orders in [0.05, 0.95] and up to 1e5
 steps, and the reduced tail against the full fit's to 1e-12.  A run of at
 most ``WINDOW + BLOCK - 1`` = 23 steps never folds, so it sums exactly as
-the direct sums (``_kernels.hist_dot_*``, the tests' reference) do.
+the tests' reference, one direct sum per group in the same order.
 """
 
 from __future__ import annotations
@@ -198,36 +198,40 @@ class HistoryBuffer:
 
 
 class MemorySum:
-    """A stack of S sums ``sum_k w_s[lag_s + age_k] * row_k[s]``, s < S.
+    """G sums, each of K sums ``sum_k w_gc[lag_gc + age_k] * row_k[c, g]``.
 
-    ``families`` gives each sum's ``(kind, order, lag)``; ``w_s`` are the
-    ``kind`` (``"l1"``/``"rect"``) weights of ``order`` up to index
+    ``groups`` lists each sum's K ``(kind, order, lag)`` families: ``w_gc``
+    are the ``kind`` (``"l1"``/``"rect"``) weights of ``order`` up to index
     ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`append`
-    adds one ``(S, width)`` row to every sum, so all fill and fold in lock
-    step; complex rows are held as float pairs.  The newest ``WINDOW`` to
+    adds one ``(K, G, width)`` row, so all fill and fold in lock step;
+    complex rows are held as float pairs.  The newest ``WINDOW`` to
     ``WINDOW + BLOCK`` rows sit in one window.  A full window folds its
-    oldest ``BLOCK`` rows, one sum at a time, into that sum's reduced SOE
-    state ``S = sum_k decay^(folds since k) fold_w row_k`` of r' terms
-    (:func:`reduced_soe`), built at the first fold.  The fold then reads,
-    for each fill f < ``BLOCK`` of the window until the next fold, all it
-    has seen: ``tail[f] @ S`` plus the ``WINDOW`` rows it kept times their
-    exact weights at f.  A step adds that read row to the rows appended
-    since the fold times their exact weights, one batched product that
-    reads each sum's columns in place; before the first fold that product
-    covers the whole window.  Term counts are padded to the stack's largest
-    with zero rows, so padded state rows stay exactly 0.
+    oldest ``BLOCK`` rows into a reduced SOE state ``S = sum_k decay^(folds
+    since k) fold_w row_k`` of r' terms per family (:func:`reduced_soe`),
+    built at the first fold; a group's K states sit side by side.  The fold
+    then reads, for each fill f < ``BLOCK`` until the next fold, all a group
+    has seen: its tails at f times its states plus the ``WINDOW`` rows it
+    kept times their exact weights at f.  A step adds that read row to one
+    batched product, by (age, kind), over the rows appended since, read in
+    place; before the first fold it covers the whole window.  Term counts
+    are padded to the largest with zero rows, which stay exactly 0.
     """
 
-    def __init__(self, families, width: int, dtype, steps: int):
+    def __init__(self, groups, width: int, dtype, steps: int):
         self._dtype = np.dtype(dtype)
         self._cols = width * (2 if self._dtype.kind == "c" else 1)
-        # reversed, so that the weights of the n newest rows are [..., -n:]
-        self._wrev = np.array([
+        self._shape = g, k = len(groups), len(groups[0])
+        # reversed and age-major: the weights of the n newest rows are [..., -n * K:]
+        self._wrev = np.array([[
             (l1_weights if kind == "l1" else rect_weights)(order, lag + WINDOW + BLOCK)
-            [lag:][::-1] for kind, order, lag in families
-        ])[:, None, :]
-        self._window = HistoryBuffer(len(families) * self._cols, capacity=WINDOW + BLOCK)
-        self._fits = [(k, order, lag + WINDOW + 1, steps + lag) for k, order, lag in families]
+            [lag:][::-1] for kind, order, lag in group] for group in groups
+        ]).transpose(0, 2, 1).reshape(g, 1, -1)
+        self._window = HistoryBuffer(k * g * self._cols, capacity=WINDOW + BLOCK)
+        # the window as (G, age * K + kind, cols): a view
+        self._rows = self._window.rows.reshape(WINDOW + BLOCK, k, g, self._cols).transpose(
+            2, 0, 1, 3).reshape(g, -1, self._cols)
+        self._fits = [(kind, order, lag + WINDOW + 1, steps + lag)
+                      for group in groups for kind, order, lag in group]
         self._state = None
 
     def append(self, row: np.ndarray):
@@ -236,27 +240,29 @@ class MemorySum:
         self._window.append(np.ravel(row).view(np.float64))
 
     def _build_tail(self):
+        g, k = self._shape
         # each distinct family is fitted once
         fitted = {fit: reduced_soe(*fit) for fit in dict.fromkeys(self._fits)}
-        self._decay, self._fold_w, self._tail = map(
+        self._decay, self._fold_w, tail = map(
             _zero_padded, zip(*map(fitted.get, self._fits)))
         # kept row i at fill f has age WINDOW + f - i
-        self._keep_w = self._wrev[:, 0, np.arange(BLOCK)[::-1, None] + np.arange(WINDOW)]
-        self._state = np.zeros(self._fold_w.shape[:2] + (self._cols,))
-        self._reads = np.empty((len(self._fits), BLOCK, self._cols))
+        self._keep_w = self._wrev[:, 0, k * np.arange(BLOCK)[::-1, None] + np.arange(WINDOW * k)]
+        self._tail = tail.reshape(g, k, BLOCK, -1).transpose(0, 2, 1, 3).reshape(g, BLOCK, -1)
+        self._state = np.zeros((g, self._tail.shape[2], self._cols))
+        self._reads = np.empty((g, BLOCK, self._cols))
 
     def _fold(self):
         if self._state is None:
             self._build_tail()
-        rows = self._window.rows.reshape(WINDOW + BLOCK, len(self._fits), self._cols)
-        # one sum, and FOLD_SLICE columns of its fold, at a time: small temporaries
-        for s, (state, reads) in enumerate(zip(self._state, self._reads)):
+        k = self._shape[1]
+        # one (group, kind), and FOLD_SLICE columns of its fold, at a time
+        for s, state in enumerate(self._state.reshape(len(self._fits), -1, self._cols)):
             state *= self._decay[s, :, None]
             for c in range(0, self._cols, FOLD_SLICE):
                 cut = slice(c, c + FOLD_SLICE)
-                state[:, cut] += self._fold_w[s] @ rows[:BLOCK, s, cut]
-            np.matmul(self._tail[s], state, out=reads)
-            reads += self._keep_w[s] @ rows[BLOCK:, s]
+                state[:, cut] += self._fold_w[s] @ self._rows[s // k, s % k : BLOCK * k : k, cut]
+        np.matmul(self._tail, self._state, out=self._reads)
+        self._reads += self._keep_w @ self._rows[:, BLOCK * k :]
         self._window.drop_oldest(BLOCK)
 
     @property
@@ -266,14 +272,14 @@ class MemorySum:
         return sum(a.nbytes for a in (self._window.rows, *tail))
 
     def total(self) -> np.ndarray:
-        """The S sums over every row appended so far, as ``(S, width)``."""
-        n, count = len(self._window), len(self._fits)
-        rows = self._window.rows[:n].reshape(n, count, self._cols).transpose(1, 0, 2)
+        """The G sums over every row appended so far, as ``(G, width)``."""
+        n, k = len(self._window), self._shape[1]
         kept = 0 if self._state is None else WINDOW  # the read rows hold the kept rows
-        out = np.matmul(self._wrev[:, :, WINDOW + BLOCK - n + kept :], rows[:, kept:])
+        out = np.matmul(self._wrev[:, :, (WINDOW + BLOCK - n + kept) * k :],
+                        self._rows[:, kept * k : n * k])
         if self._state is not None:
             out += self._reads[:, n - WINDOW - 1, None]
-        return out.reshape(count, self._cols).view(self._dtype)
+        return out.reshape(self._shape[0], self._cols).view(self._dtype)
 
 
 def reduced_soe(kind: str, order: float, first: int, last: int):
@@ -344,11 +350,11 @@ class _Channel:
 
     ``comps[i]`` is ``(alpha1, alpha2, sigma, delta, gamma, power, u0, v0)``;
     component i's source, on with the config's ``nonlinearity``, is
-    I^{1-gamma}|u_{feeds[i]}|^power.  At step j the history holds, per
-    component, a zero row and v_k - v_{k-1} for 0 < k < j (weights b), a zero
-    row and v_{k-1} + v_k (weights w), and the rfft of |u_{feeds[i]}|^power at
-    every k < j (0 if off), each scaled by its factor in v_j = a v_{j-1} + b
-    u_{j-1} + the totals.
+    I^{1-gamma}|u_{feeds[i]}|^power.  At step j the history holds, in one
+    group per component, a zero row and v_k - v_{k-1} for 0 < k < j (weights
+    b), a zero row and v_{k-1} + v_k (weights w), and the rfft of
+    |u_{feeds[i]}|^power at every k < j (0 if off), each scaled by its factor
+    in v_j = a v_{j-1} + b u_{j-1} + the group's total.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -374,9 +380,8 @@ class _Channel:
         self.uhat, self.vhat = (
             self.fwd(np.array(a)).reshape(count, -1).astype(np.complex128)
             for a in (self.u0, [c[7] for c in comps]))
-        # kind-major: every Caputo sum, then every damping sum, then the sources
-        self.history = MemorySum([f[k] for k in range(3) for f in families], k2.size,
-                                 np.complex128, config.time.steps)
+        # rows are kind-major: every Caputo row, then every damping row, then the sources
+        self.history = MemorySum(families, k2.size, np.complex128, config.time.steps)
         # the next row to append; its source part stays 0 while the source is off
         self._row = np.zeros((3, count, k2.size), dtype=np.complex128)
         if config.nonlinearity:
@@ -393,8 +398,7 @@ class _Channel:
         """Advance from node j - 1 to node j, with the source if ``source``;
         returns the new states and their sup-norms."""
         vhat, row = self.vhat, self._row
-        caputo, damping, src = self.history.total().reshape(row.shape)
-        vnew = caputo + damping + src
+        vnew = self.history.total()
         vnew += self.a * vhat
         vnew += self.b * self.uhat
         np.multiply(vnew - vhat, self.scale[0], out=row[0])

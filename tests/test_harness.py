@@ -5,6 +5,8 @@ import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -327,6 +329,16 @@ def test_main_sweep_jobs_two_matches_jobs_one(monkeypatch, tmp_path, capsys):
     assert seen == ["2", "1"]
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
     assert "OMP_NUM_THREADS" not in os.environ
+
+
+def test_importing_the_harness_leaves_the_process_pool_unloaded():
+    # only a parallel sweep needs it; the --jobs 2 tests above cover that path
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    code = ("import sys, fraclab.harness; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):

@@ -1,12 +1,13 @@
 """The solver's memory sums: exact window plus reduced sum-of-exponentials tail.
 
-``solver.MemorySum`` holds a stack of sums and replaces the direct
-full-history sums ``_kernels.hist_dot_*``; those stay as the reference
-here.  The fit of the weights is certified against
-``l1_weights``/``rect_weights``, its reduction against the full fit,
-every sum of a stack against its own direct sum at every step, runs that
-never fold must match the direct sums bit for bit, and whole runs must
-keep the blow-up times the direct sums gave.
+``solver.MemorySum`` holds groups of sums, each group's members added, and
+replaces the direct full-history sums ``_kernels.hist_dot_*``; those stay
+as the reference here.  Groups of one are single sums.  The fit of the
+weights is certified against ``l1_weights``/``rect_weights``, its
+reduction against the full fit, every sum of a stack against its own
+direct sum at every step, every group against the sum of its members,
+runs that never fold must match the direct sums bit for bit, and whole
+runs must keep the blow-up times the direct sums gave.
 """
 
 import argparse
@@ -30,6 +31,11 @@ FAMILIES = [("l1", 0.5, 1), ("rect", 0.7, 2), ("rect", 0.75, 1),
 # every family the fits are certified for
 ALL_FAMILIES = [(kind, order, lag) for kind in ("l1", "rect")
                 for order in (0.05, 0.25, 0.5, 0.75, 0.95) for lag in (1, 2)]
+
+
+def ungrouped(families):
+    # one group per family: MemorySum then keeps each sum on its own
+    return [[family] for family in families]
 
 
 def soe_eval(x, c, m):
@@ -87,7 +93,7 @@ def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
     steps, width = 3000, 7
     rows = random_rows(rng, steps + 1, width, complex_rows)
     dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
-    hist = MemorySum([(kind, order, lag)], width, rows.dtype, steps)
+    hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
     assert not np.any(hist.total())
     for n in range(1, steps + 2):  # covers the folds at W+B, W+B+1, ... and k*B
         hist.append(rows[n - 1][None])
@@ -105,7 +111,7 @@ def test_stacked_families_match_their_direct_sums(rng):
              for kind, order, lag in FAMILIES]
     rows = random_rows(rng, (steps + 1) * len(FAMILIES), width, True)
     rows = rows.reshape(steps + 1, len(FAMILIES), width)
-    hist = MemorySum(FAMILIES, width, np.complex128, steps)
+    hist = MemorySum(ungrouped(FAMILIES), width, np.complex128, steps)
     for n in range(1, steps + 2):
         hist.append(rows[n - 1])
         got = hist.total()
@@ -119,12 +125,46 @@ def test_stacked_families_match_their_direct_sums(rng):
     assert len(set(terms)) > 1 and hist._state.shape[1] == max(terms)
 
 
+# the Caputo, damping and source families of the two components of
+# test_system_matches_direct_history: six distinct orders
+SYSTEM_GROUPS = [[("l1", 0.5, 1), ("rect", 0.7, 2), ("rect", 0.75, 1)],
+                 [("l1", 0.6, 1), ("rect", 0.6, 2), ("rect", 0.8, 1)]]
+
+
+def test_grouped_sums_match_their_members(rng):
+    # each group's total is its members' totals added, at every fill over
+    # several folds, and every padded row of the side-by-side states stays
+    # exactly zero
+    steps, width, count = 3000, 5, WINDOW + 6 * BLOCK
+    rows = random_rows(rng, count * 6, width, True).reshape(count, 3, 2, width)
+    grouped = MemorySum(SYSTEM_GROUPS, width, np.complex128, steps)
+    # kind-major, like the rows
+    members = MemorySum(ungrouped([f for same in zip(*SYSTEM_GROUPS) for f in same]),
+                        width, np.complex128, steps)
+    terms = [[reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
+              for kind, order, lag in group] for group in SYSTEM_GROUPS]
+    size = max(map(max, terms))
+    for n in range(1, count + 1):
+        grouped.append(rows[n - 1])
+        members.append(rows[n - 1])
+        want = members.total().reshape(3, 2, width).sum(axis=0)
+        err = np.max(np.abs(grouped.total() - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, f"after {n} rows: rel {err:.2e}"
+        if n > WINDOW + BLOCK:
+            assert grouped._state.shape == (2, 3 * size, 2 * width)
+            for g, group_terms in enumerate(terms):
+                for k, t in enumerate(group_terms):
+                    padded = grouped._state[g, k * size + t : (k + 1) * size]
+                    assert np.all(padded == 0.0), f"group {g} kind {k} after {n} rows"
+    assert len({t for group in terms for t in group}) > 1
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
     width, families = 33, FAMILIES[:3]
     rows = random_rows(rng, (WINDOW + BLOCK) * len(families), width, complex_rows)
     rows = rows.reshape(WINDOW + BLOCK, len(families), width)
-    hist = MemorySum(families, width, rows.dtype, 10_000)
+    hist = MemorySum(ungrouped(families), width, rows.dtype, 10_000)
     for n in range(1, WINDOW + BLOCK + 1):
         hist.append(rows[n - 1])
         got = as_floats(hist.total())
@@ -136,30 +176,32 @@ def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
 
 def test_memory_sum_memory_is_flat(rng):
     width, steps = 16, 100_000
-    families = FAMILIES[:3]  # the solver's three sums of one component
-    hist = MemorySum(families, width, np.complex128, steps)
+    # the solver's three sums of one component, twice over: two groups
+    groups = [FAMILIES[:3]] * 2
+    hist = MemorySum(groups, width, np.complex128, steps)
     sizes = set()
     for n in range(1, 2001):
-        hist.append(random_rows(rng, len(families), width, True))
+        hist.append(random_rows(rng, 6, width, True))
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
     terms = max(reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
-                for kind, order, lag in families)
+                for kind, order, lag in FAMILIES[:3])
     # the window's rows plus one float pair per column for each term of every
-    # reduced state, padded to the largest, and for each fill's read row
-    assert sizes.pop() == len(families) * width * 16 * (WINDOW + BLOCK + terms + BLOCK)
+    # reduced state, padded to the largest, and for each group's read row at
+    # each fill
+    assert sizes.pop() == width * 16 * (6 * (WINDOW + BLOCK + terms) + 2 * BLOCK)
 
 
-def test_sim_2d_history_fits_in_8_mb():
-    # the three sums of a 64 x 64 scalar run (33 rfft columns per row) over
-    # 500 steps, after the first fold has built every reduced state
+def test_sim_2d_history_fits_in_6_5_mb():
+    # the three summed sums of a 64 x 64 scalar run (33 rfft columns per
+    # row) over 500 steps, after the first fold has built every reduced state
     families, width = FAMILIES[:3], 64 * 33
-    hist = MemorySum(families, width, np.complex128, 500)
-    zero = np.zeros((len(families), width), dtype=np.complex128)
+    hist = MemorySum([families], width, np.complex128, 500)
+    zero = np.zeros((len(families), 1, width), dtype=np.complex128)
     for _ in range(WINDOW + BLOCK + 1):
         hist.append(zero)
-    assert hist.nbytes <= 8e6, f"{hist.nbytes / 1e6:.1f} MB"
+    assert hist.nbytes <= 6.5e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
@@ -172,7 +214,7 @@ def test_kept_window_rows_are_read_exactly(complex_rows, rng):
     rows = random_rows(rng, (2 * BLOCK + WINDOW) * len(families), width, complex_rows)
     rows = rows.reshape(2 * BLOCK + WINDOW, len(families), width)
     rows[:BLOCK] = 0.0
-    hist = MemorySum(families, width, rows.dtype, steps)
+    hist = MemorySum(ungrouped(families), width, rows.dtype, steps)
     dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
     for n in range(1, 2 * BLOCK + WINDOW + 1):
         hist.append(rows[n - 1])
@@ -217,7 +259,7 @@ def test_reduced_tail_matches_full_tail(steps, rng):
     width, count = 3, 4 * BLOCK
     rows = random_rows(rng, count * len(ALL_FAMILIES), width, False)
     rows = rows.reshape(count, len(ALL_FAMILIES), width)
-    hist = MemorySum(ALL_FAMILIES, width, np.float64, steps)
+    hist = MemorySum(ungrouped(ALL_FAMILIES), width, np.float64, steps)
     for row in rows:
         hist.append(row)
     zero = np.zeros((len(ALL_FAMILIES), width))
@@ -252,7 +294,7 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
     rows = random_rows(rng, count, width, False)
     if complex_rows:
         rows = rows + 1j * random_rows(rng, count, width, False)
-    hist = MemorySum([(kind, order, lag)], width, rows.dtype, steps)
+    hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
     for row in rows:
         hist.append(row[None])
     zero = np.zeros((1, width), dtype=rows.dtype)
@@ -280,7 +322,7 @@ def test_mode_space_source_matches_rfft_of_physical_sum(rng):
     # the solver sums rfft(|u|^p) rows; the sum is linear, so its total must
     # be the rfft of the sum of the physical rows
     steps, points = 500, 64
-    family = [("rect", 0.75, 1)]
+    family = [[("rect", 0.75, 1)]]
     modes = MemorySum(family, points // 2 + 1, np.complex128, steps)
     physical = MemorySum(family, points, np.float64, steps)
     for n in range(1, steps + 2):
@@ -293,25 +335,30 @@ def test_mode_space_source_matches_rfft_of_physical_sum(rng):
 
 
 class DirectSum:
-    """Stand-in for MemorySum that keeps every row and sums each of its
-    stacked sums directly, on the same float columns."""
+    """Stand-in for MemorySum that keeps every ``(K, G, width)`` row and
+    sums each group directly over (age, kind), age-major like MemorySum's
+    window product, on the same float columns."""
 
-    def __init__(self, families, width, dtype, steps):
+    def __init__(self, groups, width, dtype, steps):
         self.dtype = np.dtype(dtype)
         self.cols = width * (2 if self.dtype.kind == "c" else 1)
-        self.wrevs = [(WEIGHTS[kind](order, steps + lag + 2)[::-1].copy(), lag)
-                      for kind, order, lag in families]
-        self.rows = HistoryBuffer(len(families) * self.cols, capacity=steps + 2)
+        self.shape = g, k = len(groups), len(groups[0])
+        # each group's reversed weights, age-major: the n newest rows' are [-n * K:]
+        self.wrevs = np.array([[WEIGHTS[kind](order, steps + lag + 2)[lag:][::-1]
+                                for kind, order, lag in group] for group in groups])
+        self.wrevs = self.wrevs.transpose(0, 2, 1).reshape(g, -1)
+        self.rows = HistoryBuffer(k * g * self.cols, capacity=steps + 2)
 
     def append(self, row):
         self.rows.append(np.ravel(row).view(np.float64))
 
     def total(self):
-        n, cols = len(self.rows), self.cols
+        n, (g, k) = len(self.rows), self.shape
+        rows = self.rows.rows[:n].reshape(n, k, g, self.cols)
         return np.array([
-            _kernels.hist_dot_real(wrev, wrev.size - lag - n,
-                                   self.rows.rows[:, s * cols : (s + 1) * cols], 0, n)
-            for s, (wrev, lag) in enumerate(self.wrevs)
+            _kernels.hist_dot_real(wrev, wrev.size - n * k,
+                                   rows[:, :, i].reshape(n * k, self.cols), 0, n * k)
+            for i, wrev in enumerate(self.wrevs)
         ]).view(self.dtype)
 
 
