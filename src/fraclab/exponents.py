@@ -70,10 +70,6 @@ class ParamSet:
     def p_prime(self) -> float:
         return self.p / (self.p - 1.0)
 
-    @property
-    def theta(self) -> float:
-        return (self.alpha1 + 1.0) / self.sigma
-
 
 @dataclass(frozen=True)
 class SystemParamSet:
@@ -134,10 +130,6 @@ class ExponentReport:
     critical_flag: bool = False
     proof_side_condition: str | None = None
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
 
 def critical_exponent_scalar(
     dim: int, alpha1: float, gamma: float, sigma: float, p: float | None = None
@@ -151,8 +143,7 @@ def critical_exponent_scalar(
     _check_unit("alpha1", alpha1)
     _check_unit("gamma", gamma)
     _check_unit("sigma", sigma)
-    if dim < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {dim}")
+    _check_dim(dim)
     theta = (alpha1 + 1.0) / sigma
     denom = theta * dim + 2.0 * gamma - 2.0 * alpha1 - 2.0
     if denom <= 0.0:

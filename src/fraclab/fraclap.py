@@ -94,7 +94,6 @@ class Field:
 
     grid: SpaceGrid
     values: np.ndarray
-    diverged: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -102,7 +101,7 @@ class Field:
             raise ParameterError(
                 f"expected shape {self.grid.shape()}, got {self.values.shape}"
             )
-        if not self.diverged and not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(self.values)):
             raise ParameterError("non-finite samples in field")
 
     @classmethod
@@ -126,7 +125,7 @@ def apply_spectral(f: Field, s) -> Field:
     s = float(s)
     if not (0.0 < s <= 1.0):
         raise OrderError(f"Laplacian order must lie in (0,1], got {s}")
-    if f.diverged or not np.all(np.isfinite(f.values)):
+    if not np.all(np.isfinite(f.values)):
         raise ParameterError("non-finite samples in field")
     k2 = _sq_wavenumbers(f.grid)
     fh = np.fft.fftn(f.values)

@@ -303,15 +303,12 @@ class CheckResult:
     residual: float
     tol: float
     slope: float | None = None
-    detail: str = ""
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         s = f"[{tag}] {self.name:<24} residual={self.residual:.3e}  tol={self.tol:.3e}"
         if self.slope is not None:
             s += f"  slope={self.slope:+.2f}"
-        if self.detail:
-            s += f"  ({self.detail})"
         return s
 
 

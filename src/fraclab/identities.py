@@ -63,12 +63,15 @@ def _relative(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs)) / denom)
 
 
-def _ladder(f: TimeSeries):
-    # the input grid is the finest level; coarser levels subsample it
+def _on_ladder(name: str, f: TimeSeries, residual_at_factor) -> ResidualReport:
+    # the input grid is the finest level; coarser levels subsample it by
+    # the factor handed to residual_at_factor
     n = f.grid.steps
     if n % 4:
         raise ParameterError(f"step count must be divisible by 4, got {n}")
-    return ((4, n // 4), (2, n // 2), (1, n))
+    sizes = (n // 4, n // 2, n)
+    residuals = tuple(residual_at_factor(factor) for factor in (4, 2, 1))
+    return ResidualReport(name, sizes, residuals, _slope(sizes, residuals))
 
 
 def _right_classical(f: TimeSeries, order: int) -> TimeSeries:
@@ -115,22 +118,18 @@ def check_ibp(f: TimeSeries, g: TimeSeries, alpha) -> ResidualReport:
     if g.values[-1] != 0.0:
         raise HypothesisError("g must vanish at the horizon")
     alpha = float(alpha)
-    sizes, residuals = [], []
-    for factor, n in _ladder(f):
-        fs = f.restricted(factor)
-        gs = g.restricted(factor)
+
+    def residual(factor):
+        fs, gs = f.restricted(factor), g.restricted(factor)
         h = fs.grid.h
         left = np.trapezoid(gs.values * fracops.caputo_left(fs, alpha).values, dx=h)
         right = np.trapezoid(
             (fs.values - fs.values[0]) * fracops.rl_right_derivative(gs, alpha).values,
             dx=h,
         )
-        denom = max(abs(left), abs(right), FLOOR)
-        sizes.append(n)
-        residuals.append(abs(left - right) / denom)
-    return ResidualReport(
-        "integration-by-parts", tuple(sizes), tuple(residuals), _slope(sizes, residuals)
-    )
+        return abs(left - right) / max(abs(left), abs(right), FLOOR)
+
+    return _on_ladder("integration-by-parts", f, residual)
 
 
 def check_composition_int(f: TimeSeries, p_ord: float, q_ord: float) -> ResidualReport:
@@ -151,20 +150,13 @@ def check_composition_int(f: TimeSeries, p_ord: float, q_ord: float) -> Residual
         raise HypothesisError(
             "f must vanish at the horizon when the residual order is fractional"
         )
-    sizes, residuals = [], []
-    for factor, n in _ladder(f):
+
+    def residual(factor):
         fs = f.restricted(factor)
-        inner = fracops.rl_integral_right(fs, q_ord)
-        lhs = _apply_right(inner, p_ord).values
-        rhs = _apply_right(fs, r).values
-        sizes.append(n)
-        residuals.append(_relative(lhs, rhs))
-    return ResidualReport(
-        "composition-derivative-integral",
-        tuple(sizes),
-        tuple(residuals),
-        _slope(sizes, residuals),
-    )
+        lhs = _apply_right(fracops.rl_integral_right(fs, q_ord), p_ord)
+        return _relative(lhs.values, _apply_right(fs, r).values)
+
+    return _on_ladder("composition-derivative-integral", f, residual)
 
 
 def check_composition_derivs(f: TimeSeries, p_ord: float, q_ord: float) -> ResidualReport:
@@ -186,20 +178,13 @@ def check_composition_derivs(f: TimeSeries, p_ord: float, q_ord: float) -> Resid
             "f must vanish to high order at the horizon (boundary terms of the "
             "composition rule are not certified)"
         )
-    sizes, residuals = [], []
-    for factor, n in _ladder(f):
+
+    def residual(factor):
         fs = f.restricted(factor)
-        inner = _apply_right(fs, q_ord)
-        lhs = inner.values if p_ord == 0.0 else _apply_right(inner, p_ord).values
-        rhs = _apply_right(fs, p_ord + q_ord).values
-        sizes.append(n)
-        residuals.append(_relative(lhs, rhs))
-    return ResidualReport(
-        "composition-two-derivatives",
-        tuple(sizes),
-        tuple(residuals),
-        _slope(sizes, residuals),
-    )
+        lhs = _apply_right(_apply_right(fs, q_ord), p_ord)
+        return _relative(lhs.values, _apply_right(fs, p_ord + q_ord).values)
+
+    return _on_ladder("composition-two-derivatives", f, residual)
 
 
 def weak_form_residual(snapshots, params, tf: testfn.TestFunctionParams, u1: Field) -> float:

@@ -41,18 +41,6 @@ def bump_profile(r):
     return out
 
 
-def default_eta(p: float, alpha1: float, gamma: float) -> int:
-    """Smallest exponent used in practice: max(8, ceil(p'(2+a1-g)) + 2).
-
-    Exceeds the integrability hypothesis eta > p'*theta_max - 1 with margin
-    for every derivative order the weak form applies.
-    """
-    if p <= 1.0:
-        raise ParameterError(f"power must exceed 1, got {p}")
-    pp = p / (p - 1.0)
-    return max(8, math.ceil(pp * (2.0 + alpha1 - gamma)) + 2)
-
-
 @dataclass(frozen=True)
 class TestFunctionParams:
     """Shape parameters of the separable test function.
@@ -91,10 +79,6 @@ class TestFunctionParams:
                     f"eta={self.eta} violates eta > p'(theta_max) - 1 "
                     f"= {pp * self.theta_max - 1.0}"
                 )
-
-    @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
 
 
 def phi1(params: TestFunctionParams, steps: int) -> TimeSeries:
@@ -168,28 +152,23 @@ def lemma3_integral_two(
     return coeff**pp / (eta - pp * theta_d + 1.0) * horizon ** (1.0 - pp * theta_d)
 
 
-def _weighted_power_integral(phi_vals, d_vals, pp_over_p, pp, h):
-    # integrand phi1^{-p'/p} |D phi1|^{p'}; zero where phi1 has hit zero
+def _weighted_power_integral(f: TimeSeries, d: TimeSeries, p: float) -> float:
+    # trapezoid of phi1^{-p'/p} |D phi1|^{p'}; zero where phi1 has hit zero
+    pp = p / (p - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = np.where(
-            phi_vals > 0.0, phi_vals ** (-pp_over_p) * np.abs(d_vals) ** pp, 0.0
+            f.values > 0.0, f.values ** (-pp / p) * np.abs(d.values) ** pp, 0.0
         )
-    return float(np.trapezoid(integrand, dx=h))
+    return float(np.trapezoid(integrand, dx=f.grid.h))
 
 
 def lemma3_integral_two_quad(
     eta: float, theta_d: float, p: float, horizon: float, steps: int = 2**14
 ) -> float:
     """Quadrature cross-check of :func:`lemma3_integral_two` (discrete D)."""
-    if p <= 1.0:
-        raise ParameterError(f"power must exceed 1, got {p}")
-    pp = p / (p - 1.0)
-    if eta - pp * theta_d + 1.0 <= 0.0:
-        raise ParameterError("integral diverges for these exponents")
-    params = TestFunctionParams(eta, horizon, 0.0, p=p)
+    params = TestFunctionParams(eta, horizon, 0.0, p=p, theta_max=theta_d)
     f = phi1(params, steps)
-    d = fracops.rl_right_derivative(f, theta_d)
-    return _weighted_power_integral(f.values, d.values, pp / p, pp, f.grid.h)
+    return _weighted_power_integral(f, fracops.rl_right_derivative(f, theta_d), p)
 
 
 def phi2(grid: SpaceGrid, horizon: float, theta: float, b_scale: float = 1.0) -> Field:
@@ -235,12 +214,11 @@ class ScalingProbeReport:
 
 
 def _time_factor(eta, theta_d, p, horizon, steps):
-    # closed-form integrand, trapezoid in time; valid for theta_d up to eta+1
+    # closed-form derivative, trapezoid in time; valid for theta_d up to eta+1
     params = TestFunctionParams(eta, horizon, 0.0, p=p)
-    f = phi1(params, steps)
-    d = phi1_right_derivative_closed(params, theta_d, steps)
-    pp = p / (p - 1.0)
-    return _weighted_power_integral(f.values, d.values, pp / p, pp, f.grid.h)
+    return _weighted_power_integral(
+        phi1(params, steps), phi1_right_derivative_closed(params, theta_d, steps), p
+    )
 
 
 def _bulk_integral(w2: Field, mult: Field, scale, bulk_radius, pp_over_p, pp):

@@ -21,7 +21,6 @@ BASE = dict(alpha1=0.5, alpha2=0.3, gamma=0.25, sigma=0.5, delta=0.7)
 def test_paramset_validation():
     ok = ParamSet(p=2.0, **BASE)
     assert ok.p_prime == 2.0
-    assert ok.theta == 3.0
     with pytest.raises(ParameterError, match="0<gamma<alpha2<alpha1<1"):
         ParamSet(0.5, 0.3, 0.4, 0.5, 0.7, 2.0)
     with pytest.raises(ParameterError, match="0<sigma<delta<1"):
@@ -49,7 +48,7 @@ def test_critical_exponent_frozen_value():
     assert rep.value == 10.0
     assert rep.denominator == 0.5
     assert not rep.critical_flag
-    assert not rep.is_infinite
+    assert not math.isinf(rep.value)
 
 
 def test_critical_exponent_flag_and_side_condition():
@@ -67,12 +66,20 @@ def test_critical_exponent_flag_and_side_condition():
 def test_critical_exponent_infinite_branch():
     # theta = 1.5/0.6 = 2.5 exactly: the positive part vanishes
     rep = critical_exponent_scalar(1, 0.5, 0.25, 0.6)
-    assert rep.is_infinite
+    assert math.isinf(rep.value)
     assert rep.denominator == 0.0
     # sigma = 0.7 pushes the denominator negative
     rep2 = critical_exponent_scalar(1, 0.5, 0.25, 0.7)
-    assert rep2.is_infinite
+    assert math.isinf(rep2.value)
     assert rep2.denominator < 0.0
+
+
+def test_critical_exponent_scalar_checks_the_dimension_as_paramset_does():
+    for dim in (0, 1.5):
+        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+            critical_exponent_scalar(dim, 0.5, 0.25, 0.5)
+        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+            ParamSet(p=2.0, dim=dim, **BASE)
 
 
 def test_critical_exponent_from_paramset():
@@ -148,7 +155,7 @@ def test_sign_invariants_random_strict_draws(rng):
         assert local_nonexistence_exponent(ps) < 0.0
         assert global_decay_exponent(ps) > 0.0
         rep = critical_exponent(ps)
-        assert rep.value > 1.0 or rep.is_infinite
+        assert rep.value > 1.0 or math.isinf(rep.value)
 
 
 def test_t_natural_frozen_value():

@@ -48,8 +48,9 @@ def test_field_validation():
         Field(g, np.zeros(9))
     with pytest.raises(ParameterError):
         Field(g, np.full(8, np.nan))
-    f = Field(g, np.full(8, np.inf), diverged=True)
-    assert f.diverged
+    # apply_spectral keeps its own check for values made non-finite in place
+    f = Field(g, np.zeros(8))
+    f.values[0] = np.inf
     with pytest.raises(ParameterError):
         apply_spectral(f, 0.5)
 

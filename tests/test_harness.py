@@ -341,6 +341,15 @@ def test_importing_the_harness_leaves_the_process_pool_unloaded():
     assert out.strip() == "[]"
 
 
+def test_importing_the_package_root_loads_no_submodule():
+    # every name lives in its module; the root re-exports none of them
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    code = "import sys, fraclab; print(sorted(m for m in sys.modules if m.startswith('fraclab.')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
+
+
 def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
     clear_fraclab_env(monkeypatch)
     ini = tmp_path / "f.ini"
