@@ -151,46 +151,22 @@ def normalization_constant(dim: int, s: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SingularQuadRule:
-    """Quadrature layout for :func:`apply_singular_integral`.
-
-    The radial integral splits at ``r_in`` (below: second-order Taylor
-    correction, exact kernel integration) and ``r_cut`` (beyond: analytic
-    tail assuming the field has decayed); between the two, Gauss-Legendre
-    panels graded geometrically with ``panels_per_octave`` panels per
-    doubling of radius.
-    """
-
-    r_in: float = 1e-3
-    r_cut: float = 64.0
-    gl_order: int = 10
-    panels_per_octave: int = 2
-
-    def __post_init__(self):
-        if not (0.0 < self.r_in < self.r_cut):
-            raise ParameterError("need 0 < r_in < r_cut")
-        if self.gl_order < 2 or self.panels_per_octave < 1:
-            raise ParameterError("need gl_order >= 2 and panels_per_octave >= 1")
-
-    def refined(self) -> "SingularQuadRule":
-        """Same split radii, twice the panels and twice the panel order."""
-        return SingularQuadRule(
-            self.r_in, self.r_cut, 2 * self.gl_order, 2 * self.panels_per_octave
-        )
+# The radial integral of :func:`apply_singular_integral` splits at _R_IN
+# (below: second-order Taylor correction, exact kernel integration) and
+# _R_CUT (beyond: analytic tail assuming the field has decayed).
+_R_IN = 1e-3
+_R_CUT = 64.0
 
 
-DEFAULT_RULE = SingularQuadRule()
-
-
-@functools.lru_cache(maxsize=16)
-def _middle_nodes(rule: SingularQuadRule):
-    # geometric panel boundaries r_in * g^i clipped at r_cut
-    g = 2.0 ** (1.0 / rule.panels_per_octave)
-    bounds = [rule.r_in]
-    while bounds[-1] < rule.r_cut:
-        bounds.append(min(bounds[-1] * g, rule.r_cut))
-    xg, wg = np.polynomial.legendre.leggauss(rule.gl_order)
+@functools.lru_cache(maxsize=2)
+def _middle_nodes(level: int):
+    # Gauss-Legendre panels of 10 * level nodes between the split radii, graded
+    # geometrically with 2 * level panels per doubling of radius
+    g = 2.0 ** (1.0 / (2 * level))
+    bounds = [_R_IN]
+    while bounds[-1] < _R_CUT:
+        bounds.append(min(bounds[-1] * g, _R_CUT))
+    xg, wg = np.polynomial.legendre.leggauss(10 * level)
     ys, ws = [], []
     for a, b in zip(bounds[:-1], bounds[1:]):
         half = 0.5 * (b - a)
@@ -199,9 +175,9 @@ def _middle_nodes(rule: SingularQuadRule):
     return np.concatenate(ys), np.concatenate(ws)
 
 
-def _second_derivative(psi, x: float, step: float = 1e-4) -> float:
-    # fourth-order central difference
-    e = step
+def _second_derivative(psi, x: float) -> float:
+    # fourth-order central difference with step 1e-4
+    e = 1e-4
     return (
         -psi(x + 2 * e)
         + 16.0 * psi(x + e)
@@ -211,37 +187,40 @@ def _second_derivative(psi, x: float, step: float = 1e-4) -> float:
     ) / (12.0 * e * e)
 
 
-def apply_singular_integral(
-    psi, x: float, s, rule: SingularQuadRule | None = None
-) -> float:
+def apply_singular_integral(psi, x: float, s, *, refined: bool = False) -> float:
     """Evaluate (-Delta)^s psi at one point by direct quadrature (1-D).
 
-    ``psi`` is a callable accepting arrays.  The analytic tail beyond
-    ``rule.r_cut`` keeps only the ``2*psi(x)`` part of the numerator, which
-    is exact once ``psi`` vanishes outside ``|.| <= r_cut - |x|`` and an
-    O(r_cut^{-2}) perturbation for merely decaying fields.
+    ``psi`` is a callable accepting arrays; ``refined`` doubles the panels
+    and their order.  The analytic tail beyond ``_R_CUT`` keeps only the
+    ``2*psi(x)`` part of the numerator, which is exact once ``psi`` vanishes
+    outside ``|.| <= _R_CUT - |x|`` and an O(_R_CUT^{-2}) perturbation for
+    merely decaying fields.
     """
     s = float(s)
     if not (0.0 < s < 1.0):
         raise OrderError(f"Laplacian order must lie in (0,1), got {s}")
-    if rule is None:
-        rule = DEFAULT_RULE
     x = float(x)
     c = normalization_constant(1, s)
     center = float(psi(x))
 
-    inner = -_second_derivative(psi, x) * rule.r_in ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    inner = -_second_derivative(psi, x) * _R_IN ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
-    ys, ws = _middle_nodes(rule)
+    ys, ws = _middle_nodes(1 + refined)
     numer = 2.0 * center - psi(x + ys) - psi(x - ys)
     middle = float(np.dot(ws, numer * ys ** (-1.0 - 2.0 * s)))
 
-    tail = center * rule.r_cut ** (-2.0 * s) / s
+    tail = center * _R_CUT ** (-2.0 * s) / s
 
     total = c * (inner + middle + tail)
     if not np.isfinite(total):
         raise NumericsError(f"singular-integral quadrature diverged at x={x}")
     return total
+
+
+# The bump-constant probes of :func:`lemma_kk_check`; those within
+# BULK_RADIUS also bound the quotient constant.
+_PROBE_RADII = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 6.0)
+BULK_RADIUS = 1.75
 
 
 @dataclass(frozen=True)
@@ -251,36 +230,24 @@ class LemmaKKReport:
     ``c1_estimate`` bounds the decay product |(-Delta)^s psi(r)| * r^{N+2s}
     over the probe radii; ``c2_estimate`` bounds the Young-inequality
     quotient |(-Delta)^s psi / psi^{1/p}|^{p/(p-1)} over the probes inside
-    ``bulk_radius``.  The quotient is unbounded in the limit r -> support
-    edge for any smooth compactly supported profile (the denominator
-    vanishes to infinite order), so the estimate certifies a documented
-    interior probe family rather than a supremum over all radii.
+    :data:`BULK_RADIUS`.  The quotient is unbounded in the limit r ->
+    support edge for any smooth compactly supported profile (the
+    denominator vanishes to infinite order), so the estimate certifies a
+    documented interior probe family rather than a supremum over all radii.
     """
 
-    s: float
-    p: float
     c1_estimate: float
     c2_estimate: float
-    probe_radii: tuple
-    bulk_radius: float
 
 
-DEFAULT_PROBES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.5, 3.0, 4.0, 6.0)
-
-
-def lemma_kk_check(
-    psi,
-    s,
-    p: float,
-    probe_radii=DEFAULT_PROBES,
-    bulk_radius: float = 1.75,
-    rule: SingularQuadRule | None = None,
-) -> LemmaKKReport:
+def lemma_kk_check(psi, s, p: float, *, refined: bool = False) -> LemmaKKReport:
     """Estimate the decay and quotient constants for a bump profile (1-D).
 
     ``psi`` must be nonnegative, positive at the origin, compactly
-    supported, and radially nonincreasing beyond radius 1; violations raise
-    a hypothesis error before any quadrature runs.
+    supported, radially nonincreasing beyond radius 1, and positive within
+    :data:`BULK_RADIUS`; violations raise a hypothesis error, the first four
+    before any quadrature runs.  ``refined`` is passed on to
+    :func:`apply_singular_integral`.
     """
     s = float(s)
     if p <= 1.0:
@@ -298,19 +265,17 @@ def lemma_kk_check(
         raise HypothesisError("profile must be nonincreasing beyond radius 1")
 
     pp = p / (p - 1.0)
-    probes = tuple(float(r) for r in probe_radii)
-    c1 = 0.0
-    c2 = 0.0
-    for r in probes:
-        a = apply_singular_integral(psi, r, s, rule)
+    c1 = c2 = 0.0
+    for r in _PROBE_RADII:
+        a = apply_singular_integral(psi, r, s, refined=refined)
         c1 = max(c1, abs(a) * r ** (1.0 + 2.0 * s))
-        if r <= bulk_radius:
+        if r <= BULK_RADIUS:
             denom = float(psi(r)) ** (1.0 / p)
             if denom <= 0.0:
                 raise HypothesisError(
-                    f"bulk probe r={r} lies outside the support; shrink bulk_radius"
+                    f"bulk probe r={r} lies outside the support of the profile"
                 )
             c2 = max(c2, (abs(a) / denom) ** pp)
     if not (np.isfinite(c1) and np.isfinite(c2)):
         raise NumericsError("constant estimate diverged")
-    return LemmaKKReport(s, float(p), c1, c2, probes, float(bulk_radius))
+    return LemmaKKReport(c1, c2)

@@ -104,7 +104,8 @@ class SimConfig:
     results assume) the initial datum.  ``bump2``/``v0_init`` are the second
     component's data (``bump2`` defaults to ``bump``) and are only read by
     :func:`run_system`; they are validated like the first component's.
-    ``theorem_mode`` enforces the nonnegative-velocity hypothesis.
+    Negative initial velocities are refused: the blow-up theorems assume
+    nonnegative ones.
     ``snapshot_every`` > 0 stores every k-th state of every component for
     post-hoc analysis; 0 stores none.
     """
@@ -118,7 +119,6 @@ class SimConfig:
     v0_init: Field | None = None
     threshold: float = 1e8
     nonlinearity: bool = True
-    theorem_mode: bool = True
     snapshot_every: int = 0
 
     def __post_init__(self):
@@ -128,8 +128,7 @@ class SimConfig:
             raise ParameterError(
                 f"snapshot_every must be nonnegative, got {self.snapshot_every}"
             )
-        bumps = [b for b in (self.bump, self.bump2) if b is not None]
-        if self.theorem_mode and min(b.amplitude for b in bumps) < 0.0:
+        if min(b.amplitude for b in (self.bump, self.bump2) if b is not None) < 0.0:
             raise ParameterError("theorem mode requires nonnegative initial velocities")
         for name, datum in (("u0", self.u0), ("v0_init", self.v0_init)):
             if datum is not None and datum.grid != self.space:
@@ -435,8 +434,10 @@ def detect_blowup(trace: TimeSeries, threshold: float):
     return float((j - 1) * grid.h + frac * grid.h)
 
 
-def _march(config: SimConfig, stepper: _Channel):
-    """Advance the stepper's components; one :class:`SimResult` each.
+@np.errstate(over="ignore", invalid="ignore")
+def _march(config: SimConfig, comps, feeds):
+    """Advance the components of ``_Channel(config, comps, feeds)``; one
+    :class:`SimResult` each.
 
     All components stop at the first step where a sup-norm is non-finite
     (Diverged) or reaches the threshold (BlowUp) and report the same status
@@ -445,8 +446,10 @@ def _march(config: SimConfig, stepper: _Channel):
     nonlinearity off, a per-step sup-norm growth beyond 10x in any
     component trips a step-size error: the implicit linear update is
     dissipative mode by mode, so such growth can only mean the time step is
-    too coarse.
+    too coarse.  Overflow raises no numpy warning: the march reports any
+    non-finite state itself.
     """
+    stepper = _Channel(config, comps, feeds)
     space, time = config.space, config.time
     n, h, threshold = time.steps, time.h, config.threshold
     nonlinear, every = config.nonlinearity, config.snapshot_every
@@ -515,7 +518,7 @@ def run(config: SimConfig) -> SimResult:
     space = config.space
     comp = (pr.alpha1, pr.alpha2, pr.sigma, pr.delta, pr.gamma, pr.p,
             _initial(space, config.u0), config.bump.render(space).values)
-    return _march(config, _Channel(config, [comp], [0]))[0]
+    return _march(config, [comp], [0])[0]
 
 
 def run_system(config: SimConfig):
@@ -533,25 +536,30 @@ def run_system(config: SimConfig):
               _initial(space, config.u0), config.bump.render(space).values)
     comp_v = (pr.beta1, pr.beta2, pr.sigma2, pr.delta2, pr.gamma2, pr.q,
               _initial(space, config.v0_init), bump2.render(space).values)
-    return tuple(_march(config, _Channel(config, [comp_u, comp_v], [1, 0])))
+    return tuple(_march(config, [comp_u, comp_v], [1, 0]))
 
 
-def tune_amplitude(config: SimConfig, start: float, max_doublings: int = 12):
+# Amplitudes :func:`tune_amplitude` tries before it gives up.
+MAX_DOUBLINGS = 12
+
+
+def tune_amplitude(config: SimConfig, start: float):
     """Double the velocity amplitude until the run reports blow-up.
 
-    Returns (amplitude, result) for the first amplitude that blows up
-    within the horizon.  This is an experiment policy, not a statement
-    about the threshold: with an admissible power every amplitude blows up
-    eventually, but possibly beyond any affordable horizon.
+    Returns (amplitude, result) for the first of ``MAX_DOUBLINGS``
+    amplitudes that blows up within the horizon.  This is an experiment
+    policy, not a statement about the threshold: with an admissible power
+    every amplitude blows up eventually, but possibly beyond any affordable
+    horizon.
     """
     if start <= 0.0:
         raise ParameterError(f"starting amplitude must be positive, got {start}")
     amp = start
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         result = run(replace(config, bump=replace(config.bump, amplitude=amp)))
         if result.status == "BlowUp":
             return amp, result
         amp *= 2.0
     raise NumericsError(
-        f"no blow-up detected after {max_doublings} doublings from {start}"
+        f"no blow-up detected after {MAX_DOUBLINGS} doublings from {start}"
     )

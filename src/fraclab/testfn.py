@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fracops
 from .errors import GridGeometryError, NumericsError, ParameterError
-from .fraclap import Field, SpaceGrid, apply_spectral
+from .fraclap import BULK_RADIUS, Field, SpaceGrid, apply_spectral
 from .fracops import TimeGrid, TimeSeries
 
 
@@ -200,17 +200,14 @@ class ScalingProbeReport:
     factor; terms 2 and 3 pair the damping and diffusion multipliers of
     phi2 with their time factors.  Exponents are log2-ratios between
     horizons T and 2T.  The inverse-power spatial integrands of terms 2
-    and 3 are restricted to |xi| <= bulk_radius (in scaled units): like the
-    quotient constant of the bump checks, they are unbounded in the limit
-    at the support edge, so only the documented bulk is integrated.
+    and 3 are restricted to |xi| <= :data:`fraclap.BULK_RADIUS` (in scaled
+    units): like the quotient constant of the bump checks, they are
+    unbounded in the limit at the support edge, so only the documented bulk
+    is integrated.
     """
 
-    horizon: float
     predicted: tuple
     measured: tuple
-    terms_lo: tuple
-    terms_hi: tuple
-    bulk_radius: float
 
 
 def _time_factor(eta, theta_d, p, horizon, steps):
@@ -221,10 +218,12 @@ def _time_factor(eta, theta_d, p, horizon, steps):
     )
 
 
-def _bulk_integral(w2: Field, mult: Field, scale, bulk_radius, pp_over_p, pp):
-    mask = (w2.grid.radius() <= bulk_radius * scale) & (w2.values > 0.0)
+def _bulk_integral(w2: Field, mult: Field, scale, p):
+    # integral of phi2^{-p'/p} |mult|^{p'} over the bulk of the support
+    pp = p / (p - 1.0)
+    mask = (w2.grid.radius() <= BULK_RADIUS * scale) & (w2.values > 0.0)
     vals = np.zeros_like(w2.values)
-    vals[mask] = w2.values[mask] ** (-pp_over_p) * np.abs(mult.values[mask]) ** pp
+    vals[mask] = w2.values[mask] ** (-(pp / p)) * np.abs(mult.values[mask]) ** pp
     return float(vals.sum() * w2.grid.cell_volume)
 
 
@@ -237,9 +236,7 @@ def scaling_exponent_probe(
     delta: float,
     p: float,
     dim: int = 1,
-    grid: SpaceGrid | None = None,
     steps: int = 2**12,
-    bulk_radius: float = 1.75,
 ) -> ScalingProbeReport:
     """Measure how the three Young-inequality terms scale in the horizon.
 
@@ -247,14 +244,13 @@ def scaling_exponent_probe(
     the diffusion term against the leading time factor; the first and
     third predicted exponents then coincide.
 
-    By default each horizon is evaluated on its own grid, with the box
-    scaled to the test-function support and the point count fixed, so the
-    two discrete computations are exactly self-similar and the ratio
-    isolates the homogeneity degree composed through the operators.
-    Passing an explicit ``grid`` forces a shared box; that variant picks
-    up resolution artifacts in the fractional-Laplacian terms (the terms
-    whose integrands steepen toward the bulk edge), shifting their
-    measured exponents by a few tenths at default resolutions.
+    Each horizon is evaluated on its own grid, with the box scaled to the
+    test-function support and the point count fixed, so the two discrete
+    computations are exactly self-similar and the ratio isolates the
+    homogeneity degree composed through the operators.  (One box shared by
+    both horizons would pick up resolution artifacts in the
+    fractional-Laplacian terms, whose integrands steepen toward the bulk
+    edge, shifting their measured exponents by a few tenths.)
     """
     theta = (alpha1 + 1.0) / sigma
     if abs(params.theta - theta) > 1e-12:
@@ -263,8 +259,6 @@ def scaling_exponent_probe(
         )
     pp = p / (p - 1.0)
     eta = params.eta
-    t_lo = params.horizon
-    t_hi = 2.0 * params.horizon
     half_n = theta * dim / 2.0
 
     predicted = (
@@ -273,33 +267,22 @@ def scaling_exponent_probe(
         -pp * (theta * sigma + 1.0 - gamma) + half_n + 1.0,
     )
 
-    def probe_grid(horizon):
-        if grid is not None:
-            return grid
-        scale = horizon ** (theta / 2.0) / params.b_scale
-        points = 1024 if dim == 1 else 256
-        return SpaceGrid(dim, 2.4 * scale, points)
-
     def terms(horizon):
         scale = horizon ** (theta / 2.0) / params.b_scale
-        g = probe_grid(horizon)
+        g = SpaceGrid(dim, 2.4 * scale, 1024 if dim == 1 else 256)
         w2 = phi2(g, horizon, theta, params.b_scale)
         a_sig = apply_spectral(w2, sigma)
         a_del = apply_spectral(w2, delta)
         t1 = _time_factor(eta, 2.0 + alpha1 - gamma, p, horizon, steps) * w2.integral()
-        t2 = _time_factor(eta, 1.0 + alpha2 - gamma, p, horizon, steps) * _bulk_integral(
-            w2, a_del, scale, bulk_radius, pp / p, pp
-        )
-        t3 = _time_factor(eta, 1.0 - gamma, p, horizon, steps) * _bulk_integral(
-            w2, a_sig, scale, bulk_radius, pp / p, pp
-        )
+        t2 = (_time_factor(eta, 1.0 + alpha2 - gamma, p, horizon, steps)
+              * _bulk_integral(w2, a_del, scale, p))
+        t3 = (_time_factor(eta, 1.0 - gamma, p, horizon, steps)
+              * _bulk_integral(w2, a_sig, scale, p))
         return (t1, t2, t3)
 
-    lo = terms(t_lo)
-    hi = terms(t_hi)
+    lo = terms(params.horizon)
+    hi = terms(2.0 * params.horizon)
     if any(not (v > 0.0) or not np.isfinite(v) for v in lo + hi):
         raise NumericsError("degenerate or divergent probe integral")
     measured = tuple(math.log2(b / a) for a, b in zip(lo, hi))
-    return ScalingProbeReport(
-        t_lo, predicted, measured, lo, hi, float(bulk_radius)
-    )
+    return ScalingProbeReport(predicted, measured)

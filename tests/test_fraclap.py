@@ -6,9 +6,7 @@ import pytest
 from fraclab import fraclap
 from fraclab.errors import HypothesisError, OrderError, ParameterError
 from fraclab.fraclap import (
-    DEFAULT_RULE,
     Field,
-    SingularQuadRule,
     SpaceGrid,
     apply_singular_integral,
     apply_spectral,
@@ -120,18 +118,6 @@ def test_normalization_constant():
         normalization_constant(1, 1.0)
 
 
-def test_singular_rule_validation():
-    with pytest.raises(ParameterError):
-        SingularQuadRule(r_in=0.0)
-    with pytest.raises(ParameterError):
-        SingularQuadRule(r_in=2.0, r_cut=1.0)
-    with pytest.raises(ParameterError):
-        SingularQuadRule(gl_order=1)
-    r = DEFAULT_RULE.refined()
-    assert r.gl_order == 2 * DEFAULT_RULE.gl_order
-    assert r.r_cut == DEFAULT_RULE.r_cut
-
-
 def test_singular_cosine_eigenvalue():
     # (-Delta)^s cos = cos for every s: the symbol at |xi| = 1 is 1
     for s in (0.3, 0.5, 0.7):
@@ -159,15 +145,23 @@ def test_lemma_kk_report_shape():
     rep = lemma_kk_check(bump_profile, 0.5, 2.0)
     assert rep.c1_estimate > 0.0 and np.isfinite(rep.c1_estimate)
     assert rep.c2_estimate > 0.0 and np.isfinite(rep.c2_estimate)
-    assert rep.probe_radii == fraclap.DEFAULT_PROBES
-    assert rep.bulk_radius == 1.75
 
 
 def test_lemma_kk_refinement_stable():
     a = lemma_kk_check(bump_profile, 0.5, 2.0)
-    b = lemma_kk_check(bump_profile, 0.5, 2.0, rule=DEFAULT_RULE.refined())
+    b = lemma_kk_check(bump_profile, 0.5, 2.0, refined=True)
     assert abs(a.c1_estimate - b.c1_estimate) <= 0.10 * b.c1_estimate
     assert abs(a.c2_estimate - b.c2_estimate) <= 0.10 * b.c2_estimate
+
+
+def test_lemma_kk_constants_frozen():
+    # the bump constants of the canonical profile at s = 1/2, p = 2, on the
+    # default and the refined quadrature; a change to either rule moves them
+    for refined, c1, c2 in ((False, 2.728215628164312, 20.81136171358171),
+                            (True, 2.728221328251853, 20.811448676434868)):
+        rep = lemma_kk_check(bump_profile, 0.5, 2.0, refined=refined)
+        assert rep.c1_estimate == pytest.approx(c1, rel=1e-13)
+        assert rep.c2_estimate == pytest.approx(c2, rel=1e-13)
 
 
 def test_lemma_kk_hypothesis_rejections():
@@ -188,5 +182,7 @@ def test_lemma_kk_hypothesis_rejections():
 
 
 def test_lemma_kk_bulk_probe_outside_support():
-    with pytest.raises(HypothesisError):
-        lemma_kk_check(bump_profile, 0.5, 2.0, bulk_radius=3.0)
+    # support radius 1, inside the bulk radius: the probe at r = 1 finds zero
+    assert fraclap.BULK_RADIUS > 1.0
+    with pytest.raises(HypothesisError, match="r=1.0 lies outside the support"):
+        lemma_kk_check(lambda r: bump_profile(2.0 * np.asarray(r)), 0.5, 2.0)

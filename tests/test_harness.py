@@ -79,6 +79,42 @@ def test_unknown_config_entries_rejected(tmp_path, monkeypatch):
         load_config(str(tmp_path / "missing.ini"))
 
 
+def assert_exits_two_with_one_error(argv, capsys, needle):
+    assert harness.main(argv) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
+
+
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes("[bump]\namplitude = 2 ; \u00e9\n".encode("latin-1"))
+    assert_exits_two_with_one_error(
+        ["exponent", "--config", str(ini)], capsys, f"config file {ini} is not UTF-8")
+
+
+def test_config_path_that_is_a_directory_exits_two(tmp_path, monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    assert_exits_two_with_one_error(
+        ["exponent", "--config", str(tmp_path)], capsys,
+        f"cannot read config file {tmp_path}")
+
+
+def test_config_default_section_is_refused(tmp_path, monkeypatch, capsys):
+    # configparser would hand [DEFAULT] keys to every section, where the
+    # schema's own values shadow them: threshold = 5 would be dropped
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "d.ini"
+    ini.write_text("[DEFAULT]\nthreshold = 5\nbogus = 1\n[run]\n")
+    assert_exits_two_with_one_error(
+        ["exponent", "--config", str(ini)], capsys, "unknown config section [DEFAULT]")
+    # an empty [DEFAULT] header sets nothing and is read as before
+    ini.write_text("[DEFAULT]\n[run]\nthreshold = 5\n")
+    assert load_config(str(ini))["run"]["threshold"] == "5"
+
+
 def test_env_override_validation(monkeypatch):
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_TIME_HORIZONT", "10")
@@ -331,6 +367,25 @@ def test_main_sweep_jobs_two_matches_jobs_one(monkeypatch, tmp_path, capsys):
     assert "OMP_NUM_THREADS" not in os.environ
 
 
+def test_sweep_jobs_beyond_the_row_count_starts_one_process_per_row(
+        monkeypatch, tmp_path, capsys):
+    # a pool as large as --jobs could not even be created; two rows need two
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "j.ini"
+    ini.write_text(
+        "[sweep]\np_values = 1.5, 2\n[time]\nhorizon = 1.0\nsteps = 200\n"
+        "[space]\npoints = 64\n[bump]\namplitude = 0.5\n"
+    )
+    texts = []
+    for jobs in ("1", str(10**20)):
+        assert harness.main(["sweep", "--config", str(ini), "--jobs", jobs]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        texts.append(captured.out)
+    assert texts[0] == texts[1]
+    assert texts[0].count("\n") == 3
+
+
 def test_importing_the_harness_leaves_the_process_pool_unloaded():
     # only a parallel sweep needs it; the --jobs 2 tests above cover that path
     src = str(pathlib.Path(harness.__file__).parents[1])
@@ -498,6 +553,28 @@ def test_main_simulate_numerics_exit_three(monkeypatch, capsys):
     rc = harness.main(["simulate"])
     assert rc == EXIT_NUMERICS
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode,env,needle", [
+    # the source overflows at the first step
+    ("simulate", {"BUMP_AMPLITUDE": "1e300"}, "numerical failure: run ended"),
+    ("system-sweep", {"BUMP_AMPLITUDE": "1e300", "SWEEP_P_VALUES": "2"},
+     "warning: p=2: run ended"),
+    # the update's factors overflow before the first step
+    ("simulate", {"TIME_HORIZON": "1e300", "TIME_STEPS": "2"},
+     "numerical failure: run ended"),
+], ids=["amplitude", "amplitude-system", "horizon"])
+def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsys,
+                                                               mode, env, needle):
+    # the march reports the non-finite state itself
+    clear_fraclab_env(monkeypatch)
+    for key, value in env.items():
+        monkeypatch.setenv("FRACLAB_" + key, value)
+    argv = [mode] if mode == "simulate" else [mode, "--jobs", "1"]
+    code = harness.main(argv)
+    assert code == (EXIT_NUMERICS if mode == "simulate" else EXIT_OK)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(needle), lines
 
 
 def test_main_simulate_trace_and_snapshot_files(monkeypatch, tmp_path, capsys):

@@ -67,9 +67,6 @@ def test_sim_config_validation():
         cfg(1.0, threshold=0.0)
     with pytest.raises(ParameterError):
         cfg(-1.0)
-    # negative amplitudes are allowed once the hypothesis guard is off
-    c = cfg(-1.0, theorem_mode=False)
-    assert c.bump.amplitude == -1.0
     other = Field(SpaceGrid(1, 10.0, 128), np.zeros(128))
     with pytest.raises(ParameterError):
         cfg(1.0, u0=other)
@@ -89,9 +86,6 @@ def test_sim_config_validates_the_second_component():
     with pytest.raises(ParameterError, match="nonnegative initial velocities"):
         SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
                   bump2=BumpSpec(-1.0, 1.0))
-    c = SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
-                  bump2=BumpSpec(-1.0, 1.0), theorem_mode=False)
-    assert c.bump2.amplitude == -1.0
 
 
 def test_sim_config_refuses_bad_numbers():
@@ -324,7 +318,7 @@ def test_tune_amplitude_doubles_until_blowup():
         tune_amplitude(base, 0.0)
     linear = cfg(1.0, horizon=1.0, steps=200, nonlinearity=False)
     with pytest.raises(NumericsError, match="no blow-up"):
-        tune_amplitude(linear, 1.0, max_doublings=2)
+        tune_amplitude(linear, 1.0)
 
 
 def test_tune_amplitude_keeps_the_rest_of_the_config():

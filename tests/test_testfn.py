@@ -145,15 +145,6 @@ def test_scaling_probe_2d():
     assert np.allclose(rep.measured, rep.predicted, atol=1e-9)
 
 
-def test_scaling_probe_shared_grid_artifacts():
-    params = TestFunctionParams(8.0, 1.0, 3.0, p=2.0)
-    g = SpaceGrid(1, 16.0, 1024)
-    rep = scaling_exponent_probe(params, dim=1, grid=g, steps=2**10, **PROBE)
-    # term 1 has no inverse-power integrand and stays clean
-    assert abs(rep.measured[0] - rep.predicted[0]) < 0.05
-    assert all(np.isfinite(rep.measured))
-
-
 def test_scaling_probe_theta_mismatch():
     params = TestFunctionParams(8.0, 1.0, 2.9, p=2.0)
     with pytest.raises(ParameterError):
