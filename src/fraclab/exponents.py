@@ -2,9 +2,10 @@ r"""Closed-form thresholds: critical power, dimension bound, decay rates.
 
 Everything here is pure arithmetic on validated parameter sets; the
 formulas are the exact expressions whose scaling content the quadrature
-modules certify numerically.  Extended-real results use ``math.inf`` (the
-critical power is genuinely infinite whenever the positive part in its
-denominator vanishes).
+modules certify numerically.  Each takes a :class:`ParamSet`; the system
+is two of them, one per equation.  Extended-real results use
+``math.inf`` (the critical power is genuinely infinite whenever the
+positive part in its denominator vanishes).
 """
 
 from __future__ import annotations
@@ -15,16 +16,6 @@ from dataclasses import dataclass
 from .errors import NoInteriorMinimumError, ParameterError
 
 _MODES = ("strict", "permissive")
-
-
-def _check_unit(name: str, value: float):
-    if not (0.0 < value < 1.0):
-        raise ParameterError(f"{name} must lie in (0,1), got {value}")
-
-
-def _check_dim(dim: int):
-    if dim < 1 or dim != int(dim):
-        raise ParameterError(f"dimension must be a positive integer, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +41,9 @@ class ParamSet:
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in ("alpha1", "alpha2", "gamma", "sigma", "delta"):
-            _check_unit(name, getattr(self, name))
+            value = getattr(self, name)
+            if not (0.0 < value < 1.0):
+                raise ParameterError(f"{name} must lie in (0,1), got {value}")
         if self.mode == "strict":
             if not (self.gamma < self.alpha2 < self.alpha1):
                 raise ParameterError(
@@ -64,7 +57,8 @@ class ParamSet:
                 )
         if self.p <= 1.0:
             raise ParameterError(f"power must exceed 1, got {self.p}")
-        _check_dim(self.dim)
+        if self.dim < 1 or self.dim != int(self.dim):
+            raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
 
     @property
     def p_prime(self) -> float:
@@ -73,45 +67,29 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class SystemParamSet:
-    """Orders and powers of the 2x2 cross-coupled system."""
+    """The 2x2 cross-coupled system: two blocks of the scalar form.
 
-    alpha1: float
-    alpha2: float
-    gamma1: float
-    sigma1: float
-    delta1: float
-    beta1: float
-    beta2: float
-    gamma2: float
-    sigma2: float
-    delta2: float
-    p: float
-    q: float
-    dim: int = 1
+    ``first`` is the u-equation, orders (alpha1, alpha2, gamma1, sigma1,
+    delta1) and source |v|^p; ``second`` is the v-equation, orders (beta1,
+    beta2, gamma2, sigma2, delta2) and source |u|^q, so q is ``second.p``.
+    Each block is checked as a :class:`ParamSet`; the system has strict
+    orderings only, and both blocks live in one dimension.
+    """
+
+    first: ParamSet
+    second: ParamSet
 
     def __post_init__(self):
-        for name in (
-            "alpha1", "alpha2", "gamma1", "sigma1", "delta1",
-            "beta1", "beta2", "gamma2", "sigma2", "delta2",
-        ):
-            _check_unit(name, getattr(self, name))
-        if not (self.gamma1 < self.alpha2 < self.alpha1):
-            raise ParameterError("block one requires 0<gamma1<alpha2<alpha1<1")
-        if not (self.gamma2 < self.beta2 < self.beta1):
-            raise ParameterError("block two requires 0<gamma2<beta2<beta1<1")
-        if not (self.sigma1 < self.delta1) or not (self.sigma2 < self.delta2):
-            raise ParameterError("each block requires 0<sigma<delta<1")
-        if self.p <= 1.0 or self.q <= 1.0:
-            raise ParameterError(f"powers must exceed 1, got p={self.p}, q={self.q}")
-        _check_dim(self.dim)
+        modes = (self.first.mode, self.second.mode)
+        if modes != ("strict", "strict"):
+            raise ParameterError(f"the system needs two strict blocks, got modes {modes}")
+        if self.first.dim != self.second.dim:
+            raise ParameterError(f"the system's blocks disagree on dim: "
+                                 f"{self.first.dim} and {self.second.dim}")
 
     @property
-    def p_prime(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def q_prime(self) -> float:
-        return self.q / (self.q - 1.0)
+    def dim(self) -> int:
+        return self.first.dim
 
 
 @dataclass(frozen=True)
@@ -131,25 +109,20 @@ class ExponentReport:
     proof_side_condition: str | None = None
 
 
-def critical_exponent_scalar(
-    dim: int, alpha1: float, gamma: float, sigma: float, p: float | None = None
-) -> ExponentReport:
+def critical_exponent(params: ParamSet) -> ExponentReport:
     """p* = 2(2+alpha1-gamma) / ((theta*N + 2*gamma - 2*alpha1 - 2)_+) + 1.
 
     ``theta = (alpha1+1)/sigma``; a nonpositive denominator makes the
-    threshold infinite (every power blows up).  Passing the query power
-    ``p`` fills the critical-case metadata.
+    threshold infinite (every power blows up).  The critical-case metadata
+    is filled against the set's own power ``p``.
     """
-    _check_unit("alpha1", alpha1)
-    _check_unit("gamma", gamma)
-    _check_unit("sigma", sigma)
-    _check_dim(dim)
+    dim, alpha1, gamma, sigma = params.dim, params.alpha1, params.gamma, params.sigma
     theta = (alpha1 + 1.0) / sigma
     denom = theta * dim + 2.0 * gamma - 2.0 * alpha1 - 2.0
     if denom <= 0.0:
         return ExponentReport(math.inf, denom)
     value = 2.0 * (2.0 + alpha1 - gamma) / denom + 1.0
-    critical = p is not None and abs(p - value) <= 1e-12 * max(1.0, value)
+    critical = abs(params.p - value) <= 1e-12 * max(1.0, value)
     note = None
     if critical:
         if dim > 2.0 * sigma:
@@ -158,13 +131,6 @@ def critical_exponent_scalar(
         else:
             note = "critical case additionally uses p > N/(N-2*sigma) (vacuous: N <= 2*sigma)"
     return ExponentReport(value, denom, critical, note)
-
-
-def critical_exponent(params: ParamSet) -> ExponentReport:
-    """Threshold for a full parameter set, flagged against its own power."""
-    return critical_exponent_scalar(
-        params.dim, params.alpha1, params.gamma, params.sigma, params.p
-    )
 
 
 @dataclass(frozen=True)
@@ -179,22 +145,30 @@ class SystemBoundReport:
         return max(self.branch_one, self.branch_two)
 
 
+def _branch(a: ParamSet, b: ParamSet) -> float:
+    # block a's source is |u_b|^(a.p) and block b's is |u_a|^(b.p)
+    num = (2.0 + b.alpha1 - b.gamma) + 1.0 / a.p + b.p * (1.0 + a.alpha1 - a.gamma)
+    den = (b.alpha1 + 1.0) / (2.0 * a.p_prime * b.sigma) + (a.alpha1 + 1.0) * b.p / (
+        2.0 * b.p_prime * a.sigma
+    )
+    return num / den
+
+
 def system_dimension_bound(s: SystemParamSet) -> SystemBoundReport:
     """Largest real dimension below which the cross-coupled pair blows up.
 
-    Two symmetric branches; swapping the equation blocks together with
-    (p, q) swaps the branches and leaves the maximum invariant.
+    One branch per ordering of the blocks, so swapping the blocks swaps
+    the branches exactly and leaves the maximum invariant.
     """
-    pp, qq = s.p_prime, s.q_prime
-    num1 = (2.0 + s.beta1 - s.gamma2) + 1.0 / s.p + s.q * (1.0 + s.alpha1 - s.gamma1)
-    den1 = (s.beta1 + 1.0) / (2.0 * pp * s.sigma2) + (s.alpha1 + 1.0) * s.q / (
-        2.0 * qq * s.sigma1
+    return SystemBoundReport(_branch(s.first, s.second), _branch(s.second, s.first))
+
+
+def _young_gap(params: ParamSet) -> float:
+    # p'(2+alpha1-gamma) - (1+alpha1-gamma); writing 2+alpha1-gamma as
+    # (1+alpha1-gamma)+1 would move the last bit of every caller's result
+    return params.p_prime * (2.0 + params.alpha1 - params.gamma) - (
+        1.0 + params.alpha1 - params.gamma
     )
-    num2 = (2.0 + s.alpha1 - s.gamma1) + 1.0 / s.q + s.p * (1.0 + s.beta1 - s.gamma2)
-    den2 = (s.alpha1 + 1.0) / (2.0 * qq * s.sigma1) + (s.beta1 + 1.0) * s.p / (
-        2.0 * pp * s.sigma2
-    )
-    return SystemBoundReport(num1 / den1, num2 / den2)
 
 
 def local_nonexistence_exponent(params: ParamSet) -> float:
@@ -203,9 +177,7 @@ def local_nonexistence_exponent(params: ParamSet) -> float:
     Equals -p'(2+alpha1-gamma) + (1+alpha1-gamma); always negative, so a
     velocity staying uniformly large at infinity forbids local solutions.
     """
-    return -params.p_prime * (2.0 + params.alpha1 - params.gamma) + (
-        1.0 + params.alpha1 - params.gamma
-    )
+    return -_young_gap(params)
 
 
 def global_decay_exponent(params: ParamSet) -> float:
@@ -213,10 +185,7 @@ def global_decay_exponent(params: ParamSet) -> float:
 
     Equals (2*delta/(1+alpha1)) * [p'(2+alpha1-gamma) - (1+alpha1-gamma)].
     """
-    bracket = params.p_prime * (2.0 + params.alpha1 - params.gamma) - (
-        1.0 + params.alpha1 - params.gamma
-    )
-    return 2.0 * params.delta / (1.0 + params.alpha1) * bracket
+    return 2.0 * params.delta / (1.0 + params.alpha1) * _young_gap(params)
 
 
 def t_natural(params: ParamSet, radius: float) -> float:
@@ -231,7 +200,6 @@ def t_natural(params: ParamSet, radius: float) -> float:
     if radius <= 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
     pp = params.p_prime
-    num = pp * (2.0 + params.alpha1 - params.gamma) - (1.0 + params.alpha1 - params.gamma)
     den = (1.0 + params.alpha1 - params.gamma) - pp * (1.0 - params.gamma)
     if den <= 0.0:
         raise NoInteriorMinimumError(
@@ -239,4 +207,5 @@ def t_natural(params: ParamSet, radius: float) -> float:
             f"in T at p={params.p} and has no interior minimum"
         )
     expo = 1.0 / (pp * (1.0 + params.alpha1))
-    return (num / den) ** expo * radius ** (2.0 * params.delta / (1.0 + params.alpha1))
+    return (_young_gap(params) / den) ** expo * radius ** (
+        2.0 * params.delta / (1.0 + params.alpha1))

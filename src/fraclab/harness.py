@@ -8,8 +8,10 @@ entry of which can be overridden through the environment as
 
 :data:`_DEFAULTS` is the schema: every key and its typed default.
 :func:`build_spec` converts each section a mode reads by those types and
-passes it by keyword to the constructor it feeds.  A bad ``--out`` is
-refused there too, before any work.
+passes it by keyword to the constructor it feeds; ``[system]``, whose keys
+follow ``ParamSet``'s fields, builds the system's second ``ParamSet`` block
+in ``[params]``' dimension.  A bad ``--out`` is refused there too, before
+any work.
 
 ``simulate``, ``sweep`` and ``system-sweep`` share the one run that
 :func:`run_config` builds and checks while the spec is resolved, so a run
@@ -93,7 +95,8 @@ def load_config(path: str | None) -> configparser.ConfigParser:
     if path is not None:
         probe = configparser.ConfigParser(interpolation=None)
         try:
-            with open(path, encoding="utf-8") as fh:
+            # utf-8-sig: a leading byte-order mark is not part of the INI
+            with open(path, encoding="utf-8-sig") as fh:
                 probe.read_file(fh)
         except FileNotFoundError:
             raise ParameterError(f"config file not found: {path}")
@@ -102,7 +105,9 @@ def load_config(path: str | None) -> configparser.ConfigParser:
         except UnicodeDecodeError as exc:
             raise ParameterError(f"config file {path} is not UTF-8: {exc}")
         except configparser.Error as exc:
-            raise ParameterError(f"config file {path} is not valid INI: {exc}")
+            # the parser's message spans lines; the error is one line
+            raise ParameterError(
+                f"config file {path} is not valid INI: {' '.join(str(exc).split())}")
         # [DEFAULT] would feed every section and override none of them
         default = [probe.default_section] if probe.defaults() else []
         for sec in default + probe.sections():
@@ -239,7 +244,8 @@ class ExperimentSpec:
 
 def build_spec(args) -> ExperimentSpec:
     """One pass over the config sections ``args.mode`` reads, each feeding
-    its constructor by keyword; flags override ``[verify]``."""
+    its constructor by keyword (``[system]`` by position); flags override
+    ``[verify]``."""
     cp = load_config(args.config)
     mode = args.mode
     verify = _section(cp, "verify")
@@ -252,22 +258,25 @@ def build_spec(args) -> ExperimentSpec:
     if mode == "verify":
         return ExperimentSpec(**fields)
     params = _section(cp, "params")
-    if mode != "system-sweep":
-        fields["params"] = ParamSet(**params)
-    elif params["mode"] != "strict":
+    if mode == "system-sweep" and params["mode"] != "strict":
         raise ParameterError(
             f"system-sweep needs [params] mode 'strict' (the system has no "
             f"permissive mode), got {params['mode']!r}"
         )
+    first = ParamSet(**params)
+    if mode != "system-sweep":
+        fields["params"] = first
     if mode in ("exponent", "system-sweep"):
         system = _section(cp, "system")  # checked also where it goes unused
-        # block one of the system is [params], with its orders renamed; the
-        # system has strict orderings only, so a permissive exponent table
-        # leaves it out
-        if params["mode"] == "strict":
-            block_one = {key + "1" if key in ("gamma", "sigma", "delta") else key: v
-                         for key, v in params.items() if key != "mode"}
-            fields["system_params"] = SystemParamSet(**block_one, **system)
+        # the system's blocks are [params] and [system], whose keys follow
+        # ParamSet's fields; it has strict orderings only, so a permissive
+        # exponent table leaves it out
+        if first.mode == "strict":
+            try:
+                second = ParamSet(*system.values(), dim=first.dim)
+            except ParameterError as exc:
+                raise ParameterError(f"[system] block two: {exc}")
+            fields["system_params"] = SystemParamSet(first, second)
     if mode == "exponent":
         return ExperimentSpec(**fields)
     bump = BumpSpec(**_section(cp, "bump"))
@@ -457,23 +466,19 @@ def check_kk(tol, rng) -> CheckResult:
 
 
 def check_exponents(tol, rng) -> CheckResult:
-    pairs = []
-    r = exponents.critical_exponent_scalar(1, 0.5, 0.25, 0.5, p=10.0)
-    pairs.append((r.value, 10.0))
-    flags_ok = r.critical_flag
-    pairs.append((exponents.critical_exponent_scalar(1, 0.5, 0.25, 0.6).value,
-                  math.inf))
-    pairs.append((exponents.critical_exponent_scalar(1, 0.5, 0.25, 0.7).value,
-                  math.inf))
-    sym = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7,
-                         2.0, 2.0)
-    pairs.append((exponents.system_dimension_bound(sym).bound, 7.0 / 3.0))
     base = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)
+    r = exponents.critical_exponent(replace(base, p=10.0))
+    pairs = [(r.value, 10.0)]
+    flags_ok = r.critical_flag
+    for sigma in (0.6, 0.7):
+        sigma_row = replace(base, sigma=sigma, delta=0.8)
+        pairs.append((exponents.critical_exponent(sigma_row).value, math.inf))
+    sym = SystemParamSet(base, base)
+    pairs.append((exponents.system_dimension_bound(sym).bound, 7.0 / 3.0))
     pairs.append((exponents.local_nonexistence_exponent(base), -3.25))
     pairs.append((exponents.global_decay_exponent(base),
                   (14.0 / 15.0) * 3.25))
-    tmin = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 5.0)
-    pairs.append((exponents.t_natural(tmin, 1.0), 2.3593045340150596))
+    pairs.append((exponents.t_natural(replace(base, p=5.0), 1.0), 2.3593045340150596))
     res = 0.0
     for got, want in pairs:
         if math.isinf(want):
@@ -551,8 +556,7 @@ CSV_HEADER = "p,p_star,status,blowup_time,final_supnorm"
 
 
 def _sweep_row(task) -> SweepRow:
-    config, p_star = task
-    p = config.params.p
+    config, p, p_star = task
     try:
         if isinstance(config.params, SystemParamSet):
             results = solver.run_system(config)
@@ -600,17 +604,19 @@ def _run_tasks(tasks, worker, jobs: int | None) -> list:
 
 def sweep(spec: ExperimentSpec) -> list:
     """One run per requested p of the spec's run, otherwise identical,
-    ordered by p.  The p_star column holds the critical exponent, or for
-    the system (q fixed) the dimension bound, the nearest analogue of a
-    critical threshold there."""
+    ordered by p; for the system, p is the first block's.  The p_star
+    column holds the critical exponent, or for the system (q fixed) the
+    dimension bound, the nearest analogue of a critical threshold there."""
     tasks = []
     for p in spec.sweep_p:
-        params = replace(spec.config.params, p=p)
+        params = spec.config.params
         if isinstance(params, SystemParamSet):
+            params = replace(params, first=replace(params.first, p=p))
             p_star = exponents.system_dimension_bound(params).bound
         else:
+            params = replace(params, p=p)
             p_star = exponents.critical_exponent(params).value
-        tasks.append((replace(spec.config, params=params), p_star))
+        tasks.append((replace(spec.config, params=params), p, p_star))
     return _run_tasks(tasks, _sweep_row, spec.jobs)
 
 
@@ -649,10 +655,11 @@ def exponent_query(spec: ExperimentSpec) -> str:
                      f"'strict', got {pr.mode!r}")
         return "\n".join(lines) + "\n"
     bound = exponents.system_dimension_bound(sp)
+    two = sp.second
     lines.append(
-        f"system inputs: q={_fmt(sp.q)} beta1={_fmt(sp.beta1)} "
-        f"beta2={_fmt(sp.beta2)} gamma2={_fmt(sp.gamma2)} "
-        f"sigma2={_fmt(sp.sigma2)} delta2={_fmt(sp.delta2)}"
+        f"system inputs: q={_fmt(two.p)} beta1={_fmt(two.alpha1)} "
+        f"beta2={_fmt(two.alpha2)} gamma2={_fmt(two.gamma)} "
+        f"sigma2={_fmt(two.sigma)} delta2={_fmt(two.delta)}"
     )
     lines.append(
         f"dimension_bound = {_fmt(bound.bound)} "
@@ -786,6 +793,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICS
     except FraclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except MemoryError as exc:
+        print(f"error: the run does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if spec.out:
         try:

@@ -347,13 +347,13 @@ def _mode_layout(grid: SpaceGrid):
 class _Channel:
     """The C components of the first-order system, advanced together.
 
-    ``comps[i]`` is ``(alpha1, alpha2, sigma, delta, gamma, power, u0, v0)``;
-    component i's source, on with the config's ``nonlinearity``, is
-    I^{1-gamma}|u_{feeds[i]}|^power.  At step j the history holds, in one
-    group per component, a zero row and v_k - v_{k-1} for 0 < k < j (weights
-    b), a zero row and v_{k-1} + v_k (weights w), and the rfft of
-    |u_{feeds[i]}|^power at every k < j (0 if off), each scaled by its factor
-    in v_j = a v_{j-1} + b u_{j-1} + the group's total.
+    ``comps[i]`` is ``(ParamSet, u0, v0)``: component i is an equation of
+    the scalar form, and its source, on with the config's ``nonlinearity``,
+    is I^{1-gamma}|u_{feeds[i]}|^p with its own gamma and p.  At step j the
+    history holds, in one group per component, a zero row and v_k - v_{k-1}
+    for 0 < k < j (weights b), a zero row and v_{k-1} + v_k (weights w), and
+    the rfft of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
+    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -361,24 +361,25 @@ class _Channel:
         k2, shape, self.fwd, self.inv = _mode_layout(config.space)
         count = len(comps)
         self.mode_shape, self.feeds = (count,) + shape, feeds
+        blocks, u0s, v0s = zip(*comps)
         factors, families = [], []
-        for alpha1, alpha2, sigma, delta, gamma, *_ in comps:
-            c1 = h ** (-alpha1) / math.gamma(2.0 - alpha1)
-            qdel = k2**delta * (h ** (1.0 - alpha2) / math.gamma(2.0 - alpha2))
-            lsig = k2**sigma
+        for pr in blocks:
+            c1 = h ** (-pr.alpha1) / math.gamma(2.0 - pr.alpha1)
+            qdel = k2**pr.delta * (h ** (1.0 - pr.alpha2) / math.gamma(2.0 - pr.alpha2))
+            lsig = k2**pr.sigma
             denom = c1 + 0.5 * qdel + 0.5 * h * lsig
             # the Caputo, damping and source rows' factors, then a and b
             factors.append([t / denom for t in (
-                -c1, -0.5 * qdel, h ** (1.0 - gamma) / math.gamma(2.0 - gamma),
+                -c1, -0.5 * qdel, h ** (1.0 - pr.gamma) / math.gamma(2.0 - pr.gamma),
                 c1 - 0.5 * qdel - 0.5 * h * lsig, -lsig)])
-            families.append((("l1", alpha1, 1), ("rect", 1.0 - alpha2, 2),
-                             ("rect", 1.0 - gamma, 1)))
+            families.append((("l1", pr.alpha1, 1), ("rect", 1.0 - pr.alpha2, 2),
+                             ("rect", 1.0 - pr.gamma, 1)))
         *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=np.complex128)
-        self.powers = [c[5] for c in comps]
-        self.u0 = np.array([c[6] for c in comps])
+        self.powers = [pr.p for pr in blocks]
+        self.u0 = np.array(u0s)
         self.uhat, self.vhat = (
             self.fwd(np.array(a)).reshape(count, -1).astype(np.complex128)
-            for a in (self.u0, [c[7] for c in comps]))
+            for a in (self.u0, v0s))
         # rows are kind-major: every Caputo row, then every damping row, then the sources
         self.history = MemorySum(families, k2.size, np.complex128, config.time.steps)
         # the next row to append; its source part stays 0 while the source is off
@@ -516,26 +517,23 @@ def run(config: SimConfig) -> SimResult:
     """
     pr = _checked_params(config, ParamSet, "run() needs a scalar ParamSet")
     space = config.space
-    comp = (pr.alpha1, pr.alpha2, pr.sigma, pr.delta, pr.gamma, pr.p,
-            _initial(space, config.u0), config.bump.render(space).values)
+    comp = (pr, _initial(space, config.u0), config.bump.render(space).values)
     return _march(config, [comp], [0])[0]
 
 
 def run_system(config: SimConfig):
     """Advance the cross-coupled pair; the components stop together.
 
-    Sources are I^{1-gamma1}|v|^p for the first component and
-    I^{1-gamma2}|u|^q for the second: two components, each fed by the
-    other.  If either sup-norm crosses the threshold both results report
-    BlowUp at the same interpolated time.
+    The system's blocks ``first`` and ``second`` are two components of the
+    scalar form, each fed by the other: I^{1-gamma1}|v|^p sources u and
+    I^{1-gamma2}|u|^q sources v.  If either sup-norm crosses the threshold
+    both results report BlowUp at the same interpolated time.
     """
     pr = _checked_params(config, SystemParamSet, "run_system() needs a SystemParamSet")
     space = config.space
     bump2 = config.bump2 if config.bump2 is not None else config.bump
-    comp_u = (pr.alpha1, pr.alpha2, pr.sigma1, pr.delta1, pr.gamma1, pr.p,
-              _initial(space, config.u0), config.bump.render(space).values)
-    comp_v = (pr.beta1, pr.beta2, pr.sigma2, pr.delta2, pr.gamma2, pr.q,
-              _initial(space, config.v0_init), bump2.render(space).values)
+    comp_u = (pr.first, _initial(space, config.u0), config.bump.render(space).values)
+    comp_v = (pr.second, _initial(space, config.v0_init), bump2.render(space).values)
     return tuple(_march(config, [comp_u, comp_v], [1, 0]))
 
 

@@ -8,7 +8,6 @@ from fraclab.exponents import (
     ParamSet,
     SystemParamSet,
     critical_exponent,
-    critical_exponent_scalar,
     global_decay_exponent,
     local_nonexistence_exponent,
     system_dimension_bound,
@@ -16,6 +15,7 @@ from fraclab.exponents import (
 )
 
 BASE = dict(alpha1=0.5, alpha2=0.3, gamma=0.25, sigma=0.5, delta=0.7)
+BLOCK = ParamSet(p=2.0, **BASE)
 
 
 def test_paramset_validation():
@@ -29,8 +29,9 @@ def test_paramset_validation():
         ParamSet(1.5, 0.3, 0.25, 0.5, 0.7, 2.0)
     with pytest.raises(ParameterError):
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 1.0)
-    with pytest.raises(ParameterError):
-        ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=0)
+    for dim in (0, 1.5):
+        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+            ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=dim)
     with pytest.raises(ParameterError):
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, mode="loose")
 
@@ -44,7 +45,7 @@ def test_permissive_mode_drops_orderings():
 
 
 def test_critical_exponent_frozen_value():
-    rep = critical_exponent_scalar(1, 0.5, 0.25, 0.5)
+    rep = critical_exponent(BLOCK)
     assert rep.value == 10.0
     assert rep.denominator == 0.5
     assert not rep.critical_flag
@@ -52,34 +53,26 @@ def test_critical_exponent_frozen_value():
 
 
 def test_critical_exponent_flag_and_side_condition():
-    rep = critical_exponent_scalar(1, 0.5, 0.25, 0.5, p=10.0)
+    rep = critical_exponent(ParamSet(p=10.0, **BASE))
     assert rep.critical_flag
     assert "vacuous" in rep.proof_side_condition
-    rep3 = critical_exponent_scalar(3, 0.5, 0.25, 0.5)
-    flagged = critical_exponent_scalar(3, 0.5, 0.25, 0.5, p=rep3.value)
+    rep3 = critical_exponent(ParamSet(p=2.0, dim=3, **BASE))
+    flagged = critical_exponent(ParamSet(p=rep3.value, dim=3, **BASE))
     assert flagged.critical_flag
     assert "1.5" in flagged.proof_side_condition
     # off-threshold power: no flag
-    assert not critical_exponent_scalar(1, 0.5, 0.25, 0.5, p=9.0).critical_flag
+    assert not critical_exponent(ParamSet(p=9.0, **BASE)).critical_flag
 
 
 def test_critical_exponent_infinite_branch():
     # theta = 1.5/0.6 = 2.5 exactly: the positive part vanishes
-    rep = critical_exponent_scalar(1, 0.5, 0.25, 0.6)
+    rep = critical_exponent(ParamSet(0.5, 0.3, 0.25, 0.6, 0.8, 2.0))
     assert math.isinf(rep.value)
     assert rep.denominator == 0.0
     # sigma = 0.7 pushes the denominator negative
-    rep2 = critical_exponent_scalar(1, 0.5, 0.25, 0.7)
+    rep2 = critical_exponent(ParamSet(0.5, 0.3, 0.25, 0.7, 0.8, 2.0))
     assert math.isinf(rep2.value)
     assert rep2.denominator < 0.0
-
-
-def test_critical_exponent_scalar_checks_the_dimension_as_paramset_does():
-    for dim in (0, 1.5):
-        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
-            critical_exponent_scalar(dim, 0.5, 0.25, 0.5)
-        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
-            ParamSet(p=2.0, dim=dim, **BASE)
 
 
 def test_critical_exponent_from_paramset():
@@ -89,48 +82,33 @@ def test_critical_exponent_from_paramset():
 
 
 def test_system_bound_symmetric():
-    s = SystemParamSet(
-        0.5, 0.3, 0.25, 0.5, 0.7,
-        0.5, 0.3, 0.25, 0.5, 0.7,
-        p=2.0, q=2.0,
-    )
-    rep = system_dimension_bound(s)
+    rep = system_dimension_bound(SystemParamSet(BLOCK, BLOCK))
     assert rep.branch_one == rep.branch_two
     assert np.isclose(rep.bound, 7.0 / 3.0, atol=1e-14)
 
 
 def test_system_bound_swap_invariance():
-    a = SystemParamSet(
-        0.6, 0.4, 0.2, 0.45, 0.8,
-        0.55, 0.35, 0.15, 0.4, 0.75,
-        p=2.5, q=3.5,
-    )
-    b = SystemParamSet(
-        0.55, 0.35, 0.15, 0.4, 0.75,
-        0.6, 0.4, 0.2, 0.45, 0.8,
-        p=3.5, q=2.5,
-    )
-    ra, rb = system_dimension_bound(a), system_dimension_bound(b)
-    assert np.isclose(ra.branch_one, rb.branch_two, atol=1e-13)
-    assert np.isclose(ra.branch_two, rb.branch_one, atol=1e-13)
-    assert np.isclose(ra.bound, rb.bound, atol=1e-13)
+    one = ParamSet(0.6, 0.4, 0.2, 0.45, 0.8, 2.5)
+    two = ParamSet(0.55, 0.35, 0.15, 0.4, 0.75, 3.5)
+    ra = system_dimension_bound(SystemParamSet(one, two))
+    rb = system_dimension_bound(SystemParamSet(two, one))
+    # one formula serves both branches, so the swap is exact
+    assert ra.branch_one == rb.branch_two
+    assert ra.branch_two == rb.branch_one
+    assert ra.bound == rb.bound
 
 
 def test_system_paramset_validation():
-    with pytest.raises(ParameterError, match="block one"):
-        SystemParamSet(0.5, 0.3, 0.4, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7, p=2.0, q=2.0)
-    with pytest.raises(ParameterError, match="block two"):
-        SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.4, 0.5, 0.7, p=2.0, q=2.0)
-    with pytest.raises(ParameterError, match="sigma<delta"):
-        SystemParamSet(0.5, 0.3, 0.25, 0.7, 0.5, 0.5, 0.3, 0.25, 0.5, 0.7, p=2.0, q=2.0)
-    with pytest.raises(ParameterError):
-        SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7, p=1.0, q=2.0)
-    # the dimension is checked as in ParamSet
-    with pytest.raises(ParameterError, match="dimension must be a positive integer"):
-        SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.5, 0.3, 0.25, 0.5, 0.7,
-                       p=2.0, q=2.0, dim=1.5)
-    s = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8, p=2.0, q=3.0)
-    assert s.q_prime == 1.5
+    s = SystemParamSet(BLOCK, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
+    assert s.dim == 1 and s.second.p == 3.0
+    # each block is checked as a ParamSet when it is built; the system
+    # adds only that both are strict and share one dimension
+    permissive = ParamSet(0.5, 0.6, 0.7, 0.7, 0.5, 2.0, mode="permissive")
+    for first, second in ((permissive, BLOCK), (BLOCK, permissive)):
+        with pytest.raises(ParameterError, match="two strict blocks"):
+            SystemParamSet(first, second)
+    with pytest.raises(ParameterError, match="disagree on dim: 1 and 2"):
+        SystemParamSet(BLOCK, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0, dim=2))
 
 
 def test_local_nonexistence_frozen_value():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from fraclab import harness, testfn
 from fraclab.errors import ParameterError
+from fraclab.exponents import ParamSet
 from fraclab.harness import (
     CSV_HEADER,
     EXIT_BAD_CONFIG,
@@ -93,6 +95,30 @@ def test_config_file_that_is_not_utf8_exits_two(tmp_path, monkeypatch, capsys):
     ini.write_bytes("[bump]\namplitude = 2 ; \u00e9\n".encode("latin-1"))
     assert_exits_two_with_one_error(
         ["exponent", "--config", str(ini)], capsys, f"config file {ini} is not UTF-8")
+
+
+def test_config_file_with_a_byte_order_mark_is_read(tmp_path, monkeypatch, capsys):
+    # a leading UTF-8 byte-order mark is not part of the first header
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "bom.ini"
+    ini.write_bytes(b"\xef\xbb\xbf[params]\np = 10\n")
+    assert harness.main(["exponent", "--config", str(ini)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert " p=10 " in captured.out.splitlines()[0]
+
+
+@pytest.mark.parametrize("text", ["[time]\nsteps\n", "steps = 10\n",
+                                  "[time]\nsteps = 1\nsteps = 2\n"],
+                         ids=["no-value", "no-header", "duplicate"])
+def test_config_file_that_is_not_ini_exits_two_with_one_line(tmp_path, monkeypatch,
+                                                             capsys, text):
+    # the parser's own message spans lines
+    clear_fraclab_env(monkeypatch)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert_exits_two_with_one_error(
+        ["exponent", "--config", str(ini)], capsys, f"config file {ini} is not valid INI")
 
 
 def test_config_path_that_is_a_directory_exits_two(tmp_path, monkeypatch, capsys):
@@ -183,7 +209,7 @@ def test_build_spec_modes(monkeypatch):
     clear_fraclab_env(monkeypatch)
     spec = build_spec(ns(mode="exponent"))
     assert spec.params.p == 2.0
-    assert spec.system_params.q == 2.0
+    assert spec.system_params.second.p == 2.0
     assert spec.radius == 1.0
     spec = build_spec(ns(mode="sweep"))
     assert spec.sweep_p == (1.5, 2.0, 3.0)
@@ -663,6 +689,35 @@ def test_system_sweep_refuses_non_strict_mode(monkeypatch, capsys, value):
         "error: system-sweep needs [params] mode 'strict' (the system has no "
         f"permissive mode), got {value!r}\n"
     )
+
+
+def test_system_block_two_errors_name_their_block(monkeypatch, capsys):
+    # [system] is checked as a ParamSet, so its message names ParamSet's fields
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_SYSTEM_GAMMA2", "0.4")
+    monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
+    assert_exits_two_with_one_error(
+        ["system-sweep", "--jobs", "1"], capsys,
+        "[system] block two: strict mode requires 0<gamma<alpha2<alpha1<1")
+
+
+def test_system_keys_follow_paramset_fields():
+    # build_spec passes [system] to ParamSet by position
+    fields = [f.name for f in dataclasses.fields(ParamSet)]
+    assert list(zip(harness._DEFAULTS["system"], fields)) == [
+        ("beta1", "alpha1"), ("beta2", "alpha2"), ("gamma2", "gamma"),
+        ("sigma2", "sigma"), ("delta2", "delta"), ("q", "p"),
+    ]
+
+
+def test_a_run_that_does_not_fit_in_memory_exits_two(monkeypatch, capsys):
+    # never allocated for real: whether a huge request fails at once
+    # depends on the host's overcommit setting
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setattr(harness.solver, "run",
+                        mock.Mock(side_effect=MemoryError("Unable to allocate 32.0 GiB")))
+    assert_exits_two_with_one_error(
+        ["simulate"], capsys, "the run does not fit in memory: Unable to allocate 32.0 GiB")
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--jobs", "1"]])

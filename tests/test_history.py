@@ -394,8 +394,7 @@ def test_run_matches_direct_history(monkeypatch):
 
 
 def test_system_matches_direct_history(monkeypatch):
-    sp = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8,
-                        p=2.0, q=3.0)
+    sp = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
     cfg = SimConfig(sp, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0),
                     bump2=BumpSpec(1.0, 1.0))
     fast, direct = both_ways(monkeypatch, solver.run_system, cfg)

@@ -23,11 +23,7 @@ from fraclab.solver import (
 )
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)
-SYS_PARAMS = SystemParamSet(
-    0.5, 0.3, 0.25, 0.5, 0.7,
-    0.5, 0.3, 0.25, 0.5, 0.7,
-    p=2.0, q=2.0,
-)
+SYS_PARAMS = SystemParamSet(PARAMS, PARAMS)
 GRID = SpaceGrid(1, 20.0, 128)
 
 
@@ -181,8 +177,7 @@ def test_source_off_never_reads_the_power():
     traces = []
     for p in (2.0, 3.0):
         params = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, p)
-        sys_params = SystemParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 0.6, 0.4, 0.2, 0.4, 0.8,
-                                    p=p, q=p)
+        sys_params = SystemParamSet(params, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, p))
         time = TimeGrid(2.0, 200)
         scalar = run(SimConfig(params, GRID, time, BumpSpec(1.0, 1.0), u0=u0,
                                nonlinearity=False))
@@ -294,11 +289,7 @@ def test_diverged_system_is_reported_not_raised():
 
 
 def test_asymmetric_system_components_differ():
-    sp = SystemParamSet(
-        0.5, 0.3, 0.25, 0.5, 0.7,
-        0.6, 0.4, 0.2, 0.4, 0.8,
-        p=2.0, q=3.0,
-    )
+    sp = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
     c = SimConfig(
         sp, GRID, TimeGrid(1.0, 200), BumpSpec(0.5, 1.0),
         bump2=BumpSpec(0.25, 1.0),
