@@ -29,9 +29,8 @@ def test_paramset_validation():
         ParamSet(1.5, 0.3, 0.25, 0.5, 0.7, 2.0)
     with pytest.raises(ParameterError):
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 1.0)
-    for dim in (0, 1.5):
-        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
-            ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=dim)
+    with pytest.raises(ParameterError):
+        ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=0)
     with pytest.raises(ParameterError):
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, mode="loose")
 
@@ -73,6 +72,13 @@ def test_critical_exponent_infinite_branch():
     rep2 = critical_exponent(ParamSet(0.5, 0.3, 0.25, 0.7, 0.8, 2.0))
     assert math.isinf(rep2.value)
     assert rep2.denominator < 0.0
+
+
+def test_critical_exponent_input_refuses_a_non_integer_dimension():
+    # critical_exponent reads its dimension from a ParamSet, which refuses these
+    for dim in (0, 1.5):
+        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+            critical_exponent(ParamSet(p=2.0, dim=dim, **BASE))
 
 
 def test_critical_exponent_from_paramset():
