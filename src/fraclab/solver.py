@@ -34,16 +34,18 @@ each group and folds in lock step; a step makes one inverse and one forward
 FFT for all components.  Summed directly the sums would cost O(j) at step j
 and keep every row; a :class:`MemorySum` keeps the newest ``WINDOW`` = 8 to
 ``WINDOW + BLOCK`` = 24 rows exact and folds older ones, ``BLOCK`` = 16 at
-a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of the
-weights (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21,
-2017) has 70 to 133 terms; its tail functionals span only r' = 24 to 72
-dimensions, and the state is kept in those (Baffet & Hesthaven, SINUM 55,
-2017).  Each fold precomputes every group's reads for the next ``BLOCK``
-steps, so a step sums only the rows appended since; cost per step and
-memory are fixed whatever the step index or horizon.  Each fit is checked
-when built and certified in the tests to relative error 1e-9 against
-``l1_weights``/``rect_weights``, for orders in [0.05, 0.95] and up to 1e5
-steps, and the reduced tail against the full fit's to 1e-12.  A run of at
+a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of each
+sum's weights (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang,
+CiCP 21, 2017) has 70 to 133 terms, and only a group's total is read: the
+read functionals of its three fits together span only r' = 40 to 68
+dimensions (500 to 50 000 steps), and each group keeps one state in those
+(Baffet & Hesthaven, SINUM 55, 2017).  Each fold precomputes every group's
+reads for the next ``BLOCK`` steps, so a step sums only the rows appended
+since; cost per step and memory are fixed whatever the step index or
+horizon.  Each fit is checked when built and certified in the tests to
+relative error 1e-9 against ``l1_weights``/``rect_weights``, for orders in
+[0.05, 0.95] and up to 1e5 steps, and each sum's reads through the reduced
+tail against its full fit's to 1e-12.  A run of at
 most ``WINDOW + BLOCK - 1`` = 23 steps never folds, so it sums exactly as
 the tests' reference, one direct sum per group in the same order.
 """
@@ -162,10 +164,10 @@ class SimResult:
 # rows folded into the tail state at once.
 WINDOW = 8
 BLOCK = 16
-# Singular values of the sampled tail functionals kept, relative to the largest.
+# Singular values of the sampled read functionals kept, relative to the largest.
 SOE_REDUCE_RTOL = 1e-14
-# Geometric samples of the tail functionals between the fit's first offset
-# and one fold past its last.
+# Geometric samples of the read functionals between fill 1 and one fold past
+# the horizon.
 REDUCE_SAMPLES = 128
 # Columns a fold multiplies at once, which bounds its temporaries.
 FOLD_SLICE = 1024
@@ -205,15 +207,15 @@ class MemorySum:
     adds one ``(K, G, width)`` row, so all fill and fold in lock step;
     complex rows are held as float pairs.  The newest ``WINDOW`` to
     ``WINDOW + BLOCK`` rows sit in one window.  A full window folds its
-    oldest ``BLOCK`` rows into a reduced SOE state ``S = sum_k decay^(folds
-    since k) fold_w row_k`` of r' terms per family (:func:`reduced_soe`),
-    built at the first fold; a group's K states sit side by side.  The fold
-    then reads, for each fill f < ``BLOCK`` until the next fold, all a group
-    has seen: its tails at f times its states plus the ``WINDOW`` rows it
-    kept times their exact weights at f.  A step adds that read row to one
-    batched product, by (age, kind), over the rows appended since, read in
-    place; before the first fold it covers the whole window.  Term counts
-    are padded to the largest with zero rows, which stay exactly 0.
+    oldest ``BLOCK`` rows, all K kinds at once, into one reduced SOE state
+    per group, ``S = sum_k decay^(folds since k) fold_w row_k`` of r' terms
+    (:func:`reduced_soe`), built at the first fold.  The fold then reads,
+    for each fill f < ``BLOCK`` until the next fold, all a group has seen:
+    its tail at f times its state plus the ``WINDOW`` rows it kept times
+    their exact weights at f.  A step adds that read row to one batched
+    product, by (age, kind), over the rows appended since, read in place;
+    before the first fold it covers the whole window.  Term counts are
+    padded to the largest with zero rows, which stay exactly 0.
     """
 
     def __init__(self, groups, width: int, dtype, steps: int):
@@ -229,8 +231,7 @@ class MemorySum:
         # the window as (G, age * K + kind, cols): a view
         self._rows = self._window.rows.reshape(WINDOW + BLOCK, k, g, self._cols).transpose(
             2, 0, 1, 3).reshape(g, -1, self._cols)
-        self._fits = [(kind, order, lag + WINDOW + 1, steps + lag)
-                      for group in groups for kind, order, lag in group]
+        self._groups, self._steps = [tuple(group) for group in groups], steps
         self._state = None
 
     def append(self, row: np.ndarray):
@@ -240,13 +241,13 @@ class MemorySum:
 
     def _build_tail(self):
         g, k = self._shape
-        # each distinct family is fitted once
-        fitted = {fit: reduced_soe(*fit) for fit in dict.fromkeys(self._fits)}
-        self._decay, self._fold_w, tail = map(
-            _zero_padded, zip(*map(fitted.get, self._fits)))
+        # each distinct group is reduced once
+        reduced = {group: reduced_soe(group, self._steps)
+                   for group in dict.fromkeys(self._groups)}
+        self._decay, self._fold_w, self._tail = map(
+            _zero_padded, zip(*map(reduced.get, self._groups)))
         # kept row i at fill f has age WINDOW + f - i
         self._keep_w = self._wrev[:, 0, k * np.arange(BLOCK)[::-1, None] + np.arange(WINDOW * k)]
-        self._tail = tail.reshape(g, k, BLOCK, -1).transpose(0, 2, 1, 3).reshape(g, BLOCK, -1)
         self._state = np.zeros((g, self._tail.shape[2], self._cols))
         self._reads = np.empty((g, BLOCK, self._cols))
 
@@ -254,12 +255,11 @@ class MemorySum:
         if self._state is None:
             self._build_tail()
         k = self._shape[1]
-        # one (group, kind), and FOLD_SLICE columns of its fold, at a time
-        for s, state in enumerate(self._state.reshape(len(self._fits), -1, self._cols)):
-            state *= self._decay[s, :, None]
-            for c in range(0, self._cols, FOLD_SLICE):
-                cut = slice(c, c + FOLD_SLICE)
-                state[:, cut] += self._fold_w[s] @ self._rows[s // k, s % k : BLOCK * k : k, cut]
+        self._state *= self._decay[:, :, None]
+        # the oldest BLOCK rows, every kind, FOLD_SLICE columns at a time
+        for c in range(0, self._cols, FOLD_SLICE):
+            cut = slice(c, c + FOLD_SLICE)
+            self._state[:, :, cut] += self._fold_w @ self._rows[:, : BLOCK * k, cut]
         np.matmul(self._tail, self._state, out=self._reads)
         self._reads += self._keep_w @ self._rows[:, BLOCK * k :]
         self._window.drop_oldest(BLOCK)
@@ -281,41 +281,94 @@ class MemorySum:
         return out.reshape(self._shape[0], self._cols).view(self._dtype)
 
 
-def reduced_soe(kind: str, order: float, first: int, last: int):
-    """The ``kind`` weights from index ``first`` to ``last`` as a reduced sum
-    of exponentials: ``(decay, fold_w, tail)``.
+def reduced_soe(group, steps: int):
+    """The summed weights of ``group``'s K ``(kind, order, lag)`` families
+    as one reduced sum of exponentials: ``(decay, fold_w, tail)``.
 
-    With ``x, c`` the :func:`fracops.soe_weights` fit, a row folded at
-    offset d adds ``g_{first+d} = c e^{-x (first+d)}`` times itself to the
-    full T-term state, a fold multiplies that state by ``e^{-BLOCK x}``, and
-    a read at fill f is ``e^{-x f}`` times it.  The functionals ``g_m``,
-    sampled at the ``2 BLOCK`` offsets a fold and its first decay meet and
-    at ``REDUCE_SAMPLES`` geometric ones up to ``last + BLOCK``, each
-    normalised by its weight, span few dimensions: the right singular
-    vectors V above ``SOE_REDUCE_RTOL`` (Baffet & Hesthaven, SINUM 55,
-    2017).  The one-fold decay ``V^T diag(e^{-BLOCK x}) V`` is symmetric
-    with eigenvalues in (0, 1), and in its eigenbasis Q the r' terms decay
-    one by one again.  ``decay`` holds those eigenvalues, ``fold_w`` (r' x
-    BLOCK) the folded rows' ``(VQ)^T g``, oldest first, and ``tail`` (BLOCK
-    x r') the reads ``e^{-x f} VQ``.
+    Family k's :func:`fracops.soe_weights` fit ``x, c`` of its weights from
+    ``first = lag + WINDOW + 1`` to ``steps + lag`` is written symmetrically,
+    ``w(m + f) = sum sqrt(c) e^{-x m} sqrt(c) e^{-x f}``: a row folded at
+    offset d adds ``sqrt(c) e^{-x (first + d)}`` times itself to family k's
+    block of the full state, a fold multiplies the state by
+    ``e^{-BLOCK x}``, and a read at fill f applies the functional
+    ``sqrt(c) e^{-x f}`` of every family at once, which sums the K kinds.
+    Sampled at the ``2 BLOCK`` fills a fold and its first decay read and at
+    ``REDUCE_SAMPLES`` geometric ones up to ``steps + BLOCK``, each sample
+    scaled so its largest family block has unit norm, the read functionals
+    of all K families span few dimensions: the right singular vectors V
+    above ``SOE_REDUCE_RTOL`` (Baffet & Hesthaven, SINUM 55, 2017).  The
+    one-fold decay ``V^T diag(e^{-BLOCK x}) V`` has the squared singular
+    values of ``e^{-BLOCK x / 2} V`` as eigenvalues, all in (0, 1), and in
+    its eigenbasis Q the r' terms decay one by one again.  ``decay`` holds
+    those values, ``fold_w`` (r' x ``BLOCK`` K) the folded rows' ``(VQ)^T
+    sqrt(c) e^{-x (first + d)}`` in window order (oldest first, kinds
+    interleaved), and ``tail`` (``BLOCK`` x r') the reads ``sqrt(c) e^{-x
+    f} VQ``.
     """
-    x, c = soe_weights(kind, order, first, last)
-    offsets = np.array(sorted({*range(first, first + 2 * BLOCK), *np.round(
-        np.geomspace(first, last + BLOCK, REDUCE_SAMPLES)).tolist()}))
-    # in place: the first fold's transient sets a 1-D run's peak RSS
-    g = np.outer(offsets, -x)
-    np.exp(g, out=g)
-    g *= c
-    g /= g.sum(axis=1, keepdims=True)
-    _, sv, vt = np.linalg.svd(np.linalg.qr(g, mode="r"), full_matrices=False)
-    v = vt[sv > SOE_REDUCE_RTOL * sv[0]].T
-    decay, q = np.linalg.eigh((v.T * np.exp(-BLOCK * x)) @ v)
-    basis = v @ q
+    fits = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
+            for kind, order, lag in group]
+    v = _read_space(fits, steps)
+    sv, qt = _right_svd(np.vstack([np.exp(-0.5 * BLOCK * x)[:, None] * part
+                                   for (x, _), part in zip(fits, v)]))
     # the newest folded row has offset 0, the oldest BLOCK - 1
     ages = np.arange(BLOCK - 1.0, -1.0, -1.0)
-    fold_w = basis.T @ (c[:, None] * np.exp(-np.outer(x, first + ages)))
-    tail = np.exp(-np.outer(np.arange(BLOCK), x)) @ basis
-    return decay, fold_w, tail
+    fold_w = np.empty((sv.size, BLOCK, len(group)))
+    tail = np.zeros((BLOCK, sv.size))
+    for i, ((_, _, lag), (x, c), part) in enumerate(zip(group, fits, v)):
+        basis = (part @ qt.T) * np.sqrt(c)[:, None]
+        fold_w[:, :, i] = (np.exp(-np.outer(lag + WINDOW + 1 + ages, x)) @ basis).T
+        tail += np.exp(-np.outer(np.arange(BLOCK), x)) @ basis
+    return sv**2, fold_w.reshape(sv.size, -1), tail
+
+
+def _read_space(fits, steps: int):
+    """V of :func:`reduced_soe`, one family block of rows at a time.
+
+    Each family's samples are reduced on their own first, to their row
+    space and their coordinates in it, and then the stacked coordinates:
+    the joint sample matrix, and the SVD workspace it would need at the
+    first fold, are never formed.
+    """
+    fills = np.array(sorted({*range(2 * BLOCK), *np.round(
+        np.geomspace(1, steps + BLOCK, REDUCE_SAMPLES)).tolist()}))
+    spans, coords = zip(*(_sampled_reads(fills, x, c) for x, c in fits))
+    # each sample scaled so that its largest family block has unit norm
+    scale = np.max([np.linalg.norm(part, axis=1) for part in coords], axis=0)[:, None]
+    for part in coords:
+        part /= scale
+    w = _row_space(np.hstack(coords))
+    return [span @ part for span, part in zip(
+        spans, np.split(w, np.cumsum([span.shape[1] for span in spans])[:-1]))]
+
+
+def _sampled_reads(fills, x, c):
+    """The functionals ``sqrt(c) e^{-x f}`` at ``fills``, one a row: their
+    row space and their coordinates in it."""
+    # in place: the first fold's transient sets a 1-D run's peak RSS
+    g = np.outer(fills, -x)
+    np.exp(g, out=g)
+    g *= np.sqrt(c)
+    norm = np.linalg.norm(g, axis=1, keepdims=True)
+    g /= norm
+    span = _row_space(g)
+    coords = g @ span
+    coords *= norm
+    return span, coords
+
+
+def _row_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning ``a``'s rows to ``SOE_REDUCE_RTOL``."""
+    sv, vt = _right_svd(a)
+    return vt[sv > SOE_REDUCE_RTOL * sv[0]].T
+
+
+def _right_svd(a: np.ndarray):
+    """The singular values and right singular vectors of ``a``, from its R
+    factor when it has more rows than columns."""
+    if a.shape[0] > a.shape[1]:
+        a = np.linalg.qr(a, mode="r")
+    _, sv, vt = np.linalg.svd(a, full_matrices=False)
+    return sv, vt
 
 
 def _zero_padded(arrays) -> np.ndarray:

@@ -107,8 +107,7 @@ def test_stacked_families_match_their_direct_sums(rng):
     # pads its states; every member must still match its own direct sum, and
     # every padded state row must stay exactly zero
     steps, width = 3000, 5
-    terms = [reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
-             for kind, order, lag in FAMILIES]
+    terms = [reduced_soe(group, steps)[0].size for group in ungrouped(FAMILIES)]
     rows = random_rows(rng, (steps + 1) * len(FAMILIES), width, True)
     rows = rows.reshape(steps + 1, len(FAMILIES), width)
     hist = MemorySum(ungrouped(FAMILIES), width, np.complex128, steps)
@@ -129,21 +128,22 @@ def test_stacked_families_match_their_direct_sums(rng):
 # test_system_matches_direct_history: six distinct orders
 SYSTEM_GROUPS = [[("l1", 0.5, 1), ("rect", 0.7, 2), ("rect", 0.75, 1)],
                  [("l1", 0.6, 1), ("rect", 0.6, 2), ("rect", 0.8, 1)]]
+# the solver's default group and one of extreme orders: unlike the two
+# SYSTEM_GROUPS, their reduced term counts differ (51 and 49 at 3000 steps)
+GROUPS = [FAMILIES[:3], FAMILIES[4:]]
 
 
 def test_grouped_sums_match_their_members(rng):
     # each group's total is its members' totals added, at every fill over
-    # several folds, and every padded row of the side-by-side states stays
+    # several folds, and every padded row of the stacked states stays
     # exactly zero
     steps, width, count = 3000, 5, WINDOW + 6 * BLOCK
     rows = random_rows(rng, count * 6, width, True).reshape(count, 3, 2, width)
-    grouped = MemorySum(SYSTEM_GROUPS, width, np.complex128, steps)
+    grouped = MemorySum(GROUPS, width, np.complex128, steps)
     # kind-major, like the rows
-    members = MemorySum(ungrouped([f for same in zip(*SYSTEM_GROUPS) for f in same]),
+    members = MemorySum(ungrouped([f for same in zip(*GROUPS) for f in same]),
                         width, np.complex128, steps)
-    terms = [[reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
-              for kind, order, lag in group] for group in SYSTEM_GROUPS]
-    size = max(map(max, terms))
+    terms = [reduced_soe(group, steps)[0].size for group in GROUPS]
     for n in range(1, count + 1):
         grouped.append(rows[n - 1])
         members.append(rows[n - 1])
@@ -151,12 +151,10 @@ def test_grouped_sums_match_their_members(rng):
         err = np.max(np.abs(grouped.total() - want)) / np.max(np.abs(want))
         assert err <= 1e-13, f"after {n} rows: rel {err:.2e}"
         if n > WINDOW + BLOCK:
-            assert grouped._state.shape == (2, 3 * size, 2 * width)
-            for g, group_terms in enumerate(terms):
-                for k, t in enumerate(group_terms):
-                    padded = grouped._state[g, k * size + t : (k + 1) * size]
-                    assert np.all(padded == 0.0), f"group {g} kind {k} after {n} rows"
-    assert len({t for group in terms for t in group}) > 1
+            assert grouped._state.shape == (2, max(terms), 2 * width)
+            for g, t in enumerate(terms):
+                assert np.all(grouped._state[g, t:] == 0.0), f"group {g} after {n} rows"
+    assert len(set(terms)) > 1
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
@@ -185,23 +183,21 @@ def test_memory_sum_memory_is_flat(rng):
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
-    terms = max(reduced_soe(kind, order, lag + WINDOW + 1, steps + lag)[0].size
-                for kind, order, lag in FAMILIES[:3])
-    # the window's rows plus one float pair per column for each term of every
-    # reduced state, padded to the largest, and for each group's read row at
-    # each fill
-    assert sizes.pop() == width * 16 * (6 * (WINDOW + BLOCK + terms) + 2 * BLOCK)
+    terms = reduced_soe(FAMILIES[:3], steps)[0].size
+    # one float pair per column for each window row of the six sums, and
+    # for each state term and each fill's read row of the two groups
+    assert sizes.pop() == width * 16 * (6 * (WINDOW + BLOCK) + 2 * (terms + BLOCK))
 
 
-def test_sim_2d_history_fits_in_6_5_mb():
+def test_sim_2d_history_fits_in_4_6_mb():
     # the three summed sums of a 64 x 64 scalar run (33 rfft columns per
-    # row) over 500 steps, after the first fold has built every reduced state
+    # row) over 500 steps, after the first fold has built the reduced state
     families, width = FAMILIES[:3], 64 * 33
     hist = MemorySum([families], width, np.complex128, 500)
     zero = np.zeros((len(families), 1, width), dtype=np.complex128)
     for _ in range(WINDOW + BLOCK + 1):
         hist.append(zero)
-    assert hist.nbytes <= 6.5e6, f"{hist.nbytes / 1e6:.2f} MB"
+    assert hist.nbytes <= 4.6e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
@@ -229,25 +225,34 @@ def test_kept_window_rows_are_read_exactly(complex_rows, rng):
 
 @pytest.mark.parametrize("steps", [200, 3000, 100_000])
 def test_reduced_soe_is_smaller_and_decays(steps):
-    # fewer terms than the fit, each decaying by a factor in (0, 1) per fold,
-    # and a row folded n folds ago at window position b and read at fill f
-    # weighs what the full fit gives its offset, at every n up to the
-    # horizon.  Far out, rounding of decay**n builds up to ~1e-11; 1e-10 is
-    # half the fit's own SOE_RTOL, well inside the 1e-9 certification.
+    # the solver's default group, the other component's of the system, and
+    # every certified family alone: fewer terms than the fits (a group's also
+    # fewer than its members reduced alone), each decaying by a factor in
+    # (0, 1) per fold, and a row of each member folded n folds ago at window
+    # position b and read at fill f through the shared tail weighs what that
+    # member's own full fit gives its offset, at every n up to the horizon.
+    # Far out, rounding of decay**n builds up to ~1e-11; 1e-10 is half the
+    # fit's own SOE_RTOL, well inside the 1e-9 certification.
     pos = np.arange(BLOCK)
-    for kind, order, lag in ALL_FAMILIES:
-        first, last = lag + WINDOW + 1, steps + lag
-        x, c = soe_weights(kind, order, first, last)
-        decay, fold_w, tail = reduced_soe(kind, order, first, last)
-        assert decay.size < x.size, f"{kind} {order} {lag}: {decay.size} terms"
-        assert np.all((decay > 0.0) & (decay < 1.0)), f"{kind} {order} {lag}"
-        folds = (last - first - 2 * BLOCK + 2) // BLOCK
-        n = np.unique(np.concatenate([np.arange(8),
-                                      np.round(np.geomspace(8, folds, 64))])).astype(int)
-        got = np.einsum("fi,ni,ib->nfb", tail, decay ** n[:, None], fold_w)
-        m = first + BLOCK * n[:, None, None] + pos[:, None] + pos[::-1]
-        err = np.max(np.abs(got / (np.exp(-m[..., None] * x) @ c) - 1.0))
-        assert err <= 1e-10, f"{kind} {order} {lag}: rel {err:.2e}"
+    for group in [FAMILIES[:3], SYSTEM_GROUPS[1], *ungrouped(ALL_FAMILIES)]:
+        fits = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
+                for kind, order, lag in group]
+        decay, fold_w, tail = reduced_soe(group, steps)
+        assert decay.size < sum(x.size for x, _ in fits), f"{group}: {decay.size} terms"
+        if len(group) > 1:
+            alone = sum(reduced_soe([family], steps)[0].size for family in group)
+            assert decay.size < alone, f"{group}: {decay.size} terms, {alone} alone"
+        assert np.all((decay > 0.0) & (decay < 1.0)), f"{group}"
+        for k, ((kind, order, lag), (x, c)) in enumerate(zip(group, fits)):
+            first, last = lag + WINDOW + 1, steps + lag
+            folds = (last - first - 2 * BLOCK + 2) // BLOCK
+            n = np.unique(np.concatenate([np.arange(8),
+                                          np.round(np.geomspace(8, folds, 64))])).astype(int)
+            got = np.einsum("fi,ni,ib->nfb", tail, decay ** n[:, None],
+                            fold_w[:, k :: len(group)])
+            m = first + BLOCK * n[:, None, None] + pos[:, None] + pos[::-1]
+            err = np.max(np.abs(got / (np.exp(-m[..., None] * x) @ c) - 1.0))
+            assert err <= 1e-10, f"{kind} {order} {lag} in {group}: rel {err:.2e}"
 
 
 @pytest.mark.parametrize("steps", [200, 3000, 100_000])
