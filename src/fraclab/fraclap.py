@@ -3,7 +3,8 @@ r"""Fractional Laplacian on periodic grids and as a direct singular integral.
 Two independent realizations of ``(-Delta)^s``:
 
 * :func:`apply_spectral`: Fourier multiplier ``|xi|^{2s}`` on a periodic
-  box (the workhorse used by the time stepper),
+  box, in the rfft layout of :func:`rfft_layout`, the one the time stepper
+  advances its modes in, so checks of this path cover its transforms,
 * :func:`apply_singular_integral`: pointwise quadrature of
 
   .. math::
@@ -69,23 +70,36 @@ class SpaceGrid:
     def axis(self) -> np.ndarray:
         return -self.half_length + self.spacing * np.arange(self.points)
 
-    def radius(self) -> np.ndarray:
-        """|x| at every grid point (shape (M,) or (M, M))."""
+    def radius(self, center=0.0) -> np.ndarray:
+        """|x - center| at every grid point (shape (M,) or (M, M)); in 2-D a
+        scalar ``center`` means (center, center)."""
         x = self.axis()
         if self.dim == 1:
-            return np.abs(x)
-        return np.hypot(x[:, None], x[None, :])
+            return np.abs(x - center)
+        cx, cy = center if isinstance(center, tuple) else (center, center)
+        return np.hypot(x[:, None] - cx, x[None, :] - cy)
 
     def shape(self) -> tuple:
         return (self.points,) * self.dim
 
 
-@functools.lru_cache(maxsize=32)
-def _sq_wavenumbers(grid: SpaceGrid) -> np.ndarray:
-    k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+def rfft_layout(grid: SpaceGrid):
+    """Squared wavenumbers in rfft order, flattened, their shape, and the
+    forward and inverse transforms over the trailing space axes, so that
+    they batch over leading ones."""
+    m = grid.points
     if grid.dim == 1:
-        return k**2
-    return k[:, None] ** 2 + k[None, :] ** 2
+        k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
+        fwd = np.fft.rfft
+        inv = lambda a: np.fft.irfft(a, n=m)
+    else:
+        kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
+        ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
+        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
+        # rfftn/irfftn over the last two axes, without their argument handling
+        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2)
+        inv = lambda a: np.fft.irfft(np.fft.ifft(a, axis=-2), n=m)
+    return k2.ravel(), k2.shape, fwd, inv
 
 
 @dataclass
@@ -127,10 +141,8 @@ def apply_spectral(f: Field, s) -> Field:
         raise OrderError(f"Laplacian order must lie in (0,1], got {s}")
     if not np.all(np.isfinite(f.values)):
         raise ParameterError("non-finite samples in field")
-    k2 = _sq_wavenumbers(f.grid)
-    fh = np.fft.fftn(f.values)
-    out = np.fft.ifftn(fh * k2**s).real
-    return Field(f.grid, out)
+    k2, shape, fwd, inv = rfft_layout(f.grid)
+    return Field(f.grid, inv(fwd(f.values) * k2.reshape(shape) ** s))
 
 
 def normalization_constant(dim: int, s: float) -> float:

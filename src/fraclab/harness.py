@@ -227,6 +227,10 @@ class ExperimentSpec:
                 f"amplitude_policy must be 'fixed' or 'double', "
                 f"got {self.amplitude_policy!r}"
             )
+        # simulate writes snapshots only to --out; without it they would be dropped
+        if self.mode == "simulate" and self.snapshot_every > 0 and not self.out:
+            raise ParameterError(f"snapshot_every {self.snapshot_every} needs --out, "
+                                 f"where simulate writes the snapshots")
         # sweep rows run every p at the configured amplitude and keep only
         # the sup-norm trace, so these settings would be silently dropped
         if self.mode in ("sweep", "system-sweep"):

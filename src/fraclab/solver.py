@@ -31,7 +31,8 @@ which needs only their sum.  The Caputo and damping sums start with a zero
 row, which adds exactly zero, so all 3C sums hold the same number of rows
 and form one :class:`MemorySum` of C groups of three that appends, sums
 each group and folds in lock step; a step makes one inverse and one forward
-FFT for all components.  Summed directly the sums would cost O(j) at step j
+FFT for all components, in the layout of :func:`fraclap.rfft_layout`, which
+:func:`fraclap.apply_spectral` and so its checks use too.  Summed directly the sums would cost O(j) at step j
 and keep every row; a :class:`MemorySum` keeps the newest ``WINDOW`` = 8 to
 ``WINDOW + BLOCK`` = 24 rows exact and folds older ones, ``BLOCK`` = 16 at
 a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of each
@@ -59,7 +60,8 @@ import numpy as np
 
 from .errors import NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
-from .fraclap import Field, SpaceGrid
+# _Channel finds the mode layout through this module global at each run
+from .fraclap import Field, SpaceGrid, rfft_layout as _mode_layout
 from .fracops import TimeGrid, TimeSeries, l1_weights, rect_weights, soe_weights
 from .testfn import bump_profile
 
@@ -82,15 +84,9 @@ class BumpSpec:
             raise ParameterError(f"width must be positive, got {self.width}")
 
     def render(self, grid: SpaceGrid) -> Field:
-        x = grid.axis()
-        if grid.dim == 1:
-            dist = np.abs(x - self.center)
-        else:
-            c = self.center if isinstance(self.center, tuple) else (self.center,) * 2
-            dist = np.hypot(x[:, None] - c[0], x[None, :] - c[1])
         if np.max(np.abs(np.atleast_1d(self.center))) + 2.0 * self.width > grid.half_length:
             raise ParameterError("bump support does not fit inside the box")
-        return Field(grid, self.amplitude * bump_profile(dist / self.width))
+        return Field(grid, self.amplitude * bump_profile(grid.radius(self.center) / self.width))
 
 
 def default_space_grid(dim: int, bump: BumpSpec, points: int) -> SpaceGrid:
@@ -377,24 +373,6 @@ def _zero_padded(arrays) -> np.ndarray:
     for dst, a in zip(out, arrays):
         dst[tuple(map(slice, a.shape))] = a
     return out
-
-
-def _mode_layout(grid: SpaceGrid):
-    # rfft layout: squared wavenumbers flattened, plus transform closures over
-    # the trailing space axes, so that they batch over leading ones
-    m = grid.points
-    if grid.dim == 1:
-        k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
-        fwd = np.fft.rfft
-        inv = lambda a: np.fft.irfft(a, n=m)
-    else:
-        kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
-        ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
-        k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        # rfftn/irfftn over the last two axes, without their argument handling
-        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2)
-        inv = lambda a: np.fft.irfft(np.fft.ifft(a, axis=-2), n=m)
-    return k2.ravel(), k2.shape, fwd, inv
 
 
 class _Channel:

@@ -40,6 +40,23 @@ def test_grid_geometry():
     assert np.isclose(r[0, 0], 4.0 * math.sqrt(2.0))
 
 
+def test_grid_radius_about_a_center():
+    g = SpaceGrid(1, 4.0, 16)
+    x = g.axis()
+    assert np.array_equal(g.radius(), np.abs(x))
+    assert np.array_equal(g.radius(0.75), np.abs(x - 0.75))
+    g2 = SpaceGrid(2, 4.0, 16)
+    a = g2.axis()
+    assert np.array_equal(g2.radius(), np.hypot(a[:, None], a[None, :]))
+    # a scalar centre in 2-D is the same centre on both axes
+    assert np.array_equal(g2.radius(1.5), np.hypot(a[:, None] - 1.5, a[None, :] - 1.5))
+    assert np.array_equal(g2.radius(1.5), g2.radius((1.5, 1.5)))
+    r = g2.radius((1.0, -2.5))
+    assert np.array_equal(r, np.hypot(a[:, None] - 1.0, a[None, :] + 2.5))
+    i, j = np.unravel_index(np.argmin(r), r.shape)
+    assert (a[i], a[j]) == (1.0, -2.5) and r[i, j] == 0.0
+
+
 def test_field_validation():
     g = SpaceGrid(1, 1.0, 8)
     with pytest.raises(ParameterError):
@@ -108,6 +125,45 @@ def test_spectral_2d_eigenfunction():
     vals = np.cos(2.0 * a)[:, None] * np.cos(3.0 * a)[None, :]
     out = apply_spectral(Field(g, vals), 0.5)
     assert np.allclose(out.values, math.sqrt(13.0) * vals, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
+def test_spectral_oblique_and_nyquist_modes(s):
+    # an oblique mode tells the axes and the signs of the fft-of-rfft layout
+    # apart, which a product of cosines on a square grid cannot; cos(8x) is
+    # (-1)^j on these grids, the highest mode on its axis
+    g1 = SpaceGrid(1, math.pi, 16)
+    x1 = g1.axis()
+    g = SpaceGrid(2, math.pi, 16)
+    x, y = g.axis()[:, None], g.axis()[None, :]
+    nyquist = np.cos(8.0 * x)
+    one = np.ones((16, 16))
+    for grid, vals, k2 in ((g1, np.cos(8.0 * x1), 64.0),
+                           (g, np.sin(2.0 * x - 3.0 * y), 13.0),
+                           (g, np.cos(x + 4.0 * y), 17.0), (g, np.sin(y - 5.0 * x), 26.0),
+                           (g, nyquist * one, 64.0), (g, nyquist.T * one, 64.0),
+                           (g, nyquist * nyquist.T, 128.0),
+                           (g, nyquist * np.cos(3.0 * y), 73.0)):
+        out = apply_spectral(Field(grid, vals), s)
+        assert np.allclose(out.values, k2**s * vals, rtol=0.0, atol=1e-12), k2
+
+
+def full_fft_reference(grid, values, s):
+    # (-Delta)^s through the full complex transform, every axis in fft order
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.points, d=grid.spacing)
+    k2 = k**2 if grid.dim == 1 else k[:, None] ** 2 + k[None, :] ** 2
+    return np.fft.ifftn(np.fft.fftn(values) * k2**s).real
+
+
+@pytest.mark.parametrize("dim,half_length,points", [(1, 3.7, 64), (1, 20.0, 512),
+                                                    (2, 3.7, 32), (2, 11.0, 64)])
+def test_spectral_matches_full_fft_on_random_fields(rng, dim, half_length, points):
+    g = SpaceGrid(dim, half_length, points)
+    for s in (0.2, 0.5, 0.9, 1.0):
+        vals = rng.normal(size=g.shape())
+        ref = full_fft_reference(g, vals, s)
+        out = apply_spectral(Field(g, vals), s).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref)), s
 
 
 def test_normalization_constant():

@@ -661,8 +661,8 @@ def test_main_sweep_empty_p_list_header_only(monkeypatch, tmp_path):
     ("AMPLITUDE_POLICY", "double", "amplitude_policy 'double' applies to simulate only"),
     ("SNAPSHOT_EVERY", "5", "snapshot_every applies to simulate only"),
 ])
-def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
-                                                value, needle):
+def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, tmp_path, mode,
+                                                key, value, needle):
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_RUN_" + key, value)
     monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
@@ -671,8 +671,19 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, mode, key,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
-    # simulate honours both settings, so it accepts them
-    assert build_spec(ns("simulate")).mode == "simulate"
+    # simulate honours both settings, so it accepts them (snapshots need --out)
+    assert build_spec(ns("simulate", out=str(tmp_path / "run.txt"))).mode == "simulate"
+
+
+@pytest.mark.parametrize("out", [[], ["--out", ""]])
+def test_simulate_refuses_snapshots_without_out(monkeypatch, capsys, out):
+    # simulate writes snapshots only to --out; without it they would be
+    # stored for the whole run and then dropped
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_RUN_SNAPSHOT_EVERY", "5")
+    monkeypatch.setattr(harness, "simulate", mock.Mock(side_effect=AssertionError("ran")))
+    assert_exits_two_with_one_error(["simulate"] + out, capsys,
+                                    "snapshot_every 5 needs --out")
 
 
 @pytest.mark.parametrize("value", ["weird", "permissive"])

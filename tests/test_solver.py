@@ -21,6 +21,7 @@ from fraclab.solver import (
     run_system,
     tune_amplitude,
 )
+from fraclab.testfn import bump_profile
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)
 SYS_PARAMS = SystemParamSet(PARAMS, PARAMS)
@@ -29,6 +30,24 @@ GRID = SpaceGrid(1, 20.0, 128)
 
 def cfg(amplitude, horizon=10.0, steps=2000, **kw):
     return SimConfig(PARAMS, GRID, TimeGrid(horizon, steps), BumpSpec(amplitude, 1.0), **kw)
+
+
+def distances_by_formula(grid, center):
+    # |x - center| as BumpSpec.render computed it before it read SpaceGrid.radius
+    x = grid.axis()
+    if grid.dim == 1:
+        return np.abs(x - center)
+    c = center if isinstance(center, tuple) else (center,) * 2
+    return np.hypot(x[:, None] - c[0], x[None, :] - c[1])
+
+
+@pytest.mark.parametrize("dim,center", [(1, 0.0), (1, -3.1), (2, 0.0), (2, 2.3),
+                                        (2, (1.0, -4.7))])
+def test_bump_render_distances_are_radius(dim, center):
+    grid = SpaceGrid(dim, 20.0, 64)
+    bump = BumpSpec(2.5, 1.3, center=center)
+    want = 2.5 * bump_profile(distances_by_formula(grid, center) / 1.3)
+    assert np.array_equal(bump.render(grid).values, want)
 
 
 def test_bump_spec():
