@@ -31,6 +31,7 @@ import argparse
 import configparser
 import math
 import os
+import random
 import sys
 from dataclasses import dataclass, replace
 
@@ -231,6 +232,9 @@ class ExperimentSpec:
         if self.mode == "simulate" and self.snapshot_every > 0 and not self.out:
             raise ParameterError(f"snapshot_every {self.snapshot_every} needs --out, "
                                  f"where simulate writes the snapshots")
+        # an empty path would otherwise be read as no --out and skip the write
+        if self.out == "":
+            raise ParameterError("--out must name a file, got ''")
         # sweep rows run every p at the configured amplitude and keep only
         # the sup-norm trace, so these settings would be silently dropped
         if self.mode in ("sweep", "system-sweep"):
@@ -347,8 +351,10 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-# The verify checks: fn(tol, rng) -> CheckResult.  Keyword arguments set the
-# strength, verify's as defaults; the acceptance suite runs some stronger.
+# The verify checks: fn(tol, rng) -> CheckResult, where ``rng`` is the
+# ``random.Random`` the composition checks draw their inputs from.  Keyword
+# arguments set the strength, verify's as defaults; the acceptance suite runs
+# some stronger.
 
 
 def _tf(eta: int) -> testfn.TestFunctionParams:
@@ -367,7 +373,7 @@ def check_power_rule(tol, rng) -> CheckResult:
         errs.append(
             float(np.max(np.abs(numeric.values[lo:hi] - closed.values[lo:hi])) / scale)
         )
-    slope = float(np.polyfit(np.log2(sizes), np.log2(errs), 1)[0]) * -1.0
+    slope = identities._slope(sizes, errs)
     monotone = errs[0] > errs[1] > errs[2]
     return CheckResult(
         "power-rule-phi1", errs[-1] <= tol and monotone, errs[-1], tol, slope
@@ -385,9 +391,10 @@ def check_ibp(tol, rng) -> CheckResult:
 
 
 def _random_smooth(rng, n: int) -> fracops.TimeSeries:
-    # low-order polynomial with positive coefficients times a high-order
-    # vanishing factor: smooth, order-8 flat at the right endpoint
-    a = rng.uniform(0.5, 1.5, size=4)
+    # low-order polynomial whose four positive coefficients are scalar draws
+    # from ``rng``, a ``random.Random``, times a high-order vanishing factor:
+    # smooth, order-8 flat at the right endpoint
+    a = [rng.uniform(0.5, 1.5) for _ in range(4)]
     grid = TimeGrid(1.0, n)
     t = grid.nodes()
     vals = (a[0] + a[1] * t + a[2] * t**2 + a[3] * t**3) * (1.0 - t) ** 8
@@ -396,7 +403,8 @@ def _random_smooth(rng, n: int) -> fracops.TimeSeries:
 
 def _composition(name, identity, orders, tol, rng, draws) -> CheckResult:
     # worst residual and slope of ``identity(f, p, q)`` over random draws,
-    # each of a smooth f, then of the orders ``orders(rng)`` returns
+    # each of a smooth f, then of the orders ``orders(rng)`` returns; ``rng``
+    # is a ``random.Random``, so verify never loads numpy.random (~6 MB)
     worst, worst_slope = 0.0, math.inf
     for _ in range(draws):
         f = _random_smooth(rng, 2**12)
@@ -408,8 +416,8 @@ def _composition(name, identity, orders, tol, rng, draws) -> CheckResult:
 
 def check_comp_int(tol, rng, *, draws=6) -> CheckResult:
     def orders(rng):  # q in [0.3, 0.7), then p above it by 0.2 to 0.8
-        q = float(rng.uniform(0.3, 0.7))
-        return q + float(rng.uniform(0.2, 0.8)), q
+        q = rng.uniform(0.3, 0.7)
+        return q + rng.uniform(0.2, 0.8), q
 
     return _composition("composition-integral", identities.check_composition_int,
                         orders, tol, rng, draws)
@@ -417,8 +425,8 @@ def check_comp_int(tol, rng, *, draws=6) -> CheckResult:
 
 def check_comp_derivs(tol, rng, *, draws=6) -> CheckResult:
     def orders(rng):  # q, then p, each in [0.2, 0.45)
-        q, p = rng.uniform(0.2, 0.45, size=2)
-        return float(p), float(q)
+        q = rng.uniform(0.2, 0.45)
+        return rng.uniform(0.2, 0.45), q
 
     return _composition("composition-derivative", identities.check_composition_derivs,
                         orders, tol, rng, draws)
@@ -526,7 +534,7 @@ def verify_all(spec: ExperimentSpec) -> VerifyReport:
     more draws or longer runs.  The blow-up reproduction is deliberately
     not in the registry (it is an experiment, not an identity).
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = random.Random(spec.seed)
     results = []
     for name, default_tol, fn in _REGISTRY:
         tol = spec.tol if spec.tol is not None else default_tol
