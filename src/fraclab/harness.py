@@ -3,7 +3,7 @@ r"""Command-line front end: verification suite, exponent queries, runs, sweeps.
 Configuration is a flat INI file (sections per module, key = value), any
 entry of which can be overridden through the environment as
 ``FRACLAB_<SECTION>_<KEY>`` (e.g. ``FRACLAB_TIME_STEPS=2000``).  The
-``--tol``, ``--seed``, ``--jobs``, ``--out`` flags override both.  Any
+``--tol``, ``--seed``, ``--out`` flags override both.  Any
 ``FRACLAB_*`` name that is not a config key is refused.
 
 :data:`_DEFAULTS` is the schema: every key and its typed default.
@@ -195,7 +195,6 @@ class ExperimentSpec:
     sweep_p: tuple = ()  # empty is legal in sweep modes: a header-only CSV
     out: str | None = None
     tol: float | None = None
-    jobs: int | None = None
     seed: int = 7
     threshold: float = 1e8
     snapshot_every: int = 0
@@ -215,8 +214,6 @@ class ExperimentSpec:
                 )
             if self.seed < 0:
                 raise ParameterError(f"seed must be nonnegative, got {self.seed}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ParameterError(f"jobs must be at least 1, got {self.jobs}")
         # refused before any work, so a run never ends in a failed write
         if self.out is not None and (os.path.isdir(self.out) or not os.path.isdir(
                 os.path.dirname(self.out) or ".")):
@@ -258,7 +255,7 @@ def build_spec(args) -> ExperimentSpec:
     mode = args.mode
     verify = _section(cp, "verify")
     fields = dict(
-        mode=mode, out=args.out, jobs=args.jobs,
+        mode=mode, out=args.out,
         seed=verify["seed"] if args.seed is None else args.seed,
         tol=verify["tol"] if args.tol is None else args.tol,
         **_section(cp, "run"), **_section(cp, "exponent"),
@@ -567,69 +564,35 @@ class SweepRow:
 CSV_HEADER = "p,p_star,status,blowup_time,final_supnorm"
 
 
-def _sweep_row(task) -> SweepRow:
-    config, p, p_star = task
-    try:
-        if isinstance(config.params, SystemParamSet):
-            results = solver.run_system(config)
-        else:
-            results = (solver.run(config),)
-    except FraclabError as exc:
-        return SweepRow(p, p_star, "Failed", None, float("nan"), str(exc))
-    first = results[0]
-    bt = first.blowup_time if first.status == "BlowUp" else None
-    final = max(float(r.trace.values[-1]) for r in results)
-    return SweepRow(p, p_star, first.status, bt, final)
-
-
-# Thread-count variables of the BLAS pools a sweep worker's numpy may start.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _run_tasks(tasks, worker, jobs: int | None) -> list:
-    """Run ``worker`` over ``tasks`` in order on ``jobs`` processes
-    (default: one per CPU), but never more processes than tasks."""
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs == 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    # imported here: no serial run pays for loading the process pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Workers are fresh interpreters that read their BLAS thread count when
-    # they import numpy: one each, unless the user chose a count.  Forked
-    # workers would each start one BLAS thread per core, oversubscribing the
-    # CPUs ``jobs`` times over.
-    unset = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
-    os.environ.update(dict.fromkeys(unset, "1"))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(tasks)),
-            mp_context=multiprocessing.get_context("spawn"),
-        ) as pool:
-            return list(pool.map(worker, tasks))  # map preserves input order
-    finally:
-        for name in unset:
-            del os.environ[name]
-
-
 def sweep(spec: ExperimentSpec) -> list:
     """One run per requested p of the spec's run, otherwise identical,
-    ordered by p; for the system, p is the first block's.  The p_star
-    column holds the critical exponent, or for the system (q fixed) the
-    dimension bound, the nearest analogue of a critical threshold there."""
-    tasks = []
+    ordered by p; for the system, p is the first block's.  The runs are
+    the stop groups of one :func:`solver.march`.  The p_star column holds
+    the critical exponent, or for the system (q fixed) the dimension bound,
+    the nearest analogue of a critical threshold there."""
+    params, p_stars = [], []
     for p in spec.sweep_p:
-        params = spec.config.params
-        if isinstance(params, SystemParamSet):
-            params = replace(params, first=replace(params.first, p=p))
-            p_star = exponents.system_dimension_bound(params).bound
+        pr = spec.config.params
+        if isinstance(pr, SystemParamSet):
+            params.append(replace(pr, first=replace(pr.first, p=p)))
+            p_stars.append(exponents.system_dimension_bound(params[-1]).bound)
         else:
-            params = replace(params, p=p)
-            p_star = exponents.critical_exponent(params).value
-        tasks.append((replace(spec.config, params=params), p, p_star))
-    return _run_tasks(tasks, _sweep_row, spec.jobs)
+            params.append(replace(pr, p=p))
+            p_stars.append(exponents.critical_exponent(params[-1]).value)
+    try:
+        outcomes = solver.march(spec.config, params) if params else []
+    except FraclabError as exc:  # a failure every row shares
+        outcomes = [exc] * len(params)
+    rows = []
+    for p, p_star, results in zip(spec.sweep_p, p_stars, outcomes):
+        if isinstance(results, FraclabError):
+            rows.append(SweepRow(p, p_star, "Failed", None, float("nan"), str(results)))
+            continue
+        first = results[0]
+        bt = first.blowup_time if first.status == "BlowUp" else None
+        final = max(float(r.trace.values[-1]) for r in results)
+        rows.append(SweepRow(p, p_star, first.status, bt, final))
+    return rows
 
 
 def render_csv(rows) -> str:
@@ -767,7 +730,7 @@ def _parse_args(argv):
                     "wave equation with a memory-in-time source.",
     )
     # each mode registers only its own flags, so argparse refuses the rest
-    parser.set_defaults(tol=None, jobs=None, seed=None)
+    parser.set_defaults(tol=None, seed=None)
     sub = parser.add_subparsers(dest="mode", required=True)
     helps = {
         "verify": "run the registered identity/scaling/bound checks",
@@ -788,10 +751,6 @@ def _parse_args(argv):
                             help="override every verification tolerance")
             sp.add_argument("--seed", type=int, default=None,
                             help="seed for randomized verification inputs")
-        if name in ("sweep", "system-sweep"):
-            sp.add_argument("--jobs", type=int, default=None, metavar="N",
-                            help="sweep worker processes, at most one per row "
-                                 "(default: CPU count)")
     return parser.parse_args(argv)
 
 

@@ -21,6 +21,12 @@ The scalar equation (C = 1 component, sourced by its own ``|u|^p``) and
 the two-component system (C = 2; ``|v|^p`` sources ``u`` and ``|u|^q``
 sources ``v``) share one stepper that advances all components together on
 ``(C, modes)`` arrays, and :func:`detect_blowup` alone reads blow-up times.
+A sweep is one :func:`march` too: each of its runs is a stop group of
+components, a scalar run one and a system run its pair, that stops at its
+own blow-up or divergence with its trace cut there.  A stopped
+group is stepped on until the last one stops (every product is batched per
+component and every FFT is per row, so it cannot reach the others), and a
+sweep holds every run's history at once.
 
 Each component carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
@@ -144,9 +150,9 @@ class SimResult:
     ``status`` is Completed, BlowUp, or Diverged.  ``blowup_time`` holds
     the linearly interpolated threshold crossing for BlowUp and the first
     non-finite node for Diverged (both from :func:`detect_blowup`).  The
-    sup-norm trace is truncated at the stopping step, so its grid covers
-    [0, t_stop].  ``snapshots`` lists (t, Field) pairs when the config's
-    ``snapshot_every`` is positive, else None.
+    sup-norm trace is cut at its stop group's stopping step, so its grid
+    covers [0, t_stop].  ``snapshots`` lists (t, Field) pairs when the
+    config's ``snapshot_every`` is positive, else None.
     """
 
     trace: TimeSeries
@@ -466,60 +472,99 @@ def detect_blowup(trace: TimeSeries, threshold: float):
     return float((j - 1) * grid.h + frac * grid.h)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _march(config: SimConfig, comps, feeds):
-    """Advance the components of ``_Channel(config, comps, feeds)``; one
-    :class:`SimResult` each.
+def _group(config: SimConfig, pr):
+    """The components and feeds of ``config``'s run with the parameters
+    ``pr``: a ``ParamSet`` is one component fed by itself, a
+    ``SystemParamSet`` its two blocks fed crosswise."""
+    if pr.dim != config.space.dim:
+        raise ParameterError("params.dim and space.dim disagree")
+    space, zero = config.space, np.zeros(config.space.shape())
+    u = (zero if config.u0 is None else config.u0.values,
+         config.bump.render(space).values)
+    if isinstance(pr, ParamSet):
+        return [(pr, *u)], [0]
+    bump2 = config.bump2 if config.bump2 is not None else config.bump
+    v = (zero if config.v0_init is None else config.v0_init.values,
+         bump2.render(space).values)
+    return [(pr.first, *u), (pr.second, *v)], [1, 0]
 
-    All components stop at the first step where a sup-norm is non-finite
-    (Diverged) or reaches the threshold (BlowUp) and report the same status
-    and time: :func:`detect_blowup` of the first component, in order, that
-    is non-finite, or failing that the first that crossed.  With the
-    nonlinearity off, a per-step sup-norm growth beyond 10x in any
-    component trips a step-size error: the implicit linear update is
-    dissipative mode by mode, so such growth can only mean the time step is
-    too coarse.  Overflow raises no numpy warning: the march reports any
-    non-finite state itself.
+
+@np.errstate(over="ignore", invalid="ignore")
+def march(config: SimConfig, params) -> list:
+    """``config``'s run once for each entry of ``params`` (a ``ParamSet`` or
+    ``SystemParamSet`` each), advanced as the stop groups of one ``_Channel``.
+
+    A group stops at its own first step where a sup-norm is non-finite
+    (Diverged) or reaches the threshold (BlowUp); its components report the
+    same status and time, :func:`detect_blowup` of the first component, in
+    order, that is non-finite, or failing that the first that crossed.
+    With the nonlinearity off, a per-step sup-norm growth beyond 10x in a
+    component stops its group with a step-size error: the implicit linear
+    update is dissipative mode by mode, so such growth can only mean the
+    time step is too coarse.  A stopped group is stepped on until the last
+    one stops; overflow raises no numpy warning.  Each entry of the result
+    is that run's :class:`SimResult` list, one per component, or the
+    :class:`NumericsError` that stopped it.
     """
+    comps, feeds, spans = [], [], []
+    for pr in params:
+        group, own = _group(config, pr)
+        spans.append(slice(len(comps), len(comps) + len(group)))
+        feeds += [len(comps) + f for f in own]
+        comps += group
     stepper = _Channel(config, comps, feeds)
     space, time = config.space, config.time
     n, h, threshold = time.steps, time.h, config.threshold
     nonlinear, every = config.nonlinearity, config.snapshot_every
     prev = [float(np.abs(u).max()) for u in stepper.u0]
-    traces = np.zeros((len(prev), n + 1))  # pages past the stop step stay untouched
+    traces = np.zeros((len(prev), n + 1))  # pages past the last stop step stay untouched
     traces[:, 0] = prev
     snaps = [[(0.0, Field(space, u.copy()))] if every else None for u in stepper.u0]
+    out = [None] * len(spans)
+    live = list(enumerate(spans))
     for j in range(1, n + 1):
         states, sups = stepper.step(j, nonlinear)
         traces[:, j] = sups
-        stop = not all(sup < threshold for sup in sups)  # a nan stops too
-        # the blow-up state is kept even off the cadence; a non-finite one is not
-        if every and (stop or j % every == 0) and all(map(math.isfinite, sups)):
-            for snap, u in zip(snaps, states):
-                snap.append((h * j, Field(space, u.copy())))
-        if stop:
+        for g, span in live:
+            own = sups[span]
+            stop = not all(sup < threshold for sup in own)  # a nan stops too
+            # the blow-up state is kept even off the cadence; a non-finite one is not
+            if every and (stop or j % every == 0) and all(map(math.isfinite, own)):
+                for snap, u in zip(snaps[span], states[span]):
+                    snap.append((h * j, Field(space, u.copy())))
+            grown = [] if nonlinear else [
+                sup / before for sup, before in zip(own, prev[span])
+                if before > 0.0 and sup > 10.0 * before]
+            if stop:
+                out[g] = _stopped(time, threshold, traces[span], snaps[span], j)
+            elif grown:
+                out[g] = NumericsError(f"sup-norm grew {grown[0]:.2f}x in one linear "
+                                       f"step at t={h * j:.3g}; reduce the time step")
+        live = [(g, span) for g, span in live if out[g] is None]
+        if not live:
             break
-        if not nonlinear:
-            for sup, before in zip(sups, prev):
-                if before > 0.0 and sup > 10.0 * before:
-                    raise NumericsError(
-                        f"sup-norm grew {sup / before:.2f}x in one linear step at "
-                        f"t={h * j:.3g}; reduce the time step"
-                    )
         prev = sups
-    else:
-        return [SimResult(TimeSeries(time, tr), "Completed", None, sn, n)
-                for tr, sn in zip(traces, snaps)]
+    for g, span in live:
+        out[g] = [SimResult(TimeSeries(time, tr), "Completed", None, sn, n)
+                  for tr, sn in zip(traces[span], snaps[span])]
+    return out
+
+
+def _stopped(time: TimeGrid, threshold: float, traces, snaps, j: int):
+    """The results of a group whose sup-norms first went non-finite or
+    reached the threshold at step j (the columns past j still zero), or
+    the error if j < 2."""
     if j < 2:
-        raise NumericsError(
+        return NumericsError(
             "run ended before step 2; the step size is far too coarse for "
             "these data (reduce h or the amplitude)"
         )
+    sups = traces[:, j].tolist()
     diverged = not all(map(math.isfinite, sups))
     hit = [not math.isfinite(sup) if diverged else sup >= threshold for sup in sups]
     first = TimeSeries(time, traces[hit.index(True)], diverged)
     t_star = detect_blowup(first, threshold)
-    grid = time if j == n else TimeGrid(h * j, j)
+    grid = time if j == time.steps else TimeGrid(time.h * j, j)
     status = "Diverged" if diverged else "BlowUp"
     return [
         SimResult(TimeSeries(grid, tr[: j + 1].copy(), diverged), status, t_star, sn, j)
@@ -527,17 +572,13 @@ def _march(config: SimConfig, comps, feeds):
     ]
 
 
-def _checked_params(config: SimConfig, kind, message):
-    pr = config.params
-    if not isinstance(pr, kind):
+def _one_run(config: SimConfig, kind, message) -> list:
+    if not isinstance(config.params, kind):
         raise ParameterError(message)
-    if pr.dim != config.space.dim:
-        raise ParameterError("params.dim and space.dim disagree")
-    return pr
-
-
-def _initial(space: SpaceGrid, datum: Field | None) -> np.ndarray:
-    return datum.values if datum is not None else np.zeros(space.shape())
+    (results,) = march(config, [config.params])
+    if isinstance(results, NumericsError):
+        raise results
+    return results
 
 
 def run(config: SimConfig) -> SimResult:
@@ -546,26 +587,20 @@ def run(config: SimConfig) -> SimResult:
     The source is I^{1-gamma}|u|^p: one component fed by itself.  Zero data
     is preserved exactly (every update is a linear combination of zeros).
     """
-    pr = _checked_params(config, ParamSet, "run() needs a scalar ParamSet")
-    space = config.space
-    comp = (pr, _initial(space, config.u0), config.bump.render(space).values)
-    return _march(config, [comp], [0])[0]
+    return _one_run(config, ParamSet, "run() needs a scalar ParamSet")[0]
 
 
 def run_system(config: SimConfig):
-    """Advance the cross-coupled pair; the components stop together.
+    """Advance the cross-coupled pair as one stop group.
 
     The system's blocks ``first`` and ``second`` are two components of the
     scalar form, each fed by the other: I^{1-gamma1}|v|^p sources u and
     I^{1-gamma2}|u|^q sources v.  If either sup-norm crosses the threshold
-    both results report BlowUp at the same interpolated time.
+    both results report BlowUp at the same interpolated time, with both
+    traces cut at that step.
     """
-    pr = _checked_params(config, SystemParamSet, "run_system() needs a SystemParamSet")
-    space = config.space
-    bump2 = config.bump2 if config.bump2 is not None else config.bump
-    comp_u = (pr.first, _initial(space, config.u0), config.bump.render(space).values)
-    comp_v = (pr.second, _initial(space, config.v0_init), bump2.render(space).values)
-    return tuple(_march(config, [comp_u, comp_v], [1, 0]))
+    return tuple(_one_run(config, SystemParamSet,
+                          "run_system() needs a SystemParamSet"))
 
 
 # Amplitudes :func:`tune_amplitude` tries before it gives up.

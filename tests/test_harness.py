@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclab import harness, testfn
+from fraclab import harness, solver, testfn
 from fraclab.errors import ParameterError
 from fraclab.exponents import ParamSet
 from fraclab.harness import (
@@ -35,9 +35,8 @@ from fraclab.harness import (
 )
 
 
-def ns(mode="verify", config=None, out=None, tol=None, jobs=None, seed=None):
-    return argparse.Namespace(mode=mode, config=config, out=out, tol=tol,
-                              jobs=jobs, seed=seed)
+def ns(mode="verify", config=None, out=None, tol=None, seed=None):
+    return argparse.Namespace(mode=mode, config=config, out=out, tol=tol, seed=seed)
 
 
 def clear_fraclab_env(monkeypatch):
@@ -190,8 +189,6 @@ def test_experiment_spec_validation():
     with pytest.raises(ParameterError):
         ExperimentSpec(mode="verify", tol=-1.0)
     with pytest.raises(ParameterError):
-        ExperimentSpec(mode="verify", jobs=0)
-    with pytest.raises(ParameterError):
         ExperimentSpec(mode="simulate", amplitude_policy="triple")
 
 
@@ -315,7 +312,7 @@ def test_negative_seed_exits_two(monkeypatch, capsys, argv, env):
 @pytest.mark.parametrize("flag,value,field,modes", [
     ("--tol", "0.5", "tol", ("verify",)),
     ("--seed", "5", "seed", ("verify",)),
-    ("--jobs", "3", "jobs", ("sweep", "system-sweep")),
+    ("--jobs", "3", "jobs", ()),  # no mode takes it
 ])
 def test_flags_only_where_they_apply(monkeypatch, capsys, flag, value, field, modes):
     clear_fraclab_env(monkeypatch)
@@ -358,79 +355,58 @@ def test_csv_rendering_is_byte_stable():
                                      "final_supnorm"]
 
 
-def sweep_spec(monkeypatch, tmp_path, p_values="1.5, 2", jobs=None):
+@pytest.mark.parametrize("mode", ["sweep", "system-sweep"])
+def test_sweep_rows_match_their_own_runs(monkeypatch, tmp_path, mode):
+    # one march: the p = 3 row blows up hundreds of steps before the p = 1.5
+    # row completes, and is stepped on, overflowing, until the march ends.
+    # Every product is batched per component and every FFT is per row, so
+    # each row and its trace are its own run's bit for bit (numpy 2.4.6,
+    # OpenBLAS); an overflow warning from the stopped row fails the suite
     clear_fraclab_env(monkeypatch)
-    ini = tmp_path / "s.ini"
-    ini.write_text(
-        "[sweep]\np_values = %s\n[time]\nhorizon = 1.0\nsteps = 100\n"
-        "[space]\npoints = 64\n[bump]\namplitude = 0.5\n" % p_values
-    )
-    return build_spec(ns(mode="sweep", config=str(ini), jobs=jobs))
+    ini = tmp_path / "rows.ini"
+    ini.write_text("[sweep]\np_values = 1.5, 3\n[time]\nhorizon = 3.0\n"
+                   "steps = 1000\n[space]\npoints = 64\n")
+    spec, march, marches = build_spec(ns(mode=mode, config=str(ini))), solver.march, []
+
+    def one_march(config, params):
+        marches.append((config, params, march(config, params)))
+        return marches[-1][2]
+
+    with mock.patch.object(solver, "march", one_march):
+        rows = sweep(spec)
+    ((config, params, outcomes),) = marches
+    assert [r.status for r in rows] == ["Completed", "BlowUp"]
+    assert outcomes[1][0].steps_taken < 1000 - 200
+    for row, pr, batched in zip(rows, params, outcomes):
+        cfg = dataclasses.replace(config, params=pr)
+        own = solver.run_system(cfg) if mode == "system-sweep" else (solver.run(cfg),)
+        assert len(batched) == len(own)
+        for b, o in zip(batched, own):
+            assert (b.status, b.blowup_time, b.steps_taken) == (
+                o.status, o.blowup_time, o.steps_taken)
+            assert b.trace.grid == o.trace.grid
+            assert np.array_equal(b.trace.values, o.trace.values)
+        first = own[0]
+        assert row == SweepRow(
+            row.p, row.p_star, first.status,
+            first.blowup_time if first.status == "BlowUp" else None,
+            max(float(r.trace.values[-1]) for r in own))
 
 
-def test_sweep_serial_matches_parallel(monkeypatch, tmp_path):
-    serial = sweep(sweep_spec(monkeypatch, tmp_path, jobs=1))
-    parallel = sweep(sweep_spec(monkeypatch, tmp_path, jobs=2))
-    assert [r.p for r in serial] == [1.5, 2.0]
-    assert all(r.status == "Completed" for r in serial)
-    assert all(r.p_star == 10.0 for r in serial)
-    assert serial == parallel
-
-
-def test_main_sweep_jobs_two_matches_jobs_one(monkeypatch, tmp_path, capsys):
-    clear_fraclab_env(monkeypatch)
-    ini = tmp_path / "j.ini"
-    ini.write_text(
-        "[sweep]\np_values = 1.5, 2, 3\n[time]\nhorizon = 1.0\nsteps = 100\n"
-        "[space]\npoints = 64\n[bump]\namplitude = 0.5\n"
-    )
-    for name in harness._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    texts = []
-    for jobs in ("1", "2"):
-        assert harness.main(["sweep", "--config", str(ini), "--jobs", jobs]) == EXIT_OK
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1]
-    assert texts[0].count("\n") == 4
-    # workers get one BLAS thread each; the parent's environment is left as it was
-    seen = harness._run_tasks(list(harness._BLAS_THREAD_VARS), os.getenv, 2)
-    assert seen == ["1", "1"]
-    assert not any(name in os.environ for name in harness._BLAS_THREAD_VARS)
-    # a count the user chose is passed on
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    seen = harness._run_tasks(list(harness._BLAS_THREAD_VARS), os.getenv, 2)
-    assert seen == ["2", "1"]
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-    assert "OMP_NUM_THREADS" not in os.environ
-
-
-def test_sweep_jobs_beyond_the_row_count_starts_one_process_per_row(
-        monkeypatch, tmp_path, capsys):
-    # a pool as large as --jobs could not even be created; two rows need two
-    clear_fraclab_env(monkeypatch)
-    ini = tmp_path / "j.ini"
-    ini.write_text(
-        "[sweep]\np_values = 1.5, 2\n[time]\nhorizon = 1.0\nsteps = 200\n"
-        "[space]\npoints = 64\n[bump]\namplitude = 0.5\n"
-    )
-    texts = []
-    for jobs in ("1", str(10**20)):
-        assert harness.main(["sweep", "--config", str(ini), "--jobs", jobs]) == EXIT_OK
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        texts.append(captured.out)
-    assert texts[0] == texts[1]
-    assert texts[0].count("\n") == 3
-
-
-def test_importing_the_harness_leaves_the_process_pool_unloaded():
-    # only a parallel sweep needs it; the --jobs 2 tests above cover that path
+def test_importing_the_harness_leaves_the_process_pool_unloaded(tmp_path):
+    # nor does a sweep load it: its rows advance in one march, in this process
     src = str(pathlib.Path(harness.__file__).parents[1])
-    code = ("import sys, fraclab.harness; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == "[]"
+    ini = tmp_path / "tiny.ini"
+    ini.write_text("[sweep]\np_values = 1.5, 2, 3\n[time]\nhorizon = 0.5\n"
+                   "steps = 50\n[space]\npoints = 64\n")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FRACLAB_")}
+    for code in ("import fraclab.harness",
+                 "from fraclab.harness import main; main(['sweep', '--config', sys.argv[1]])"):
+        code = ("import sys; " + code + "; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code, str(ini)], capture_output=True,
+                             text=True, check=True, env={**env, "PYTHONPATH": src}).stdout
+        assert out.splitlines()[-1] == "[]", code
 
 
 def test_verify_leaves_numpy_random_unloaded():
@@ -463,7 +439,7 @@ def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
         "[sweep]\np_values = 2\n[time]\nhorizon = 0.01\nsteps = 2\n"
         "[space]\npoints = 64\n[bump]\namplitude = 1e12\n"
     )
-    rows = sweep(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
+    rows = sweep(build_spec(ns(mode="sweep", config=str(ini))))
     assert len(rows) == 1
     assert rows[0].status == "Failed"
     assert np.isnan(rows[0].final_supnorm)
@@ -477,10 +453,10 @@ def test_failed_sweep_rows_keep_their_message(monkeypatch, tmp_path, capsys):
         "[sweep]\np_values = 2, 3\n[time]\nhorizon = 0.01\nsteps = 2\n"
         "[space]\npoints = 64\n[bump]\namplitude = 1e12\n"
     )
-    rows = sweep(build_spec(ns(mode="sweep", config=str(ini), jobs=1)))
+    rows = sweep(build_spec(ns(mode="sweep", config=str(ini))))
     assert [r.status for r in rows] == ["Failed", "Failed"]
     assert rows[0].message.startswith("run ended before step 2")
-    assert harness.main(["sweep", "--config", str(ini), "--jobs", "1"]) == EXIT_OK
+    assert harness.main(["sweep", "--config", str(ini)]) == EXIT_OK
     captured = capsys.readouterr()
     # the CSV is unchanged; each failure is one stderr line
     assert captured.out == render_csv(rows)
@@ -569,7 +545,7 @@ def test_bad_numbers_exit_two_with_one_error_line(key, raw):
     with mock.patch.dict(os.environ, env, clear=True), \
             mock.patch.object(harness, "sweep", side_effect=AssertionError("ran")), \
             contextlib.redirect_stderr(err):
-        rc = harness.main(["system-sweep", "--jobs", "1"])
+        rc = harness.main(["system-sweep"])
     assert rc == EXIT_BAD_CONFIG, (key, raw)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), (key, raw, lines)
@@ -581,7 +557,7 @@ def test_non_finite_flags_and_values_exit_two(monkeypatch, capsys):
         assert harness.main(["verify", "--tol=" + raw]) == EXIT_BAD_CONFIG
         assert capsys.readouterr().err.startswith("error: tolerance must be finite")
     monkeypatch.setenv("FRACLAB_SWEEP_P_VALUES", "1.5, nan")
-    assert harness.main(["sweep", "--jobs", "1"]) == EXIT_BAD_CONFIG
+    assert harness.main(["sweep"]) == EXIT_BAD_CONFIG
     assert capsys.readouterr().err == (
         "error: sweep powers must be finite and exceed 1, got nan\n")
     monkeypatch.delenv("FRACLAB_SWEEP_P_VALUES")
@@ -619,8 +595,7 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
     clear_fraclab_env(monkeypatch)
     for key, value in env.items():
         monkeypatch.setenv("FRACLAB_" + key, value)
-    argv = [mode] if mode == "simulate" else [mode, "--jobs", "1"]
-    code = harness.main(argv)
+    code = harness.main([mode])
     assert code == (EXIT_NUMERICS if mode == "simulate" else EXIT_OK)
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(needle), lines
@@ -660,7 +635,7 @@ def test_main_sweep_writes_csv(monkeypatch, tmp_path, capsys):
         "[space]\npoints = 64\n[bump]\namplitude = 0.5\n"
     )
     out = tmp_path / "rows.csv"
-    rc = harness.main(["sweep", "--config", str(ini), "--jobs", "1",
+    rc = harness.main(["sweep", "--config", str(ini),
                        "--out", str(out)])
     assert rc == EXIT_OK
     lines = out.read_text().splitlines()
@@ -674,7 +649,7 @@ def test_main_sweep_empty_p_list_header_only(monkeypatch, tmp_path):
     ini = tmp_path / "e.ini"
     ini.write_text("[sweep]\np_values =\n")
     out = tmp_path / "empty.csv"
-    assert harness.main(["sweep", "--config", str(ini), "--jobs", "1",
+    assert harness.main(["sweep", "--config", str(ini),
                          "--out", str(out)]) == EXIT_OK
     assert out.read_text() == CSV_HEADER + "\n"
 
@@ -689,7 +664,7 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, tmp_path, m
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_RUN_" + key, value)
     monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
-    assert harness.main([mode, "--jobs", "1"]) == EXIT_BAD_CONFIG
+    assert harness.main([mode]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -726,7 +701,7 @@ def test_system_sweep_refuses_non_strict_mode(monkeypatch, capsys, value):
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_PARAMS_MODE", value)
     monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
-    assert harness.main(["system-sweep", "--jobs", "1"]) == EXIT_BAD_CONFIG
+    assert harness.main(["system-sweep"]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
@@ -741,7 +716,7 @@ def test_system_block_two_errors_name_their_block(monkeypatch, capsys):
     monkeypatch.setenv("FRACLAB_SYSTEM_GAMMA2", "0.4")
     monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
     assert_exits_two_with_one_error(
-        ["system-sweep", "--jobs", "1"], capsys,
+        ["system-sweep"], capsys,
         "[system] block two: strict mode requires 0<gamma<alpha2<alpha1<1")
 
 
@@ -764,7 +739,7 @@ def test_a_run_that_does_not_fit_in_memory_exits_two(monkeypatch, capsys):
         ["simulate"], capsys, "the run does not fit in memory: Unable to allocate 32.0 GiB")
 
 
-@pytest.mark.parametrize("argv", [["simulate"], ["sweep", "--jobs", "1"]])
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep"]])
 def test_permissive_scalar_config_runs_from_the_cli(monkeypatch, capsys, argv):
     # gamma > alpha2 is outside the strict ordering; the scalar run modes
     # build no system block, so nothing applies the system's strict check
@@ -867,11 +842,10 @@ def test_run_modes_refuse_bad_run_config_up_front(monkeypatch, capsys, mode, key
     # one starts rather than reporting each sweep row as Failed
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_" + key, value)
-    for name in ("run", "run_system"):
+    for name in ("run", "run_system", "march"):
         monkeypatch.setattr(harness.solver, name,
                             mock.Mock(side_effect=AssertionError("ran")))
-    argv = [mode] if mode == "simulate" else [mode, "--jobs", "1"]
-    assert harness.main(argv) == EXIT_BAD_CONFIG
+    assert harness.main([mode]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

@@ -414,7 +414,7 @@ def test_default_sweep_blowup_times(monkeypatch):
         if name.startswith("FRACLAB_"):
             monkeypatch.delenv(name)
     spec = harness.build_spec(argparse.Namespace(
-        mode="sweep", config=None, out=None, tol=None, jobs=1, seed=None))
+        mode="sweep", config=None, out=None, tol=None, seed=None))
     rows = harness.sweep(spec)
     assert [r.p for r in rows] == list(DEFAULT_SWEEP)
     for r in rows:
