@@ -64,6 +64,11 @@ class ParamSet:
     def p_prime(self) -> float:
         return self.p / (self.p - 1.0)
 
+    @property
+    def theta(self) -> float:
+        """(alpha1+1)/sigma: the test function's phi2 dilates as T^{theta/2}."""
+        return (self.alpha1 + 1.0) / self.sigma
+
 
 @dataclass(frozen=True)
 class SystemParamSet:
@@ -112,13 +117,12 @@ class ExponentReport:
 def critical_exponent(params: ParamSet) -> ExponentReport:
     """p* = 2(2+alpha1-gamma) / ((theta*N + 2*gamma - 2*alpha1 - 2)_+) + 1.
 
-    ``theta = (alpha1+1)/sigma``; a nonpositive denominator makes the
+    ``theta`` is :attr:`ParamSet.theta`; a nonpositive denominator makes the
     threshold infinite (every power blows up).  The critical-case metadata
     is filled against the set's own power ``p``.
     """
     dim, alpha1, gamma, sigma = params.dim, params.alpha1, params.gamma, params.sigma
-    theta = (alpha1 + 1.0) / sigma
-    denom = theta * dim + 2.0 * gamma - 2.0 * alpha1 - 2.0
+    denom = params.theta * dim + 2.0 * gamma - 2.0 * alpha1 - 2.0
     if denom <= 0.0:
         return ExponentReport(math.inf, denom)
     value = 2.0 * (2.0 + alpha1 - gamma) / denom + 1.0

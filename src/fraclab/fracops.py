@@ -283,12 +283,17 @@ def rl_left_derivative(f: TimeSeries, theta) -> TimeSeries:
             return TimeSeries(grid, out, diverged=not np.isfinite(out[0]))
         return TimeSeries(grid, out)
     g = rl_integral(f, 2.0 - theta).values
-    h2 = grid.h**2
-    out = np.empty(grid.node_count)
-    out[1:-1] = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / h2
-    out[0] = (2.0 * g[0] - 5.0 * g[1] + 4.0 * g[2] - g[3]) / h2
-    out[-1] = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / h2
-    return TimeSeries(grid, out)
+    return TimeSeries(grid, _second_difference(g, grid.h**2))
+
+
+def _second_difference(v: np.ndarray, h2: float) -> np.ndarray:
+    """Second difference of samples ``v`` at squared spacing ``h2``: central
+    at interior nodes, one-sided (second order) at the two boundary nodes."""
+    out = np.empty(v.shape[0])
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ class ExperimentSpec:
         # an empty path would otherwise be read as no --out and skip the write
         if self.out == "":
             raise ParameterError("--out must name a file, got ''")
-        # sweep rows run every p at the configured amplitude and keep only
-        # the sup-norm trace, so these settings would be silently dropped
-        if self.mode in ("sweep", "system-sweep"):
+        # only simulate tunes the amplitude and keeps snapshots, so every
+        # other mode would silently drop these settings
+        if self.mode != "simulate":
             if self.amplitude_policy != "fixed":
                 raise ParameterError(
                     f"amplitude_policy {self.amplitude_policy!r} applies to "
@@ -354,17 +354,12 @@ class VerifyReport:
 # some stronger.
 
 
-def _tf(eta: int) -> testfn.TestFunctionParams:
-    return testfn.TestFunctionParams(eta=eta, horizon=1.0, theta=3.0, p=2.0)
-
-
 def check_power_rule(tol, rng) -> CheckResult:
-    params = _tf(8)
     sizes = (2**10, 2**11, 2**12)
     errs = []
     for n in sizes:
-        closed = testfn.phi1_right_derivative_closed(params, 0.7, n)
-        numeric = fracops.rl_right_derivative(testfn.phi1(params, n), 0.7)
+        closed = testfn.phi1_right_derivative_closed(8, 1.0, 0.7, n)
+        numeric = fracops.rl_right_derivative(testfn.phi1(8, 1.0, n), 0.7)
         lo, hi = int(0.05 * n), int(0.95 * n) + 1
         scale = float(np.max(np.abs(closed.values[lo:hi])))
         errs.append(
@@ -381,7 +376,7 @@ def check_ibp(tol, rng) -> CheckResult:
     n = 2**12
     grid = TimeGrid(1.0, n)
     f = fracops.TimeSeries.from_callable(grid, lambda t: t**2)
-    g = testfn.phi1(_tf(4), n)
+    g = testfn.phi1(4, 1.0, n)
     rep = identities.check_ibp(f, g, 0.5)
     res = rep.final_residual
     return CheckResult("integration-by-parts", res <= tol, res, tol, rep.slope)

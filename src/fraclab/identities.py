@@ -26,6 +26,7 @@ import numpy as np
 
 from . import fracops, testfn
 from .errors import GridGeometryError, HypothesisError, ParameterError
+from .exponents import ParamSet
 from .fraclap import Field, apply_spectral
 from .fracops import TimeGrid, TimeSeries
 
@@ -78,17 +79,14 @@ def _right_classical(f: TimeSeries, order: int) -> TimeSeries:
     # right-sided integer derivative carries the sign (-1)^order
     v = f.values
     h = f.grid.h
-    out = np.empty_like(v)
     if order == 1:
+        out = np.empty_like(v)
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
         out = -out
     elif order == 2:
-        h2 = h * h
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+        out = fracops._second_difference(v, h * h)
     else:
         raise ParameterError(f"classical right derivative supports order 1 or 2, got {order}")
     return TimeSeries(f.grid, out)
@@ -187,17 +185,23 @@ def check_composition_derivs(f: TimeSeries, p_ord: float, q_ord: float) -> Resid
     return _on_ladder("composition-two-derivatives", f, residual)
 
 
-def weak_form_residual(snapshots, params, tf: testfn.TestFunctionParams, u1: Field) -> float:
+def weak_form_residual(snapshots, pr: ParamSet, eta: float, horizon: float,
+                       u1: Field) -> float:
     """Relative residual of the weak formulation on simulator output.
 
     ``snapshots`` is a uniformly spaced sequence of (time, Field) covering
-    [0, tf.horizon] with the zero initial state first; ``u1`` is the
-    initial velocity.  The test function is the separable product whose
-    time factors are closed-form right derivatives of phi1 (composition is
-    exact here because phi1 vanishes to order eta at the horizon), and the
-    source side integrates the nonlocal term by the same product-rectangle
-    rule the operators use.  Returns |lhs - rhs| / max(|lhs|, |rhs|).
+    [0, horizon] with the zero initial state first; ``u1`` is the initial
+    velocity.  The test function is phi1 (of order ``eta``, integrable at
+    order 2+alpha1-gamma and power ``pr.p``) times phi2 (of ``pr.theta``);
+    its time factors are closed-form right derivatives of phi1 (composition
+    is exact here because phi1 vanishes to order eta at the horizon), and
+    the source side integrates the nonlocal term by the same
+    product-rectangle rule the operators use.  Returns
+    |lhs - rhs| / max(|lhs|, |rhs|).
     """
+    a1, a2 = pr.alpha1, pr.alpha2
+    g, sg, dl, p = pr.gamma, pr.sigma, pr.delta, pr.p
+    testfn._check_integrable(eta, 2.0 + a1 - g, p)
     if len(snapshots) < 3:
         raise ParameterError("need at least 3 snapshots")
     times = np.array([t for t, _ in snapshots], dtype=float)
@@ -206,20 +210,16 @@ def weak_form_residual(snapshots, params, tf: testfn.TestFunctionParams, u1: Fie
     if any(f.grid != grid for f in fields) or u1.grid != grid:
         raise GridGeometryError("all snapshots and u1 must share one grid")
     n = len(snapshots) - 1
-    h = tf.horizon / n
+    h = horizon / n
     expected = h * np.arange(n + 1)
-    if times[0] != 0.0 or not np.allclose(times, expected, rtol=0.0, atol=1e-9 * tf.horizon):
+    if times[0] != 0.0 or not np.allclose(times, expected, rtol=0.0, atol=1e-9 * horizon):
         raise GridGeometryError("snapshots must uniformly cover [0, horizon]")
 
-    a1, a2 = params.alpha1, params.alpha2
-    g, sg, dl, p = params.gamma, params.sigma, params.delta, params.p
+    d_main, d_diff, d_damp, d_vel = (
+        testfn.phi1_right_derivative_closed(eta, horizon, order, n).values
+        for order in (2.0 + a1 - g, 1.0 - g, 1.0 + a2 - g, 1.0 + a1 - g))
 
-    d_main = testfn.phi1_right_derivative_closed(tf, 2.0 + a1 - g, n).values
-    d_diff = testfn.phi1_right_derivative_closed(tf, 1.0 - g, n).values
-    d_damp = testfn.phi1_right_derivative_closed(tf, 1.0 + a2 - g, n).values
-    d_vel = testfn.phi1_right_derivative_closed(tf, 1.0 + a1 - g, n).values
-
-    w2 = testfn.phi2(grid, tf.horizon, tf.theta, tf.b_scale)
+    w2 = testfn.phi2(grid, horizon, pr.theta)
     a_sig = apply_spectral(w2, sg)
     a_del = apply_spectral(w2, dl)
 
@@ -237,7 +237,7 @@ def weak_form_residual(snapshots, params, tf: testfn.TestFunctionParams, u1: Fie
     # the nonlocal source is linear in space, so pair |u|^p with phi2 first
     # and apply the operators' product-rectangle integral to that series
     power_phi = np.abs(stack) ** p @ w2.values.ravel() * dV
-    s_phi = fracops.rl_integral(TimeSeries(TimeGrid(tf.horizon, n), power_phi), 1.0 - g).values
+    s_phi = fracops.rl_integral(TimeSeries(TimeGrid(horizon, n), power_phi), 1.0 - g).values
 
     vel = float((u1.values * w2.values).sum() * dV)
     rhs = float(np.dot(tw, d_diff * s_phi)) + vel * float(np.dot(tw, d_vel))

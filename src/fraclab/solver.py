@@ -106,8 +106,9 @@ class SimConfig:
 
     ``bump`` is the initial velocity; ``u0`` (default zero, as the blow-up
     results assume) the initial datum.  ``bump2``/``v0_init`` are the second
-    component's data (``bump2`` defaults to ``bump``) and are only read by
-    :func:`run_system`; they are validated like the first component's.
+    component's data (``bump2`` defaults to ``bump``), read by :func:`march`
+    for every ``SystemParamSet`` entry (``run_system`` and each
+    ``system-sweep`` row); they are validated like the first component's.
     Negative initial velocities are refused: the blow-up theorems assume
     nonnegative ones.
     ``snapshot_every`` > 0 stores every k-th state of every component for

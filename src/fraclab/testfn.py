@@ -5,9 +5,12 @@ The blow-up machinery tests the equation against products
 
 * ``phi1(t) = (1 - t/T)^eta`` on [0, T] (zero beyond), whose right-sided
   fractional derivatives stay closed-form powers of the same factor,
-* ``phi2(x) = psi(|x| / (B^{-1} T^{theta/2}))`` with ``psi`` the canonical
+* ``phi2(x) = psi(|x| / T^{theta/2})`` with ``psi`` the canonical
   mollifier bump below, whose support dilates with the horizon through the
-  scaling exponent ``theta``.
+  scaling exponent ``theta = (alpha1+1)/sigma``, ``ParamSet.theta``.
+
+The test function's own parameters are ``eta`` and ``T``; the orders,
+``theta``, the power and the dimension are the ParamSet's.
 
 This module provides both closed forms and quadrature cross-checks for the
 time integrals that drive the contradiction argument, plus a numeric probe
@@ -23,6 +26,7 @@ import numpy as np
 
 from . import fracops
 from .errors import GridGeometryError, NumericsError, ParameterError
+from .exponents import ParamSet
 from .fraclap import BULK_RADIUS, Field, SpaceGrid, apply_spectral
 from .fracops import TimeGrid, TimeSeries
 
@@ -41,55 +45,22 @@ def bump_profile(r):
     return out
 
 
-@dataclass(frozen=True)
-class TestFunctionParams:
-    """Shape parameters of the separable test function.
-
-    ``theta_max``, when given, is the largest derivative order that will be
-    applied to phi1; the constructor then enforces the integrability
-    hypothesis eta > p/(p-1)*theta_max - 1.  ``b_scale`` shrinks the
-    spatial support (values above 1 are the near-critical refinement and
-    must stay below the horizon).
-    """
-
-    eta: float
-    horizon: float
-    theta: float
-    p: float
-    b_scale: float = 1.0
-    theta_max: float | None = None
-
-    def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ParameterError(f"horizon must be positive, got {self.horizon}")
-        if self.p <= 1.0:
-            raise ParameterError(f"power must exceed 1, got {self.p}")
-        if self.eta < 2.0:
-            raise ParameterError(f"eta must be >= 2, got {self.eta}")
-        if self.theta < 0.0:
-            raise ParameterError(f"theta must be >= 0, got {self.theta}")
-        if self.b_scale < 1.0 or (self.b_scale != 1.0 and self.b_scale >= self.horizon):
-            raise ParameterError(
-                f"b_scale must be 1 or lie in [1, horizon), got {self.b_scale}"
-            )
-        if self.theta_max is not None:
-            pp = self.p / (self.p - 1.0)
-            if self.eta <= pp * self.theta_max - 1.0:
-                raise ParameterError(
-                    f"eta={self.eta} violates eta > p'(theta_max) - 1 "
-                    f"= {pp * self.theta_max - 1.0}"
-                )
+def _grid(eta: float, horizon: float, steps: int) -> TimeGrid:
+    # TimeGrid refuses a horizon <= 0
+    if eta < 2.0:
+        raise ParameterError(f"eta must be >= 2, got {eta}")
+    return TimeGrid(horizon, steps)
 
 
-def phi1(params: TestFunctionParams, steps: int) -> TimeSeries:
+def phi1(eta: float, horizon: float, steps: int) -> TimeSeries:
     """Sample (1 - t/T)^eta on a uniform grid over [0, T]."""
-    grid = TimeGrid(params.horizon, steps)
-    tau = grid.nodes() / params.horizon
-    return TimeSeries(grid, (1.0 - tau) ** params.eta)
+    grid = _grid(eta, horizon, steps)
+    tau = grid.nodes() / horizon
+    return TimeSeries(grid, (1.0 - tau) ** eta)
 
 
 def phi1_right_derivative_closed(
-    params: TestFunctionParams, theta_d: float, steps: int
+    eta: float, horizon: float, theta_d: float, steps: int
 ) -> TimeSeries:
     """Closed-form right derivative of phi1 of order theta_d.
 
@@ -97,8 +68,8 @@ def phi1_right_derivative_closed(
     (those arise from composing derivatives, which is legitimate here since
     phi1 vanishes to order eta at the horizon).
     """
-    rule = fracops.power_rule(params.eta, theta_d, side="right", horizon=params.horizon)
-    grid = TimeGrid(params.horizon, steps)
+    grid = _grid(eta, horizon, steps)
+    rule = fracops.power_rule(eta, theta_d, side="right", horizon=horizon)
     return TimeSeries(grid, rule(grid.nodes()))
 
 
@@ -128,9 +99,21 @@ def lemma3_integral_one_quad(
     integrates by the trapezoid rule; theta_d restricted to (0,2)\\{1} by
     the discrete operator.
     """
-    params = TestFunctionParams(eta, horizon, 0.0, p=2.0)
-    d = fracops.rl_right_derivative(phi1(params, steps), theta_d)
+    d = fracops.rl_right_derivative(phi1(eta, horizon, steps), theta_d)
     return float(np.trapezoid(d.values, dx=d.grid.h))
+
+
+def _check_integrable(eta: float, theta_d: float, p: float) -> float:
+    # p' after refusing p <= 1 and eta - p'*theta_d + 1 <= 0, where
+    # phi1^{-p'/p} |D^{theta_d} phi1|^{p'} is not integrable at the horizon
+    if p <= 1.0:
+        raise ParameterError(f"power must exceed 1, got {p}")
+    pp = p / (p - 1.0)
+    if eta - pp * theta_d + 1.0 <= 0.0:
+        raise ParameterError(
+            f"need eta - p'*theta_d + 1 > 0, got {eta - pp * theta_d + 1.0}"
+        )
+    return pp
 
 
 def lemma3_integral_two(
@@ -141,13 +124,7 @@ def lemma3_integral_two(
     Equals [Gamma(eta+1)/Gamma(eta+1-theta_d)]^{p'} / (eta - p'*theta_d + 1)
     * T^{1 - p'*theta_d}; requires eta > p'*theta_d - 1 for integrability.
     """
-    if p <= 1.0:
-        raise ParameterError(f"power must exceed 1, got {p}")
-    pp = p / (p - 1.0)
-    if eta - pp * theta_d + 1.0 <= 0.0:
-        raise ParameterError(
-            f"need eta - p'*theta_d + 1 > 0, got {eta - pp * theta_d + 1.0}"
-        )
+    pp = _check_integrable(eta, theta_d, p)
     coeff = math.gamma(eta + 1.0) / math.gamma(eta + 1.0 - theta_d)
     return coeff**pp / (eta - pp * theta_d + 1.0) * horizon ** (1.0 - pp * theta_d)
 
@@ -166,21 +143,19 @@ def lemma3_integral_two_quad(
     eta: float, theta_d: float, p: float, horizon: float, steps: int = 2**14
 ) -> float:
     """Quadrature cross-check of :func:`lemma3_integral_two` (discrete D)."""
-    params = TestFunctionParams(eta, horizon, 0.0, p=p, theta_max=theta_d)
-    f = phi1(params, steps)
+    _check_integrable(eta, theta_d, p)
+    f = phi1(eta, horizon, steps)
     return _weighted_power_integral(f, fracops.rl_right_derivative(f, theta_d), p)
 
 
-def phi2(grid: SpaceGrid, horizon: float, theta: float, b_scale: float = 1.0) -> Field:
-    """Spatial factor psi(|x| / (B^{-1} T^{theta/2})) on a periodic grid.
+def phi2(grid: SpaceGrid, horizon: float, theta: float) -> Field:
+    """Spatial factor psi(|x| / T^{theta/2}) on a periodic grid.
 
     The support (radius twice the scale) must fit inside the box.
     """
     if horizon <= 0.0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    if b_scale < 1.0:
-        raise ParameterError(f"b_scale must be >= 1, got {b_scale}")
-    scale = horizon ** (theta / 2.0) / b_scale
+    scale = horizon ** (theta / 2.0)
     if 2.0 * scale > grid.half_length:
         raise GridGeometryError(
             f"support radius {2.0 * scale} exceeds box half-length {grid.half_length}"
@@ -196,12 +171,13 @@ def phi2(grid: SpaceGrid, horizon: float, theta: float, b_scale: float = 1.0) ->
 class ScalingProbeReport:
     """Measured vs predicted T-exponents of the three bound terms.
 
-    Term 1 pairs the full integral of phi2 with the highest-order time
-    factor; terms 2 and 3 pair the damping and diffusion multipliers of
-    phi2 with their time factors.  Exponents are log2-ratios between
-    horizons T and 2T.  The inverse-power spatial integrands of terms 2
-    and 3 are restricted to |xi| <= :data:`fraclap.BULK_RADIUS` (in scaled
-    units): like the quotient constant of the bump checks, they are
+    Both are in the ParamSet's orders, power p and dimension, with phi2
+    dilated by its theta.  Term 1 pairs the full integral of phi2 with the
+    highest-order time factor; terms 2 and 3 pair the damping and diffusion
+    multipliers of phi2 with their time factors.  Exponents are log2-ratios
+    between horizons T and 2T.  The inverse-power spatial integrands of
+    terms 2 and 3 are restricted to |xi| <= :data:`fraclap.BULK_RADIUS` (in
+    scaled units): like the quotient constant of the bump checks, they are
     unbounded in the limit at the support edge, so only the documented bulk
     is integrated.
     """
@@ -212,9 +188,9 @@ class ScalingProbeReport:
 
 def _time_factor(eta, theta_d, p, horizon, steps):
     # closed-form derivative, trapezoid in time; valid for theta_d up to eta+1
-    params = TestFunctionParams(eta, horizon, 0.0, p=p)
     return _weighted_power_integral(
-        phi1(params, steps), phi1_right_derivative_closed(params, theta_d, steps), p
+        phi1(eta, horizon, steps),
+        phi1_right_derivative_closed(eta, horizon, theta_d, steps), p
     )
 
 
@@ -228,21 +204,14 @@ def _bulk_integral(w2: Field, mult: Field, scale, p):
 
 
 def scaling_exponent_probe(
-    params: TestFunctionParams,
-    alpha1: float,
-    alpha2: float,
-    gamma: float,
-    sigma: float,
-    delta: float,
-    p: float,
-    dim: int = 1,
-    steps: int = 2**12,
+    pr: ParamSet, eta: float, horizon: float, steps: int = 2**12
 ) -> ScalingProbeReport:
     """Measure how the three Young-inequality terms scale in the horizon.
 
-    Requires params.theta = (alpha1+1)/sigma, the exponent that balances
-    the diffusion term against the leading time factor; the first and
-    third predicted exponents then coincide.
+    The orders, the power p and the dimension are the ParamSet's, and
+    phi2 dilates with its theta = (alpha1+1)/sigma, the exponent that
+    balances the diffusion term against the leading time factor; the first
+    and third predicted exponents then coincide.
 
     Each horizon is evaluated on its own grid, with the box scaled to the
     test-function support and the point count fixed, so the two discrete
@@ -252,13 +221,9 @@ def scaling_exponent_probe(
     fractional-Laplacian terms, whose integrands steepen toward the bulk
     edge, shifting their measured exponents by a few tenths.)
     """
-    theta = (alpha1 + 1.0) / sigma
-    if abs(params.theta - theta) > 1e-12:
-        raise ParameterError(
-            f"probe requires theta = (alpha1+1)/sigma = {theta}, got {params.theta}"
-        )
-    pp = p / (p - 1.0)
-    eta = params.eta
+    alpha1, alpha2, gamma = pr.alpha1, pr.alpha2, pr.gamma
+    sigma, delta, p, dim, theta = pr.sigma, pr.delta, pr.p, pr.dim, pr.theta
+    pp = pr.p_prime
     half_n = theta * dim / 2.0
 
     predicted = (
@@ -267,21 +232,21 @@ def scaling_exponent_probe(
         -pp * (theta * sigma + 1.0 - gamma) + half_n + 1.0,
     )
 
-    def terms(horizon):
-        scale = horizon ** (theta / 2.0) / params.b_scale
+    def terms(t_end):
+        scale = t_end ** (theta / 2.0)
         g = SpaceGrid(dim, 2.4 * scale, 1024 if dim == 1 else 256)
-        w2 = phi2(g, horizon, theta, params.b_scale)
+        w2 = phi2(g, t_end, theta)
         a_sig = apply_spectral(w2, sigma)
         a_del = apply_spectral(w2, delta)
-        t1 = _time_factor(eta, 2.0 + alpha1 - gamma, p, horizon, steps) * w2.integral()
-        t2 = (_time_factor(eta, 1.0 + alpha2 - gamma, p, horizon, steps)
+        t1 = _time_factor(eta, 2.0 + alpha1 - gamma, p, t_end, steps) * w2.integral()
+        t2 = (_time_factor(eta, 1.0 + alpha2 - gamma, p, t_end, steps)
               * _bulk_integral(w2, a_del, scale, p))
-        t3 = (_time_factor(eta, 1.0 - gamma, p, horizon, steps)
+        t3 = (_time_factor(eta, 1.0 - gamma, p, t_end, steps)
               * _bulk_integral(w2, a_sig, scale, p))
         return (t1, t2, t3)
 
-    lo = terms(params.horizon)
-    hi = terms(2.0 * params.horizon)
+    lo = terms(horizon)
+    hi = terms(2.0 * horizon)
     if any(not (v > 0.0) or not np.isfinite(v) for v in lo + hi):
         raise NumericsError("degenerate or divergent probe integral")
     measured = tuple(math.log2(b / a) for a, b in zip(lo, hi))

@@ -56,7 +56,7 @@ def test_criterion_02_composition_identities_random():
 def test_criterion_03_integration_by_parts():
     r = harness.check_ibp(0.01, None)
     # a constant f is exact for the discrete operators, so its residual is 0
-    g = testfn.phi1(testfn.TestFunctionParams(4.0, 1.0, 3.0, p=2.0), 2**12)
+    g = testfn.phi1(4.0, 1.0, 2**12)
     const = identities.check_ibp(
         TimeSeries.from_callable(g.grid, lambda t: np.full_like(t, 2.5)), g, 0.5
     )
@@ -133,14 +133,11 @@ def test_criterion_07_blowup_reproduction(blowup_runs):
 def test_criterion_08_weak_form_consistency(blowup_runs):
     window = 2.0
     snaps = [(t, f) for t, f in blowup_runs["h"].snapshots if t <= window + 1e-9]
-    tf = testfn.TestFunctionParams(
-        eta=8.0, horizon=window, theta=3.0, p=2.0, theta_max=2.25
-    )
     u1 = BumpSpec(blowup_runs["amp"], 1.0).render(SPACE)
     residuals = []
     for stride in (4, 2, 1):  # snapshot spacings 0.1, 0.05, 0.025
         sub = snaps[::stride]
-        residuals.append(identities.weak_form_residual(sub, PARAMS, tf, u1))
+        residuals.append(identities.weak_form_residual(sub, PARAMS, 8.0, window, u1))
     ok = residuals[-1] <= 0.05 and residuals[0] > residuals[1] > residuals[2]
     assert report(
         8, ok,
@@ -151,10 +148,7 @@ def test_criterion_08_weak_form_consistency(blowup_runs):
 
 
 def test_criterion_09_scaling_probe_dominant_term():
-    tf = testfn.TestFunctionParams(8.0, 1.0, 3.0, p=2.0)
-    rep = testfn.scaling_exponent_probe(
-        tf, alpha1=0.5, alpha2=0.3, gamma=0.25, sigma=0.5, delta=0.7, p=2.0
-    )
+    rep = testfn.scaling_exponent_probe(PARAMS, 8.0, 1.0)
     ok = (
         rep.predicted[0] == -2.0
         and abs(rep.measured[0] - rep.predicted[0]) <= 0.05

@@ -331,8 +331,8 @@ def test_verify_catches_injected_fault(monkeypatch):
     clear_fraclab_env(monkeypatch)
     orig = testfn.phi1_right_derivative_closed
 
-    def skewed(params, theta_d, steps):
-        out = orig(params, theta_d, steps)
+    def skewed(eta, horizon, theta_d, steps):
+        out = orig(eta, horizon, theta_d, steps)
         return type(out)(out.grid, 1.05 * out.values)
 
     monkeypatch.setattr(testfn, "phi1_right_derivative_closed", skewed)
@@ -654,16 +654,19 @@ def test_main_sweep_empty_p_list_header_only(monkeypatch, tmp_path):
     assert out.read_text() == CSV_HEADER + "\n"
 
 
-@pytest.mark.parametrize("mode", ["sweep", "system-sweep"])
+@pytest.mark.parametrize("mode", ["sweep", "system-sweep", "verify", "exponent"])
 @pytest.mark.parametrize("key,value,needle", [
     ("AMPLITUDE_POLICY", "double", "amplitude_policy 'double' applies to simulate only"),
     ("SNAPSHOT_EVERY", "5", "snapshot_every applies to simulate only"),
 ])
 def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, tmp_path, mode,
                                                 key, value, needle):
+    # every mode but simulate would drop them: the sweeps run each row at
+    # the configured amplitude without snapshots, verify and exponent run nothing
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_RUN_" + key, value)
-    monkeypatch.setattr(harness, "sweep", mock.Mock(side_effect=AssertionError("ran")))
+    for name in ("verify_all", "exponent_query", "sweep"):
+        monkeypatch.setattr(harness, name, mock.Mock(side_effect=AssertionError("ran")))
     assert harness.main([mode]) == EXIT_BAD_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from fraclab.identities import (
     check_ibp,
     weak_form_residual,
 )
-from fraclab.testfn import TestFunctionParams
 
 
 def mk(fn, n=512):
@@ -110,7 +111,7 @@ def test_composition_derivs_hypotheses():
 
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)
-TF = TestFunctionParams(8.0, 1.0, 3.0, p=2.0)
+ETA, HORIZON = 8.0, 1.0
 
 
 def snapshot_row(grid, count, horizon):
@@ -123,18 +124,29 @@ def test_weak_form_validation():
     g = SpaceGrid(1, 4.0, 16)
     u1 = Field(g, np.zeros(16))
     with pytest.raises(ParameterError):
-        weak_form_residual(snapshot_row(g, 1, TF.horizon), PARAMS, TF, u1)
+        weak_form_residual(snapshot_row(g, 1, HORIZON), PARAMS, ETA, HORIZON, u1)
     other = SpaceGrid(1, 2.0, 16)
     with pytest.raises(GridGeometryError):
-        weak_form_residual(snapshot_row(g, 4, TF.horizon), PARAMS, TF, Field(other, np.zeros(16)))
-    rows = snapshot_row(g, 4, TF.horizon)
+        weak_form_residual(snapshot_row(g, 4, HORIZON), PARAMS, ETA, HORIZON, Field(other, np.zeros(16)))
+    rows = snapshot_row(g, 4, HORIZON)
     rows[2] = (rows[2][0] * 1.5, rows[2][1])
     with pytest.raises(GridGeometryError):
-        weak_form_residual(rows, PARAMS, TF, u1)
+        weak_form_residual(rows, PARAMS, ETA, HORIZON, u1)
+
+
+def test_weak_form_refuses_eta_not_integrable_at_the_param_set_power():
+    # order 2+alpha1-gamma = 2.25 and p' = 2: eta = 3 gives 3 - 4.5 + 1 <= 0
+    g = SpaceGrid(1, 4.0, 16)
+    u1 = Field(g, np.zeros(16))
+    with pytest.raises(ParameterError, match=r"need eta - p'\*theta_d \+ 1 > 0"):
+        weak_form_residual(snapshot_row(g, 8, HORIZON), PARAMS, 3.0, HORIZON, u1)
+    # at p = 3 (p' = 3/2) the same eta is integrable: 3 - 3.375 + 1 > 0
+    rows = snapshot_row(g, 8, HORIZON)
+    assert weak_form_residual(rows, replace(PARAMS, p=3.0), 3.0, HORIZON, u1) == 0.0
 
 
 def test_weak_form_zero_solution_zero_velocity():
     # all-zero snapshots with zero velocity: both sides vanish identically
     g = SpaceGrid(1, 4.0, 16)
     u1 = Field(g, np.zeros(16))
-    assert weak_form_residual(snapshot_row(g, 8, TF.horizon), PARAMS, TF, u1) == 0.0
+    assert weak_form_residual(snapshot_row(g, 8, HORIZON), PARAMS, ETA, HORIZON, u1) == 0.0

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fraclab import fracops, testfn
+from dataclasses import replace
+
+from fraclab import fracops
 from fraclab.errors import GridGeometryError, ParameterError
+from fraclab.exponents import ParamSet
 from fraclab.fraclap import SpaceGrid
 from fraclab.testfn import (
-    TestFunctionParams,
     bump_profile,
     lemma3_integral_one,
     lemma3_integral_one_quad,
@@ -31,38 +33,25 @@ def test_bump_profile_shape():
     assert np.allclose(bump_profile(-r), v)
 
 
-def test_params_validation():
-    TestFunctionParams(8.0, 2.0, 3.0, p=2.0)
-    with pytest.raises(ParameterError):
-        TestFunctionParams(8.0, 0.0, 3.0, p=2.0)
-    with pytest.raises(ParameterError):
-        TestFunctionParams(8.0, 2.0, 3.0, p=1.0)
-    with pytest.raises(ParameterError):
-        TestFunctionParams(1.5, 2.0, 3.0, p=2.0)
-    with pytest.raises(ParameterError):
-        TestFunctionParams(8.0, 2.0, -0.1, p=2.0)
-    with pytest.raises(ParameterError):
-        TestFunctionParams(8.0, 2.0, 3.0, p=2.0, b_scale=0.5)
-    with pytest.raises(ParameterError):
-        # refinement scale must stay below the horizon
-        TestFunctionParams(8.0, 1.5, 3.0, p=2.0, b_scale=2.0)
-    with pytest.raises(ParameterError):
-        # eta <= p'(theta_max) - 1
-        TestFunctionParams(2.0, 2.0, 3.0, p=2.0, theta_max=2.0)
-
-
 def test_phi1_profile():
-    params = TestFunctionParams(8.0, 2.0, 0.0, p=2.0)
-    f = phi1(params, 64)
+    f = phi1(8.0, 2.0, 64)
     assert f.values[0] == 1.0
     assert f.values[-1] == 0.0
     assert np.all(np.diff(f.values) < 0.0)
 
 
+def test_phi1_refuses_eta_below_two_and_bad_horizon():
+    for make in (lambda eta, T: phi1(eta, T, 64),
+                 lambda eta, T: phi1_right_derivative_closed(eta, T, 0.5, 64)):
+        with pytest.raises(ParameterError, match="eta must be >= 2"):
+            make(1.5, 2.0)
+        with pytest.raises(ParameterError, match="horizon must be positive"):
+            make(8.0, 0.0)
+
+
 def test_closed_derivative_matches_discrete():
-    params = TestFunctionParams(8.0, 1.5, 0.0, p=2.0)
-    closed = phi1_right_derivative_closed(params, 0.5, 2048)
-    disc = fracops.rl_right_derivative(phi1(params, 2048), 0.5)
+    closed = phi1_right_derivative_closed(8.0, 1.5, 0.5, 2048)
+    disc = fracops.rl_right_derivative(phi1(8.0, 1.5, 2048), 0.5)
     interior = slice(50, -50)
     scale = np.max(np.abs(closed.values[interior]))
     err = np.max(np.abs(closed.values[interior] - disc.values[interior]))
@@ -71,8 +60,7 @@ def test_closed_derivative_matches_discrete():
 
 def test_closed_derivative_beyond_discrete_range():
     # orders above 2 arise from composition; closed form covers them
-    params = TestFunctionParams(8.0, 1.0, 0.0, p=2.0)
-    d = phi1_right_derivative_closed(params, 3.5, 64)
+    d = phi1_right_derivative_closed(8.0, 1.0, 3.5, 64)
     coeff = math.gamma(9.0) / math.gamma(5.5)
     assert np.isclose(d.values[0], coeff)
     assert d.values[-1] == 0.0
@@ -94,11 +82,11 @@ def test_lemma3_integral_two():
         closed = lemma3_integral_two(eta, theta_d, p, 1.5)
         quad = lemma3_integral_two_quad(eta, theta_d, p, 1.5)
         assert abs(closed - quad) / abs(closed) < 1e-2
-    # the quadrature refuses the same inputs, through TestFunctionParams
+    # the quadrature refuses the same inputs with the same messages
     for integral in (lemma3_integral_two, lemma3_integral_two_quad):
         with pytest.raises(ParameterError, match="power must exceed 1"):
             integral(8.0, 0.5, 1.0, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"need eta - p'\*theta_d \+ 1 > 0"):
             # eta - p'*theta_d + 1 <= 0: integrand not integrable
             integral(2.0, 1.8, 2.0, 1.0)
 
@@ -113,39 +101,27 @@ def test_phi2_geometry():
         phi2(g, 16.0, 2.0)
     with pytest.raises(ParameterError):
         phi2(g, 0.0, 1.5)
-    with pytest.raises(ParameterError):
-        phi2(g, 1.0, 1.5, b_scale=0.5)
 
 
-def test_phi2_b_scale_shrinks_support():
-    g = SpaceGrid(1, 4.0, 256)
-    wide = phi2(g, 1.0, 1.5)
-    narrow = phi2(g, 1.0, 1.5, b_scale=2.0)
-    x = np.abs(g.axis())
-    assert np.all(narrow.values[x > 1.0] == 0.0)
-    assert np.any(wide.values[x > 1.0] > 0.0)
-
-
-PROBE = dict(alpha1=0.5, alpha2=0.3, gamma=0.25, sigma=0.5, delta=0.7, p=2.0)
+PR = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)  # theta = (0.5+1)/0.5 = 3
 
 
 def test_scaling_probe_matched_grids_exact():
-    params = TestFunctionParams(8.0, 1.0, 3.0, p=2.0)
-    rep = scaling_exponent_probe(params, dim=1, steps=2**10, **PROBE)
+    rep = scaling_exponent_probe(PR, 8.0, 1.0, steps=2**10)
     assert np.allclose(rep.predicted, (-2.0, -3.8, -2.0), atol=1e-12)
     # matched grids make the two computations exactly self-similar
     assert np.allclose(rep.measured, rep.predicted, atol=1e-9)
 
 
 def test_scaling_probe_2d():
-    params = TestFunctionParams(8.0, 1.0, 3.0, p=2.0)
-    rep = scaling_exponent_probe(params, dim=2, steps=2**10, **PROBE)
+    rep = scaling_exponent_probe(replace(PR, dim=2), 8.0, 1.0, steps=2**10)
     # half_n = theta*dim/2 = 3: every exponent shifts up by 1.5 from 1-D
     assert np.allclose(rep.predicted, (-0.5, -2.3, -0.5), atol=1e-12)
     assert np.allclose(rep.measured, rep.predicted, atol=1e-9)
 
 
-def test_scaling_probe_theta_mismatch():
-    params = TestFunctionParams(8.0, 1.0, 2.9, p=2.0)
-    with pytest.raises(ParameterError):
-        scaling_exponent_probe(params, **PROBE)
+def test_scaling_probe_reads_the_power_from_the_param_set():
+    rep = scaling_exponent_probe(replace(PR, p=3.0), 8.0, 1.0, steps=2**10)
+    # -p'(2+alpha1-gamma) + theta*N/2 + 1 with p' = 3/2
+    assert abs(rep.predicted[0] - (-0.875)) <= 1e-12
+    assert np.allclose(rep.measured, rep.predicted, atol=1e-9)
