@@ -1,32 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per exit code.
+
+An input outside the hypotheses of an operator, identity or run (an order
+outside its range, a singular evaluation, incompatible grids, a bad
+config) raises :class:`ParameterError`, which the command line reports
+with exit code 2.  A numerical failure (a diverged quadrature or run, a
+fit that cannot be built) raises :class:`NumericsError`, exit code 3.
+:class:`NoInteriorMinimumError` is the one :class:`ParameterError` that
+code tells apart: the exponent query reports it as a result.
+"""
 
 
 class FraclabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OrderError(FraclabError, ValueError):
-    """A fractional order is outside the admissible range for an operator."""
-
-
 class ParameterError(FraclabError, ValueError):
-    """A parameter block violates an ordering or range constraint."""
-
-
-class SingularityError(FraclabError, ValueError):
-    """A closed-form evaluation would hit a nonintegrable singularity."""
-
-
-class HypothesisError(FraclabError, ValueError):
-    """An input violates the hypotheses an identity or bound requires."""
-
-
-class GridGeometryError(FraclabError, ValueError):
-    """Grids are incompatible, or a support does not fit inside the box."""
+    """An input violates a range, an ordering or a hypothesis (exit code 2)."""
 
 
 class NumericsError(FraclabError, RuntimeError):
-    """A quadrature or time step produced non-finite or unstable values."""
+    """A quadrature, fit or time step produced non-finite or unstable values
+    (exit code 3)."""
 
 
 class NoInteriorMinimumError(ParameterError):

@@ -55,9 +55,9 @@ class ParamSet:
                     f"strict mode requires 0<sigma<delta<1, got "
                     f"sigma={self.sigma}, delta={self.delta}"
                 )
-        if self.p <= 1.0:
-            raise ParameterError(f"power must exceed 1, got {self.p}")
-        if self.dim < 1 or self.dim != int(self.dim):
+        if not (1.0 < self.p < math.inf):
+            raise ParameterError(f"power must be finite and exceed 1, got {self.p}")
+        if not (1 <= self.dim < math.inf) or self.dim != int(self.dim):
             raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
 
     @property

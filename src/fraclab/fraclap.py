@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    HypothesisError,
-    NumericsError,
-    OrderError,
-    ParameterError,
-)
+from .errors import NumericsError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,8 @@ class SpaceGrid:
         m = self.points
         if m < 8 or (m & (m - 1)) != 0:
             raise ParameterError(f"points must be a power of two >= 8, got {m}")
+        if not math.isfinite(self.spacing):
+            raise ParameterError(f"half_length {self.half_length} overflows the grid spacing")
 
     @property
     def spacing(self) -> float:
@@ -138,7 +135,7 @@ def apply_spectral(f: Field, s) -> Field:
     """
     s = float(s)
     if not (0.0 < s <= 1.0):
-        raise OrderError(f"Laplacian order must lie in (0,1], got {s}")
+        raise ParameterError(f"Laplacian order must lie in (0,1], got {s}")
     if not np.all(np.isfinite(f.values)):
         raise ParameterError("non-finite samples in field")
     k2, shape, fwd, inv = rfft_layout(f.grid)
@@ -155,7 +152,7 @@ def normalization_constant(dim: int, s: float) -> float:
         raise ParameterError(f"dimension must be >= 1, got {dim}")
     s = float(s)
     if not (0.0 < s < 1.0):
-        raise OrderError(f"Laplacian order must lie in (0,1), got {s}")
+        raise ParameterError(f"Laplacian order must lie in (0,1), got {s}")
     return (
         4.0**s
         * math.gamma(0.5 * dim + s)
@@ -209,8 +206,6 @@ def apply_singular_integral(psi, x: float, s, *, refined: bool = False) -> float
     merely decaying fields.
     """
     s = float(s)
-    if not (0.0 < s < 1.0):
-        raise OrderError(f"Laplacian order must lie in (0,1), got {s}")
     x = float(x)
     c = normalization_constant(1, s)
     center = float(psi(x))
@@ -257,7 +252,7 @@ def lemma_kk_check(psi, s, p: float, *, refined: bool = False) -> LemmaKKReport:
 
     ``psi`` must be nonnegative, positive at the origin, compactly
     supported, radially nonincreasing beyond radius 1, and positive within
-    :data:`BULK_RADIUS`; violations raise a hypothesis error, the first four
+    :data:`BULK_RADIUS`; violations raise a parameter error, the first four
     before any quadrature runs.  ``refined`` is passed on to
     :func:`apply_singular_integral`.
     """
@@ -265,16 +260,16 @@ def lemma_kk_check(psi, s, p: float, *, refined: bool = False) -> LemmaKKReport:
     if p <= 1.0:
         raise ParameterError(f"power must exceed 1, got {p}")
     if float(psi(0.0)) <= 0.0:
-        raise HypothesisError("profile must be positive at the origin")
+        raise ParameterError("profile must be positive at the origin")
     r_check = np.linspace(0.0, 16.0, 513)
     vals = np.asarray(psi(r_check), dtype=float)
     if np.any(vals < -1e-14):
-        raise HypothesisError("profile must be nonnegative")
+        raise ParameterError("profile must be nonnegative")
     if np.any(vals[r_check >= 8.0] != 0.0):
-        raise HypothesisError("profile must vanish identically beyond radius 8")
+        raise ParameterError("profile must vanish identically beyond radius 8")
     mono = vals[(r_check >= 1.0) & (r_check <= 4.0)]
     if np.any(np.diff(mono) > 1e-12):
-        raise HypothesisError("profile must be nonincreasing beyond radius 1")
+        raise ParameterError("profile must be nonincreasing beyond radius 1")
 
     pp = p / (p - 1.0)
     c1 = c2 = 0.0
@@ -284,7 +279,7 @@ def lemma_kk_check(psi, s, p: float, *, refined: bool = False) -> LemmaKKReport:
         if r <= BULK_RADIUS:
             denom = float(psi(r)) ** (1.0 / p)
             if denom <= 0.0:
-                raise HypothesisError(
+                raise ParameterError(
                     f"bulk probe r={r} lies outside the support of the profile"
                 )
             c2 = max(c2, (abs(a) / denom) ** pp)

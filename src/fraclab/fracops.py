@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import NumericsError, OrderError, ParameterError, SingularityError
+from .errors import NumericsError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -178,35 +178,42 @@ def soe_weights(kind: str, order: float, first: int, last: int):
     ``40/first``, past which ``e^{-m x}`` is below 1e-17 (Jiang, Zhang,
     Zhang & Zhang, CiCP 21, 2017), with :data:`_SOE_NODES` nodes per panel.
     The fit is checked on the first 64 indices and 256 geometric samples up
-    to ``last``; a fit that misses :data:`SOE_RTOL` raises a numerics error.
+    to ``last``.  ``a`` outside (0, 1), as when ``1 - order`` rounds to 0
+    or 1, raises a parameter error; a fit that cannot be built (``a`` near
+    0) or misses :data:`SOE_RTOL` raises a numerics error.
     """
     if kind == "l1":
-        a, kappa, phi = order, (1.0 - order) / math.gamma(order), lambda x: -np.expm1(-x)
+        a, b, phi = order, 1.0 - order, lambda x: -np.expm1(-x)
     elif kind == "rect":
-        a, kappa, phi = 1.0 - order, order / math.gamma(1.0 - order), np.expm1
+        a, b, phi = 1.0 - order, order, np.expm1
     else:
         raise ParameterError(f"kind must be 'l1' or 'rect', got {kind!r}")
     if not (0.0 < a < 1.0):
-        raise OrderError(f"order must lie in (0,1), got {order}")
+        raise ParameterError(f"order must lie in (0,1), got {order}")
     last = max(last, first)
     x0 = 2.0 / last
     lo = x0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(40.0 / (first * x0)))))
     # a set, not np.unique, which imports numpy.ma (1.2 MB resident)
     m = np.array(sorted({*range(first, min(first + 64, last + 1)),
                          *np.round(np.geomspace(first, last, 256)).tolist()}))
-    want = _weights_accurate(kind, order, m)
-    y, eta = _gauss_jacobi(_SOE_NODES, a)
-    u, omega = np.polynomial.legendre.leggauss(_SOE_NODES)
-    xg = np.outer(lo, 1.5 + 0.5 * u).ravel()
-    x = np.concatenate([x0 * y, xg])
-    c = kappa * np.concatenate([
-        eta * x0**a * phi(x0 * y) / (x0 * y),
-        np.outer(0.5 * lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
-    ])
-    e = np.outer(m, -x)
-    got = np.exp(e, out=e) @ c
-    if np.max(np.abs(got / want - 1.0)) <= SOE_RTOL:
-        return x, c
+    try:
+        with np.errstate(all="ignore"):
+            kappa = b / math.gamma(a)
+            want = _weights_accurate(kind, order, m)
+            y, eta = _gauss_jacobi(_SOE_NODES, a)
+            u, omega = np.polynomial.legendre.leggauss(_SOE_NODES)
+            xg = np.outer(lo, 1.5 + 0.5 * u).ravel()
+            x = np.concatenate([x0 * y, xg])
+            c = kappa * np.concatenate([
+                eta * x0**a * phi(x0 * y) / (x0 * y),
+                np.outer(0.5 * lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
+            ])
+            e = np.outer(m, -x)
+            got = np.exp(e, out=e) @ c
+            if np.max(np.abs(got / want - 1.0)) <= SOE_RTOL:
+                return x, c
+    except (OverflowError, np.linalg.LinAlgError):  # Gamma(a) or the Jacobi rule
+        pass
     raise NumericsError(
         f"no sum-of-exponentials fit of the {kind} weights of order {order} "
         f"reached rel {SOE_RTOL:g} on [{first}, {last}]"
@@ -231,7 +238,7 @@ def rl_integral(f: TimeSeries, mu) -> TimeSeries:
     _check_series(f)
     mu = float(mu)
     if not (0.0 < mu <= 1.0):
-        raise OrderError(f"integral order must lie in (0,1], got {mu}")
+        raise ParameterError(f"integral order must lie in (0,1], got {mu}")
     n = f.grid.steps
     density = 0.5 * (f.values[:-1] + f.values[1:])
     w = rect_weights(mu, n + 1)
@@ -245,7 +252,7 @@ def caputo_left(f: TimeSeries, alpha) -> TimeSeries:
     _check_series(f)
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
-        raise OrderError(f"Caputo order must lie in (0,1), got {alpha}")
+        raise ParameterError(f"Caputo order must lie in (0,1), got {alpha}")
     n = f.grid.steps
     df = np.diff(f.values)
     b = l1_weights(alpha, n)
@@ -268,7 +275,7 @@ def rl_left_derivative(f: TimeSeries, theta) -> TimeSeries:
     _check_series(f)
     theta = float(theta)
     if theta == 1.0 or not (0.0 < theta < 2.0):
-        raise OrderError(
+        raise ParameterError(
             f"derivative order must lie in (0,2) excluding 1, got {theta}; "
             "use classical differences for integer orders"
         )
@@ -376,9 +383,9 @@ def power_rule(beta: float, theta: float, side: str = "left", horizon: float = 1
     if beta < 0.0:
         raise ParameterError(f"power exponent must be >= 0, got {beta}")
     if theta < 0.0:
-        raise OrderError(f"derivative order must be >= 0, got {theta}")
+        raise ParameterError(f"derivative order must be >= 0, got {theta}")
     if beta - theta <= -1.0:
-        raise SingularityError(
+        raise ParameterError(
             f"beta - theta = {beta - theta} <= -1: nonintegrable singularity"
         )
     if side not in ("left", "right"):

@@ -134,7 +134,7 @@ class SimConfig:
                 f"snapshot_every must be nonnegative, got {self.snapshot_every}"
             )
         if min(b.amplitude for b in (self.bump, self.bump2) if b is not None) < 0.0:
-            raise ParameterError("theorem mode requires nonnegative initial velocities")
+            raise ParameterError("the blow-up theorems assume nonnegative initial velocities")
         for name, datum in (("u0", self.u0), ("v0_init", self.v0_init)):
             if datum is not None and datum.grid != self.space:
                 raise ParameterError(f"{name} lives on a different grid")

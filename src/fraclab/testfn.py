@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fracops
-from .errors import GridGeometryError, NumericsError, ParameterError
+from .errors import NumericsError, ParameterError
 from .exponents import ParamSet
 from .fraclap import BULK_RADIUS, Field, SpaceGrid, apply_spectral
 from .fracops import TimeGrid, TimeSeries
@@ -157,7 +157,7 @@ def phi2(grid: SpaceGrid, horizon: float, theta: float) -> Field:
         raise ParameterError(f"horizon must be positive, got {horizon}")
     scale = horizon ** (theta / 2.0)
     if 2.0 * scale > grid.half_length:
-        raise GridGeometryError(
+        raise ParameterError(
             f"support radius {2.0 * scale} exceeds box half-length {grid.half_length}"
         )
     return Field.from_radial(grid, lambda r: bump_profile(r / scale))

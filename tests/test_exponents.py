@@ -33,6 +33,11 @@ def test_paramset_validation():
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=0)
     with pytest.raises(ParameterError):
         ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, mode="loose")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="power must be finite and exceed 1"):
+            ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, bad)
+        with pytest.raises(ParameterError, match="dimension must be a positive integer"):
+            ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=bad)
 
 
 def test_permissive_mode_drops_orderings():

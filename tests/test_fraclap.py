@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fraclab import fraclap
-from fraclab.errors import HypothesisError, OrderError, ParameterError
+from fraclab.errors import ParameterError
 from fraclab.fraclap import (
     Field,
     SpaceGrid,
@@ -25,6 +25,9 @@ def test_grid_validation():
         SpaceGrid(1, 1.0, 6)
     with pytest.raises(ParameterError):
         SpaceGrid(1, 1.0, 100)
+    # finite, but 2 * half_length overflows
+    with pytest.raises(ParameterError, match="overflows the grid spacing"):
+        SpaceGrid(1, 1e308, 256)
 
 
 def test_grid_geometry():
@@ -115,7 +118,7 @@ def test_spectral_order_bounds():
     g = SpaceGrid(1, 1.0, 8)
     f = Field(g, np.ones(8))
     for bad in (0.0, 1.2, -0.5):
-        with pytest.raises(OrderError):
+        with pytest.raises(ParameterError, match=r"Laplacian order must lie in \(0,1\]"):
             apply_spectral(f, bad)
 
 
@@ -170,7 +173,7 @@ def test_normalization_constant():
     assert np.isclose(normalization_constant(1, 0.5), 1.0 / math.pi, atol=1e-15)
     with pytest.raises(ParameterError):
         normalization_constant(0, 0.5)
-    with pytest.raises(OrderError):
+    with pytest.raises(ParameterError, match=r"Laplacian order must lie in \(0,1\)"):
         normalization_constant(1, 1.0)
 
 
@@ -183,7 +186,7 @@ def test_singular_cosine_eigenvalue():
 
 
 def test_singular_order_bounds():
-    with pytest.raises(OrderError):
+    with pytest.raises(ParameterError, match=r"Laplacian order must lie in \(0,1\)"):
         apply_singular_integral(np.cos, 0.0, 1.0)
 
 
@@ -223,16 +226,16 @@ def test_lemma_kk_constants_frozen():
 def test_lemma_kk_hypothesis_rejections():
     with pytest.raises(ParameterError):
         lemma_kk_check(bump_profile, 0.5, 1.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="positive at the origin"):
         # vanishes at the origin
         lemma_kk_check(lambda r: bump_profile(r - 3.0), 0.5, 2.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="profile must be nonnegative"):
         # negative dip
         lemma_kk_check(lambda r: bump_profile(r) - 0.5 * bump_profile(r - 1.0), 0.5, 2.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="vanish identically beyond radius 8"):
         # positive tail everywhere
         lemma_kk_check(lambda r: np.exp(-np.asarray(r) ** 2), 0.5, 2.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="nonincreasing beyond radius 1"):
         # secondary hump: increasing on [1, 4]
         lemma_kk_check(lambda r: bump_profile(r) + bump_profile(r - 4.0), 0.5, 2.0)
 
@@ -240,5 +243,5 @@ def test_lemma_kk_hypothesis_rejections():
 def test_lemma_kk_bulk_probe_outside_support():
     # support radius 1, inside the bulk radius: the probe at r = 1 finds zero
     assert fraclap.BULK_RADIUS > 1.0
-    with pytest.raises(HypothesisError, match="r=1.0 lies outside the support"):
+    with pytest.raises(ParameterError, match="r=1.0 lies outside the support"):
         lemma_kk_check(lambda r: bump_profile(2.0 * np.asarray(r)), 0.5, 2.0)

@@ -601,6 +601,47 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
     assert len(lines) == 1 and lines[0].startswith(needle), lines
 
 
+@pytest.mark.parametrize("mode,env,code,needle", [
+    # 1 - gamma and 1 - alpha2 round to 1: the memory order is refused
+    ("simulate", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
+     "error: order must lie in (0,1), got 1.0"),
+    ("simulate", {"PARAMS_MODE": "permissive", "PARAMS_ALPHA2": "1e-300"},
+     EXIT_BAD_CONFIG, "error: order must lie in (0,1), got 1.0"),
+    # the L1 fit of a vanishing Caputo order cannot be built
+    ("simulate", {"PARAMS_MODE": "permissive", "PARAMS_ALPHA1": "1e-300"},
+     EXIT_NUMERICS, "numerical failure: no sum-of-exponentials fit of the l1 weights"),
+    ("simulate", {"PARAMS_MODE": "permissive", "PARAMS_ALPHA1": "5e-324"},
+     EXIT_NUMERICS, "numerical failure: no sum-of-exponentials fit of the l1 weights"),
+    # 2 * half_length overflows, so the grid spacing would be inf
+    ("simulate", {"SPACE_HALF_LENGTH": "1e308"}, EXIT_BAD_CONFIG,
+     "error: half_length 1e+308 overflows the grid spacing"),
+    ("sweep", {"SPACE_HALF_LENGTH": "1e308"}, EXIT_BAD_CONFIG,
+     "error: half_length 1e+308 overflows the grid spacing"),
+    # a sweep reports the refused order on every row
+    ("sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_OK,
+     "warning: p=1.5: order must lie in (0,1), got 1.0"),
+    ("system-sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_OK,
+     "warning: p=1.5: order must lie in (0,1), got 1.0"),
+], ids=["gamma", "alpha2", "alpha1", "alpha1-subnormal", "box", "box-sweep",
+        "gamma-sweep", "gamma-system-sweep"])
+def test_extreme_orders_and_boxes_end_in_messages_not_tracebacks(monkeypatch, capsys,
+                                                                  mode, env, code, needle):
+    clear_fraclab_env(monkeypatch)
+    for key, value in {"TIME_STEPS": "100", "TIME_HORIZON": "0.1", **env}.items():
+        monkeypatch.setenv("FRACLAB_" + key, value)
+    assert harness.main([mode]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
+    lines = captured.err.splitlines()
+    assert lines[0].startswith(needle), lines
+    if code != EXIT_OK:
+        assert len(lines) == 1 and captured.out == ""
+        return
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == len(lines) == 3
+    assert all(",Failed," in row for row in rows), rows
+
+
 def test_main_simulate_trace_and_snapshot_files(monkeypatch, tmp_path, capsys):
     clear_fraclab_env(monkeypatch)
     ini = tmp_path / "sim.ini"
@@ -836,7 +877,7 @@ def test_readme_config_block_names_every_key():
 @pytest.mark.parametrize("mode", ["simulate", "sweep", "system-sweep"])
 @pytest.mark.parametrize("key,value,needle", [
     ("RUN_THRESHOLD", "-1", "threshold must be positive"),
-    ("BUMP_AMPLITUDE", "-1", "theorem mode requires nonnegative initial velocities"),
+    ("BUMP_AMPLITUDE", "-1", "the blow-up theorems assume nonnegative initial velocities"),
     ("SPACE_HALF_LENGTH", "1", "bump support does not fit inside the box"),
 ], ids=["threshold", "amplitude", "box"])
 def test_run_modes_refuse_bad_run_config_up_front(monkeypatch, capsys, mode, key,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fraclab import _kernels, fracops, harness, solver
-from fraclab.errors import NumericsError
+from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
 from fraclab.fraclap import SpaceGrid
 from fraclab.fracops import TimeGrid, l1_weights, rect_weights, soe_weights
@@ -64,6 +64,21 @@ def test_soe_weights_give_up(monkeypatch):
     monkeypatch.setattr(fracops, "SOE_RTOL", 1e-18)
     with pytest.raises(NumericsError, match="sum-of-exponentials"):
         soe_weights("l1", 0.5, 34, 3001)
+
+
+def test_soe_weights_at_the_ends_of_the_order_range():
+    # 1e-15 from either end still fits; an order whose complement rounds to
+    # 0 or 1 is refused, and a fit the quadrature cannot build is a numerics
+    # error, both before any numpy warning
+    for kind in ("l1", "rect"):
+        for order in (1e-15, 1.0 - 1e-15):
+            soe_weights(kind, order, WINDOW + 2, 50_001)
+    for order in (1e-17, 1.0 - 1e-17):
+        with pytest.raises(ParameterError, match=rf"order must lie in \(0,1\), got {order}"):
+            soe_weights("rect", order, 10, 101)
+    for order in (1e-300, 5e-324):
+        with pytest.raises(NumericsError, match=f"l1 weights of order {order} reached"):
+            soe_weights("l1", order, 10, 101)
 
 
 def direct_sum(kind, order, lag, rows, n, dot):

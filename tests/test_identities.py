@@ -1,10 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fraclab import identities
-from fraclab.errors import GridGeometryError, HypothesisError, ParameterError
+from fraclab.errors import ParameterError
 from fraclab.exponents import ParamSet
 from fraclab.fraclap import Field, SpaceGrid
 from fraclab.fracops import TimeGrid, TimeSeries
@@ -51,7 +52,7 @@ def test_ibp_constant_reports_zero():
 
 def test_ibp_hypotheses():
     f = mk(lambda t: t)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="g must vanish at the horizon"):
         check_ibp(f, mk(lambda t: 1.0 + t), 0.5)
     with pytest.raises(ParameterError):
         check_ibp(f, TimeSeries.from_callable(TimeGrid(2.0, 512), lambda t: 2.0 - t), 0.5)
@@ -73,18 +74,19 @@ def test_composition_int_fractional_residual_needs_vanishing_f():
     rep = check_composition_int(vanishing(), 0.9, 0.5)
     assert rep.final_residual < 1e-2
     assert rep.slope > 0.9
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="f must vanish at the horizon"):
         check_composition_int(mk(np.sin), 0.9, 0.5)
 
 
 def test_composition_int_validation():
     f = vanishing()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"integral order must lie in \(0,1\], got 1.2"):
         check_composition_int(f, 1.5, 1.2)
     with pytest.raises(ParameterError):
         check_composition_int(f, 2.5, 0.8)
-    with pytest.raises(HypothesisError):
-        check_composition_int(f, 0.3, 0.5)
+    for p_ord, q_ord in ((0.3, 0.5), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ParameterError, match="need p_ord >= q_ord"):
+            check_composition_int(f, p_ord, q_ord)
 
 
 def test_composition_derivs_residuals_converge():
@@ -101,7 +103,7 @@ def test_composition_derivs_identity_case():
 
 
 def test_composition_derivs_hypotheses():
-    with pytest.raises(HypothesisError):
+    with pytest.raises(ParameterError, match="f must vanish to high order"):
         check_composition_derivs(mk(np.cos), 0.7, 0.6)
     f = vanishing()
     with pytest.raises(ParameterError):
@@ -126,11 +128,11 @@ def test_weak_form_validation():
     with pytest.raises(ParameterError):
         weak_form_residual(snapshot_row(g, 1, HORIZON), PARAMS, ETA, HORIZON, u1)
     other = SpaceGrid(1, 2.0, 16)
-    with pytest.raises(GridGeometryError):
+    with pytest.raises(ParameterError, match="must share one grid"):
         weak_form_residual(snapshot_row(g, 4, HORIZON), PARAMS, ETA, HORIZON, Field(other, np.zeros(16)))
     rows = snapshot_row(g, 4, HORIZON)
     rows[2] = (rows[2][0] * 1.5, rows[2][1])
-    with pytest.raises(GridGeometryError):
+    with pytest.raises(ParameterError, match=r"must uniformly cover \[0, horizon\]"):
         weak_form_residual(rows, PARAMS, ETA, HORIZON, u1)
 
 

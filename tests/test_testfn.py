@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from fraclab import fracops
-from fraclab.errors import GridGeometryError, ParameterError
+from fraclab.errors import ParameterError
 from fraclab.exponents import ParamSet
 from fraclab.fraclap import SpaceGrid
 from fraclab.testfn import (
@@ -97,7 +97,7 @@ def test_phi2_geometry():
     # scale = 1: unit bump, max 1 at the origin
     assert np.isclose(w.sup_norm(), 1.0)
     assert w.values[np.argmin(np.abs(g.axis()))] == 1.0
-    with pytest.raises(GridGeometryError):
+    with pytest.raises(ParameterError, match="exceeds box half-length"):
         phi2(g, 16.0, 2.0)
     with pytest.raises(ParameterError):
         phi2(g, 0.0, 1.5)
