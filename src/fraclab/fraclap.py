@@ -18,6 +18,14 @@ Two independent realizations of ``(-Delta)^s``:
 The two agree on smooth compactly supported fields and serve as each
 other's oracle in the tests.  The singular-integral path is 1-D; the
 spectral path covers 1-D and 2-D grids.
+
+:func:`cosine_layout` is the stepper's second mode layout, with the
+contract of :func:`rfft_layout`: for 2-D fields even about a grid node on
+each axis it keeps the (M/2+1)^2 real cosine modes ``F q F^T`` of the
+quadrant ``q`` of samples at offsets 0 ... M/2 from the node, with
+``F[k, j] = w_j cos(2 pi k j / M)`` (w = 1 at j = 0 and M/2, else 2), in
+place of M (M/2+1) complex ones.  The tests check it against
+:func:`apply_spectral` and the rfft modes.
 """
 
 from __future__ import annotations
@@ -96,6 +104,48 @@ def rfft_layout(grid: SpaceGrid):
         # rfftn/irfftn over the last two axes, without their argument handling
         fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2)
         inv = lambda a: np.fft.irfft(np.fft.ifft(a, axis=-2), n=m)
+    return k2.ravel(), k2.shape, fwd, inv
+
+
+def cosine_layout(grid: SpaceGrid, node):
+    r"""The layout of :func:`rfft_layout` for 2-D fields even about the grid
+    node of indices ``node = (i, j)`` on each axis.
+
+    Such a field's rfft modes, measured from the node, are real and even in
+    each wavenumber, so the (M/2+1)^2 cosine modes at wavenumbers 0 ... M/2
+    on each axis carry it.  ``fwd`` reads the quadrant ``q`` of samples at
+    offsets 0 ... M/2 from the node and returns ``F q F^T`` with
+
+    .. math::
+
+        F_{kj} = w_j \cos(2 \pi k j / M), \qquad
+        w_0 = w_{M/2} = 1, \quad w_j = 2 \text{ otherwise};
+
+    ``inv`` returns ``G c G^T`` with ``G = F / M`` unfolded to the full
+    field, whose sample at offset o reads the quadrant's at min(o, M - o).
+    Both take and return full fields and batch over leading axes.  Fields
+    that are not even about the node are read from its quadrant alone.
+    """
+    if grid.dim != 2:
+        raise ParameterError(f"the cosine layout is 2-D, got dim {grid.dim}")
+    m = grid.points
+    half = np.arange(m // 2 + 1)
+    w = np.where((half == 0) | (half == m // 2), 1.0, 2.0)
+    # k j reduced mod M first, so the cosines' arguments are exact to rounding
+    f = w * np.cos(2.0 * math.pi * (np.outer(half, half) % m) / m)
+    ft, g = f.T.copy(), f / m
+    gt = g.T.copy()
+    k = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
+    k2 = k[:, None] ** 2 + k[None, :] ** 2
+    lead = lambda a: a.shape[:-2]
+    # flat indices: the quadrant's samples in the field, the field's in the quadrant
+    read = np.ravel_multi_index(np.ix_(*((n + half) % m for n in node)), (m, m)).ravel()
+    offsets = np.arange(m)
+    unfold = np.ravel_multi_index(np.ix_(*(
+        np.minimum((offsets - n) % m, (n - offsets) % m) for n in node)), (half.size,) * 2)
+    fwd = lambda a: f @ np.take(a.reshape(*lead(a), -1), read, axis=-1).reshape(
+        *lead(a), half.size, half.size) @ ft
+    inv = lambda c: np.take((g @ c @ gt).reshape(*lead(c), -1), unfold, axis=-1)
     return k2.ravel(), k2.shape, fwd, inv
 
 

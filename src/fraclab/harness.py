@@ -303,11 +303,19 @@ def run_config(spec: ExperimentSpec) -> SimConfig:
     """The run ``simulate`` advances and a sweep varies in ``p``.
 
     Built once, while the spec is resolved: the config refuses a bad
-    threshold or amplitude, and rendering the bump once refuses a bump that
-    does not fit its box, before any run starts."""
+    threshold or amplitude, rendering the bump once refuses a bump that
+    does not fit its box, and a damping or source order whose memory order
+    1 - order rounds to 1 is refused by its key, before any run starts."""
+    params = spec.system_params if spec.mode == "system-sweep" else spec.params
+    blocks = (params.first, params.second) if isinstance(params, SystemParamSet) else (params,)
+    keys = (("[params]", "alpha2", "gamma"), ("[system]", "beta2", "gamma2"))
+    for block, (section, *names) in zip(blocks, keys):
+        for key, order in zip(names, (block.alpha2, block.gamma)):
+            if 1.0 - order == 1.0:
+                raise ParameterError(f"{section} {key} {order:g} is too small: its memory "
+                                     f"order 1 - {key} rounds to 1")
     config = SimConfig(
-        params=spec.system_params if spec.mode == "system-sweep" else spec.params,
-        space=spec.space, time=spec.time, bump=spec.bump,
+        params=params, space=spec.space, time=spec.time, bump=spec.bump,
         threshold=spec.threshold, snapshot_every=spec.snapshot_every,
     )
     spec.bump.render(spec.space)

@@ -25,20 +25,26 @@ A sweep is one :func:`march` too: each of its runs is a stop group of
 components, a scalar run one and a system run its pair, that stops at its
 own blow-up or divergence with its trace cut there.  A stopped
 group is stepped on until the last one stops (every product is batched per
-component and every FFT is per row, so it cannot reach the others), and a
-sweep holds every run's history at once.
+component and every transform is per row, so it cannot reach the others),
+and a sweep holds every run's history at once.
 
 Each component carries three memory sums ``sum_k w[j - k] row_k``: the L1
 Caputo sum over velocity increments, the damping integral over velocity
 panel means, and the source integral over ``|u|^p``, held in mode space
-(the sum is linear, so summing the rfft of each row needs no FFT of its
-own), each row scaled on entry by its term's per-mode factor in the update,
-which needs only their sum.  The Caputo and damping sums start with a zero
+(the sum is linear, so summing the modes of each row needs no transform
+of its own), each row scaled on entry by its term's per-mode factor in the
+update, which needs only their sum.  The Caputo and damping sums start with a zero
 row, which adds exactly zero, so all 3C sums hold the same number of rows
 and form one :class:`MemorySum` of C groups of three that appends, sums
 each group and folds in lock step; a step makes one inverse and one forward
-FFT for all components, in the layout of :func:`fraclap.rfft_layout`, which
-:func:`fraclap.apply_spectral` and so its checks use too.  Summed directly the sums would cost O(j) at step j
+transform for all components.  Their mode layout follows from the data.  A
+2-D run whose data are bumps with one centre on a grid node, and no ``u0``
+or ``v0_init``, stays even about that node on each axis (every operator
+acts through |k| and ``|u|^p`` is pointwise), so it advances the
+(M/2+1)^2 real modes of :func:`fraclap.cosine_layout`, two small matrix
+products each way, in float64 rows.  Every other run advances the complex
+modes of :func:`fraclap.rfft_layout`, which :func:`fraclap.apply_spectral`
+and so its checks use too.  Summed directly the sums would cost O(j) at step j
 and keep every row; a :class:`MemorySum` keeps the newest ``WINDOW`` = 8 to
 ``WINDOW + BLOCK`` = 24 rows exact and folds older ones, ``BLOCK`` = 16 at
 a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of each
@@ -67,7 +73,7 @@ import numpy as np
 from .errors import NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
 # _Channel finds the mode layout through this module global at each run
-from .fraclap import Field, SpaceGrid, rfft_layout as _mode_layout
+from .fraclap import Field, SpaceGrid, cosine_layout, rfft_layout as _mode_layout
 from .fracops import TimeGrid, TimeSeries, l1_weights, rect_weights, soe_weights
 from .testfn import bump_profile
 
@@ -390,13 +396,21 @@ class _Channel:
     is I^{1-gamma}|u_{feeds[i]}|^p with its own gamma and p.  At step j the
     history holds, in one group per component, a zero row and v_k - v_{k-1}
     for 0 < k < j (weights b), a zero row and v_{k-1} + v_k (weights w), and
-    the rfft of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
-    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total.
+    the modes of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
+    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total.  The
+    modes are the cosine layout's when :func:`_even_node` finds a node, and
+    the rfft layout's, looked up as ``_mode_layout``, otherwise.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
         self.h = h = config.time.h
-        k2, shape, self.fwd, self.inv = _mode_layout(config.space)
+        node = _even_node(config)
+        if node is None:
+            k2, shape, self.fwd, self.inv = _mode_layout(config.space)
+            dtype = np.complex128
+        else:
+            k2, shape, self.fwd, self.inv = cosine_layout(config.space, node)
+            dtype = np.float64
         count = len(comps)
         self.mode_shape, self.feeds = (count,) + shape, feeds
         blocks, u0s, v0s = zip(*comps)
@@ -412,16 +426,16 @@ class _Channel:
                 c1 - 0.5 * qdel - 0.5 * h * lsig, -lsig)])
             families.append((("l1", pr.alpha1, 1), ("rect", 1.0 - pr.alpha2, 2),
                              ("rect", 1.0 - pr.gamma, 1)))
-        *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=np.complex128)
+        *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=dtype)
         self.powers = [pr.p for pr in blocks]
         self.u0 = np.array(u0s)
         self.uhat, self.vhat = (
-            self.fwd(np.array(a)).reshape(count, -1).astype(np.complex128)
+            self.fwd(np.array(a)).reshape(count, -1).astype(dtype)
             for a in (self.u0, v0s))
         # rows are kind-major: every Caputo row, then every damping row, then the sources
-        self.history = MemorySum(families, k2.size, np.complex128, config.time.steps)
+        self.history = MemorySum(families, k2.size, dtype, config.time.steps)
         # the next row to append; its source part stays 0 while the source is off
-        self._row = np.zeros((3, count, k2.size), dtype=np.complex128)
+        self._row = np.zeros((3, count, k2.size), dtype=dtype)
         if config.nonlinearity:
             self._put_source(np.abs(self.u0))
         self.history.append(self._row)
@@ -450,6 +464,25 @@ class _Channel:
             self._put_source(mag)
         self.history.append(row)
         return u, mag.reshape(len(mag), -1).max(axis=1).tolist()
+
+
+def _even_node(config: SimConfig):
+    """The grid indices ``(i, j)`` of the node that ``config``'s data are
+    even about on each axis, or None.
+
+    Those are the data of a 2-D run without ``u0`` or ``v0_init`` whose
+    bumps (``bump``, and ``bump2`` when set) share one centre, a float c
+    meaning (c, c), that is a point of ``grid.axis()`` on each axis.
+    """
+    if config.space.dim != 2 or config.u0 is not None or config.v0_init is not None:
+        return None
+    centers = {b.center if isinstance(b.center, tuple) else (b.center,) * 2
+               for b in (config.bump, config.bump2) if b is not None}
+    if len(centers) != 1:
+        return None
+    axis = config.space.axis()
+    node = [np.flatnonzero(axis == c) for c in centers.pop()]
+    return tuple(int(i[0]) for i in node) if all(i.size for i in node) else None
 
 
 def detect_blowup(trace: TimeSeries, threshold: float):
@@ -555,12 +588,13 @@ def _stopped(time: TimeGrid, threshold: float, traces, snaps, j: int):
     """The results of a group whose sup-norms first went non-finite or
     reached the threshold at step j (the columns past j still zero), or
     the error if j < 2."""
-    if j < 2:
-        return NumericsError(
-            "run ended before step 2; the step size is far too coarse for "
-            "these data (reduce h or the amplitude)"
-        )
     sups = traces[:, j].tolist()
+    if j < 2:
+        # a finite state can also have stopped on a threshold below it
+        low = (f", or the threshold {threshold:g} is below the sup-norm "
+               f"{max(sups):.3g} of step 1" if all(map(math.isfinite, sups)) else "")
+        return NumericsError("run ended before step 2; the step size is far too "
+                             f"coarse for these data (reduce h or the amplitude){low}")
     diverged = not all(map(math.isfinite, sups))
     hit = [not math.isfinite(sup) if diverged else sup >= threshold for sup in sups]
     first = TimeSeries(time, traces[hit.index(True)], diverged)

@@ -602,11 +602,12 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("mode,env,code,needle", [
-    # 1 - gamma and 1 - alpha2 round to 1: the memory order is refused
+    # 1 - gamma and 1 - alpha2 round to 1: every run mode refuses the key up front
     ("simulate", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
-     "error: order must lie in (0,1), got 1.0"),
+     "error: [params] gamma 1e-17 is too small: its memory order 1 - gamma rounds to 1"),
     ("simulate", {"PARAMS_MODE": "permissive", "PARAMS_ALPHA2": "1e-300"},
-     EXIT_BAD_CONFIG, "error: order must lie in (0,1), got 1.0"),
+     EXIT_BAD_CONFIG,
+     "error: [params] alpha2 1e-300 is too small: its memory order 1 - alpha2 rounds to 1"),
     # the L1 fit of a vanishing Caputo order cannot be built
     ("simulate", {"PARAMS_MODE": "permissive", "PARAMS_ALPHA1": "1e-300"},
      EXIT_NUMERICS, "numerical failure: no sum-of-exponentials fit of the l1 weights"),
@@ -617,29 +618,32 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
      "error: half_length 1e+308 overflows the grid spacing"),
     ("sweep", {"SPACE_HALF_LENGTH": "1e308"}, EXIT_BAD_CONFIG,
      "error: half_length 1e+308 overflows the grid spacing"),
-    # a sweep reports the refused order on every row
-    ("sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_OK,
-     "warning: p=1.5: order must lie in (0,1), got 1.0"),
-    ("system-sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_OK,
-     "warning: p=1.5: order must lie in (0,1), got 1.0"),
+    ("sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
+     "error: [params] gamma 1e-17 is too small: its memory order 1 - gamma rounds to 1"),
+    ("system-sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
+     "error: [params] gamma 1e-17 is too small: its memory order 1 - gamma rounds to 1"),
+    ("system-sweep", {"SYSTEM_GAMMA2": "1e-17"}, EXIT_BAD_CONFIG,
+     "error: [system] gamma2 1e-17 is too small: its memory order 1 - gamma2 rounds to 1"),
+    # the first step already crosses the threshold
+    ("simulate", {"RUN_THRESHOLD": "1e-300"}, EXIT_NUMERICS,
+     "numerical failure: run ended before step 2; the step size is far too coarse "
+     "for these data (reduce h or the amplitude), or the threshold 1e-300 is below "
+     "the sup-norm 0.004 of step 1"),
 ], ids=["gamma", "alpha2", "alpha1", "alpha1-subnormal", "box", "box-sweep",
-        "gamma-sweep", "gamma-system-sweep"])
+        "gamma-sweep", "gamma-system-sweep", "gamma2-system-sweep", "threshold"])
 def test_extreme_orders_and_boxes_end_in_messages_not_tracebacks(monkeypatch, capsys,
                                                                   mode, env, code, needle):
     clear_fraclab_env(monkeypatch)
     for key, value in {"TIME_STEPS": "100", "TIME_HORIZON": "0.1", **env}.items():
         monkeypatch.setenv("FRACLAB_" + key, value)
-    assert harness.main([mode]) == code
+    # no refused run gets as far as a row
+    with mock.patch.object(solver, "march", side_effect=AssertionError("ran")) \
+            if code == EXIT_BAD_CONFIG else contextlib.nullcontext():
+        assert harness.main([mode]) == code
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and "Warning" not in captured.err
     lines = captured.err.splitlines()
-    assert lines[0].startswith(needle), lines
-    if code != EXIT_OK:
-        assert len(lines) == 1 and captured.out == ""
-        return
-    rows = captured.out.splitlines()[1:]
-    assert len(rows) == len(lines) == 3
-    assert all(",Failed," in row for row in rows), rows
+    assert len(lines) == 1 and lines[0].startswith(needle) and captured.out == "", lines
 
 
 def test_main_simulate_trace_and_snapshot_files(monkeypatch, tmp_path, capsys):

@@ -212,6 +212,17 @@ def test_sim_2d_history_fits_in_4_6_mb():
     assert hist.nbytes <= 4.6e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
+
+def test_sim_2d_cosine_history_fits_in_1_2_mb():
+    # the same sums in the cosine layout that a 64 x 64 run with its bump on
+    # a grid node takes: 33 x 33 real columns per row
+    families, width = FAMILIES[:3], 33 * 33
+    hist = MemorySum([families], width, np.float64, 500)
+    zero = np.zeros((len(families), 1, width))
+    for _ in range(WINDOW + BLOCK + 1):
+        hist.append(zero)
+    assert hist.nbytes <= 1.2e6, f"{hist.nbytes / 1e6:.2f} MB"
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_kept_window_rows_are_read_exactly(complex_rows, rng):
     # the first fold folds BLOCK zero rows, so its state is exactly zero, and

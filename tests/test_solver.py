@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from fraclab.fracops import TimeGrid, TimeSeries
 from fraclab.solver import (
     BumpSpec,
     SimConfig,
+    _Channel,
+    _group,
     default_space_grid,
     detect_blowup,
     run,
@@ -110,15 +113,90 @@ def test_sim_config_refuses_bad_numbers():
         cfg(1.0, snapshot_every=-1)
 
 
+PARAMS_2D = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)
+
+
+def history_dtype(config):
+    # complex history rows: the rfft layout; float64 rows: the cosine layout
+    return _Channel(config, *_group(config, config.params)).history.total().dtype
+
+
+def rfft_twin(config):
+    # the same problem with an explicit zero u0, which keeps the rfft layout
+    return replace(config, u0=Field(config.space, np.zeros(config.space.shape())))
+
+
 def test_2d_run_raises_no_warnings():
-    # the inverse 2-D transform once warned on every step under NumPy 2
-    c = SimConfig(ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2), SpaceGrid(2, 8.0, 16),
-                  TimeGrid(0.5, 8), BumpSpec(1.0, 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r = run(c)
-    assert r.status == "Completed"
-    assert r.steps_taken == 8
+    # the inverse 2-D transform once warned on every step under NumPy 2; the
+    # bump on a grid node runs in the cosine layout, its twin in the rfft one
+    c = SimConfig(PARAMS_2D, SpaceGrid(2, 8.0, 16), TimeGrid(0.5, 8), BumpSpec(1.0, 1.0))
+    for config, dtype in ((c, np.float64), (rfft_twin(c), np.complex128)):
+        assert history_dtype(config) == dtype
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(config)
+        assert r.status == "Completed"
+        assert r.steps_taken == 8
+
+
+GRID_2D = SpaceGrid(2, 8.0, 32)
+
+
+@pytest.mark.parametrize("config", [
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0)),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0), snapshot_every=100),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0), bump2=BumpSpec(4.0, 1.5, center=1.0),
+         params=SystemParamSet(PARAMS_2D, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0, dim=2))),
+], ids=["scalar", "snapshots", "system"])
+def test_2d_layouts_agree(config):
+    # a bump centred on a grid node runs in the cosine layout, and with an
+    # explicit zero u0 in the rfft layout; both blow up at the same step.
+    # The threshold is low because rounding differences grow with the
+    # solution near blow-up: a run translated by one cell in the rfft layout
+    # differs from the rfft run by ~2e-13 at threshold 1e8
+    config = {"params": PARAMS_2D, **config}
+    c = SimConfig(space=GRID_2D, time=TimeGrid(4.0, 800), threshold=1e3, **config)
+    assert history_dtype(c) == np.float64
+    twin = rfft_twin(c)
+    assert history_dtype(twin) == np.complex128
+    scalar = isinstance(c.params, ParamSet)
+    results = [run(c)] if scalar else run_system(c)
+    refs = [run(twin)] if scalar else run_system(twin)
+    for r, ref in zip(results, refs):
+        assert r.status == ref.status == "BlowUp"
+        assert r.steps_taken == ref.steps_taken
+        assert r.blowup_time == pytest.approx(ref.blowup_time, rel=1e-12, abs=0.0)
+        assert np.allclose(r.trace.values, ref.trace.values, rtol=1e-12, atol=0.0)
+        assert (r.snapshots is None) == (ref.snapshots is None)
+        for (t, f), (t_ref, f_ref) in zip(r.snapshots or (), ref.snapshots or ()):
+            assert t == t_ref
+            assert np.max(np.abs(f.values - f_ref.values)) <= 1e-12 * f_ref.sup_norm()
+    if c.snapshot_every:
+        assert len(results[0].snapshots) == len(refs[0].snapshots) == 7
+
+
+def test_2d_layout_follows_the_data():
+    # the cosine layout needs 2-D data even about one grid node: bumps with
+    # one centre on a node of the axis (spacing 0.5 here), and no u0 or v0_init
+    zero = Field(GRID_2D, np.zeros(GRID_2D.shape()))
+    pair = SystemParamSet(PARAMS_2D, PARAMS_2D)
+
+    def dtype(bump_center=0.0, **kw):
+        params = pair if "bump2" in kw or "v0_init" in kw else PARAMS_2D
+        return history_dtype(SimConfig(params, GRID_2D, TimeGrid(1.0, 10),
+                                       BumpSpec(1.0, 1.0, center=bump_center), **kw))
+
+    for center in (0.0, 1.5, -3.0, (1.0, -2.5), (0.0, 0.0)):
+        assert dtype(center) == np.float64, center
+    assert dtype(2.0, bump2=BumpSpec(0.5, 1.5, center=(2.0, 2.0))) == np.float64
+    for center in (0.25, (1.0, 0.3), (0.1, 1.0)):
+        assert dtype(center) == np.complex128, center
+    assert dtype(bump2=BumpSpec(1.0, 1.0, center=0.5)) == np.complex128
+    assert dtype(bump2=BumpSpec(1.0, 1.0, center=(0.0, 0.5))) == np.complex128
+    assert dtype(u0=zero) == np.complex128
+    assert dtype(v0_init=zero) == np.complex128
+    # 1-D runs keep the rfft layout
+    assert history_dtype(cfg(1.0, horizon=1.0, steps=10)) == np.complex128
 
 
 def test_run_rejects_mismatched_params():
