@@ -19,13 +19,12 @@ The two agree on smooth compactly supported fields and serve as each
 other's oracle in the tests.  The singular-integral path is 1-D; the
 spectral path covers 1-D and 2-D grids.
 
-:func:`cosine_layout` is the stepper's second mode layout, with the
-contract of :func:`rfft_layout`: for 2-D fields even about a grid node on
-each axis it keeps the (M/2+1)^2 real cosine modes ``F q F^T`` of the
-quadrant ``q`` of samples at offsets 0 ... M/2 from the node, with
-``F[k, j] = w_j cos(2 pi k j / M)`` (w = 1 at j = 0 and M/2, else 2), in
-place of M (M/2+1) complex ones.  The tests check it against
-:func:`apply_spectral` and the rfft modes.
+:func:`cosine_layout` is the stepper's second mode layout: for fields even
+about a grid node on each axis it maps the samples ``q`` at offsets
+0 ... M/2 from the node to the real cosine modes ``F q`` (1-D) or
+``F q F^T`` (2-D), ``F[k, j] = w_j cos(2 pi k j / M)`` (w = 1 at j = 0 and
+M/2, else 2), in place of M/2+1 or M (M/2+1) complex ones.  The tests
+check it against :func:`apply_spectral` and the rfft modes.
 """
 
 from __future__ import annotations
@@ -108,45 +107,44 @@ def rfft_layout(grid: SpaceGrid):
 
 
 def cosine_layout(grid: SpaceGrid, node):
-    r"""The layout of :func:`rfft_layout` for 2-D fields even about the grid
-    node of indices ``node = (i, j)`` on each axis.
-
-    Such a field's rfft modes, measured from the node, are real and even in
-    each wavenumber, so the (M/2+1)^2 cosine modes at wavenumbers 0 ... M/2
-    on each axis carry it.  ``fwd`` reads the quadrant ``q`` of samples at
-    offsets 0 ... M/2 from the node and returns ``F q F^T`` with
+    r"""``(k2, shape, fwd, inv, gather, unfold)`` for fields even about the
+    grid node of indices ``node``, one per axis, held as their samples ``q``
+    at offsets 0 ... M/2 from it on each axis.  Their rfft modes measured
+    from the node are real and even, so (M/2+1)^dim cosine modes carry
+    them: ``fwd`` maps ``q`` to ``F q`` (1-D) or ``F q F^T`` (2-D), with
 
     .. math::
 
         F_{kj} = w_j \cos(2 \pi k j / M), \qquad
-        w_0 = w_{M/2} = 1, \quad w_j = 2 \text{ otherwise};
+        w_0 = w_{M/2} = 1, \quad w_j = 2 \text{ otherwise},
 
-    ``inv`` returns ``G c G^T`` with ``G = F / M`` unfolded to the full
-    field, whose sample at offset o reads the quadrant's at min(o, M - o).
-    Both take and return full fields and batch over leading axes.  Fields
-    that are not even about the node are read from its quadrant alone.
+    and ``inv`` maps modes back to samples through ``G = F / M`` the same
+    way, both row by row over leading axes.  ``gather`` reads a full
+    field's samples; ``unfold`` makes the full field, offset o reading the
+    sample at min(o, M - o).
     """
-    if grid.dim != 2:
-        raise ParameterError(f"the cosine layout is 2-D, got dim {grid.dim}")
     m = grid.points
     half = np.arange(m // 2 + 1)
     w = np.where((half == 0) | (half == m // 2), 1.0, 2.0)
     # k j reduced mod M first, so the cosines' arguments are exact to rounding
     f = w * np.cos(2.0 * math.pi * (np.outer(half, half) % m) / m)
-    ft, g = f.T.copy(), f / m
-    gt = g.T.copy()
+    g = f / m
     k = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    lead = lambda a: a.shape[:-2]
-    # flat indices: the quadrant's samples in the field, the field's in the quadrant
-    read = np.ravel_multi_index(np.ix_(*((n + half) % m for n in node)), (m, m)).ravel()
-    offsets = np.arange(m)
-    unfold = np.ravel_multi_index(np.ix_(*(
-        np.minimum((offsets - n) % m, (n - offsets) % m) for n in node)), (half.size,) * 2)
-    fwd = lambda a: f @ np.take(a.reshape(*lead(a), -1), read, axis=-1).reshape(
-        *lead(a), half.size, half.size) @ ft
-    inv = lambda c: np.take((g @ c @ gt).reshape(*lead(c), -1), unfold, axis=-1)
-    return k2.ravel(), k2.shape, fwd, inv
+    k2 = sum(np.ix_(*[k**2] * grid.dim))
+    if grid.dim == 1:
+        # stacked (1, h) @ (h, h) products round alike for any count of rows
+        fwd = lambda a: (a[..., None, :] @ f.T)[..., 0, :]
+        inv = lambda c: (c[..., None, :] @ g.T)[..., 0, :]
+    else:
+        # contiguous transposes, which BLAS rounds unlike transposed views
+        ft, gt = f.T.copy(), g.T.copy()
+        fwd = lambda a: f @ a @ ft
+        inv = lambda c: g @ c @ gt
+    read = np.ix_(*((n + half) % m for n in node))
+    back = np.ix_(*(np.minimum(d, m - d) for d in ((np.arange(m) - n) % m for n in node)))
+    gather = lambda a: a[(..., *read)]
+    unfold = lambda q: q[(..., *back)]
+    return k2.ravel(), k2.shape, fwd, inv, gather, unfold
 
 
 @dataclass

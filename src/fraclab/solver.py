@@ -38,19 +38,20 @@ row, which adds exactly zero, so all 3C sums hold the same number of rows
 and form one :class:`MemorySum` of C groups of three that appends, sums
 each group and folds in lock step; a step makes one inverse and one forward
 transform for all components.  Their mode layout follows from the data.  A
-2-D run whose data are bumps with one centre on a grid node, and no ``u0``
-or ``v0_init``, stays even about that node on each axis (every operator
-acts through |k| and ``|u|^p`` is pointwise), so it advances the
-(M/2+1)^2 real modes of :func:`fraclap.cosine_layout`, two small matrix
-products each way, in float64 rows.  Every other run advances the complex
-modes of :func:`fraclap.rfft_layout`, which :func:`fraclap.apply_spectral`
-and so its checks use too.  Summed directly the sums would cost O(j) at step j
-and keep every row; a :class:`MemorySum` keeps the newest ``WINDOW`` = 8 to
-``WINDOW + BLOCK`` = 24 rows exact and folds older ones, ``BLOCK`` = 16 at
-a time, into a reduced sum-of-exponentials (SOE) state.  The SOE fit of each
-sum's weights (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang,
-CiCP 21, 2017) has 70 to 133 terms, and only a group's total is read: the
-read functionals of its three fits together span only r' = 40 to 68
+run whose data are bumps with one centre on a grid node, and no ``u0`` or
+``v0_init``, stays even about that node on each axis (every operator acts
+through |k| and ``|u|^p`` is pointwise), so it steps on the samples at
+offsets 0 ... M/2 from the node alone, with the real modes of
+:func:`fraclap.cosine_layout` in float64 rows.  Every other run steps on
+full fields with the complex modes of :func:`fraclap.rfft_layout`, which
+:func:`fraclap.apply_spectral` and so its checks use too.  Summed directly
+the sums would cost O(j) at step j and keep every row; a :class:`MemorySum`
+keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` = 24 rows exact and
+folds older ones, ``BLOCK`` = 16 at a time, into a reduced
+sum-of-exponentials (SOE) state.  The SOE fit of each sum's weights
+(:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
+has 70 to 133 terms, and only a group's total is read: the read
+functionals of its three fits together span only r' = 40 to 68
 dimensions (500 to 50 000 steps), and each group keeps one state in those
 (Baffet & Hesthaven, SINUM 55, 2017).  Each fold precomputes every group's
 reads for the next ``BLOCK`` steps, so a step sums only the rows appended
@@ -399,7 +400,8 @@ class _Channel:
     the modes of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
     its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total.  The
     modes are the cosine layout's when :func:`_even_node` finds a node, and
-    the rfft layout's, looked up as ``_mode_layout``, otherwise.
+    the rfft layout's, looked up as ``_mode_layout``, otherwise; the states
+    are the layout's samples, and ``unfold`` makes a new full field of one.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -407,9 +409,9 @@ class _Channel:
         node = _even_node(config)
         if node is None:
             k2, shape, self.fwd, self.inv = _mode_layout(config.space)
-            dtype = np.complex128
+            gather, self.unfold, dtype = np.asarray, np.copy, np.complex128
         else:
-            k2, shape, self.fwd, self.inv = cosine_layout(config.space, node)
+            k2, shape, self.fwd, self.inv, gather, self.unfold = cosine_layout(config.space, node)
             dtype = np.float64
         count = len(comps)
         self.mode_shape, self.feeds = (count,) + shape, feeds
@@ -429,15 +431,14 @@ class _Channel:
         *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=dtype)
         self.powers = [pr.p for pr in blocks]
         self.u0 = np.array(u0s)
-        self.uhat, self.vhat = (
-            self.fwd(np.array(a)).reshape(count, -1).astype(dtype)
-            for a in (self.u0, v0s))
+        u0, v0 = gather(np.array([u0s, v0s]))
+        self.uhat, self.vhat = (self.fwd(a).reshape(count, -1).astype(dtype) for a in (u0, v0))
         # rows are kind-major: every Caputo row, then every damping row, then the sources
         self.history = MemorySum(families, k2.size, dtype, config.time.steps)
         # the next row to append; its source part stays 0 while the source is off
         self._row = np.zeros((3, count, k2.size), dtype=dtype)
         if config.nonlinearity:
-            self._put_source(np.abs(self.u0))
+            self._put_source(np.abs(u0))
         self.history.append(self._row)
 
     def _put_source(self, mag: np.ndarray):
@@ -467,16 +468,16 @@ class _Channel:
 
 
 def _even_node(config: SimConfig):
-    """The grid indices ``(i, j)`` of the node that ``config``'s data are
-    even about on each axis, or None.
+    """The grid indices, one per axis, of the node that ``config``'s data
+    are even about on each axis, or None.
 
-    Those are the data of a 2-D run without ``u0`` or ``v0_init`` whose
-    bumps (``bump``, and ``bump2`` when set) share one centre, a float c
+    Those are the data of a run without ``u0`` or ``v0_init`` whose bumps
+    (``bump``, and ``bump2`` when set) share one centre, in 2-D a float c
     meaning (c, c), that is a point of ``grid.axis()`` on each axis.
     """
-    if config.space.dim != 2 or config.u0 is not None or config.v0_init is not None:
+    if config.u0 is not None or config.v0_init is not None:
         return None
-    centers = {b.center if isinstance(b.center, tuple) else (b.center,) * 2
+    centers = {b.center if isinstance(b.center, tuple) else (b.center,) * config.space.dim
                for b in (config.bump, config.bump2) if b is not None}
     if len(centers) != 1:
         return None
@@ -536,8 +537,9 @@ def march(config: SimConfig, params) -> list:
     component stops its group with a step-size error: the implicit linear
     update is dissipative mode by mode, so such growth can only mean the
     time step is too coarse.  A stopped group is stepped on until the last
-    one stops; overflow raises no numpy warning.  Each entry of the result
-    is that run's :class:`SimResult` list, one per component, or the
+    one stops; overflow raises no numpy warning.  Only a snapshot unfolds a
+    state to a full field.  Each entry of the result is that run's
+    :class:`SimResult` list, one per component, or the
     :class:`NumericsError` that stopped it.
     """
     comps, feeds, spans = [], [], []
@@ -565,7 +567,7 @@ def march(config: SimConfig, params) -> list:
             # the blow-up state is kept even off the cadence; a non-finite one is not
             if every and (stop or j % every == 0) and all(map(math.isfinite, own)):
                 for snap, u in zip(snaps[span], states[span]):
-                    snap.append((h * j, Field(space, u.copy())))
+                    snap.append((h * j, Field(space, stepper.unfold(u))))
             grown = [] if nonlinear else [
                 sup / before for sup, before in zip(own, prev[span])
                 if before > 0.0 and sup > 10.0 * before]

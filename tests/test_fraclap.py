@@ -172,45 +172,52 @@ def test_spectral_matches_full_fft_on_random_fields(rng, dim, half_length, point
 
 
 def even_about(rng, points, node):
-    # a random field even about the grid node `node` on each axis: offset o
-    # from the node reads the quadrant sample at min(o, M - o)
-    half = rng.normal(size=(points // 2 + 1,) * 2)
-    fold = [np.minimum((np.arange(points) - n) % points, (n - np.arange(points)) % points)
-            for n in node]
-    return half[fold[0][:, None], fold[1][None, :]]
+    # a random field even about the grid node `node` on each axis, and its
+    # fundamental domain: offset o from the node reads the sample at min(o, M - o)
+    half = rng.normal(size=(points // 2 + 1,) * len(node))
+    fold = np.ix_(*(np.minimum((np.arange(points) - n) % points, (n - np.arange(points)) % points)
+                    for n in node))
+    return half, half[fold]
 
 
 @pytest.mark.parametrize("points", [16, 64])
 def test_cosine_layout_is_the_rfft_layout_of_even_fields(rng, points):
-    g = SpaceGrid(2, 7.3, points)
     k, m = points // 2 + 1, points
-    for node in ((0, 0), (m // 2, m // 2), tuple(rng.integers(1, m // 2, 2)),
-                 (rng.integers(m // 2 + 1, m), rng.integers(1, m))):
-        vals = even_about(rng, points, node)
-        k2, shape, fwd, inv = cosine_layout(g, node)
-        assert shape == (k, k)
-        modes = fwd(vals)
-        # the rfft modes measured from the node, Nyquist row and column included
-        ref = np.fft.rfft2(np.roll(vals, (-node[0], -node[1]), axis=(0, 1)))[:k]
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(ref.imag)) <= 1e-13 * scale, node
-        assert np.max(np.abs(modes - ref.real)) <= 1e-13 * scale, node
-        ref_k2, ref_shape = fraclap.rfft_layout(g)[:2]
-        assert np.array_equal(k2.reshape(shape), ref_k2.reshape(ref_shape)[:k])
-        assert np.max(np.abs(inv(modes) - vals)) <= 1e-14 * np.max(np.abs(vals)), node
-        for s in (0.2, 0.5, 1.0):
-            want = apply_spectral(Field(g, vals), s).values
-            got = inv(modes * k2.reshape(shape) ** s)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (node, s)
-        # leading axes batch
-        batch = fwd(np.stack([vals, 2.0 * vals]))
-        assert np.max(np.abs(batch[1] - 2.0 * modes)) <= 1e-15 * scale
-        assert np.max(np.abs(inv(batch)[0] - inv(modes))) <= 1e-15 * np.max(np.abs(vals))
+    for dim in (1, 2):
+        g = SpaceGrid(dim, 7.3, points)
+        for node in ((0,) * dim, (m // 2,) * dim, tuple(rng.integers(1, m // 2, dim)),
+                     tuple(rng.integers(m // 2 + 1, m, dim))):
+            check_cosine_layout(rng, g, node)
 
 
-def test_cosine_layout_is_2d():
-    with pytest.raises(ParameterError, match="the cosine layout is 2-D"):
-        cosine_layout(SpaceGrid(1, 1.0, 16), (0,))
+def check_cosine_layout(rng, g, node):
+    dim, k = g.dim, g.points // 2 + 1
+    q, vals = even_about(rng, g.points, node)
+    k2, shape, fwd, inv, gather, unfold = cosine_layout(g, node)
+    assert shape == (k,) * dim
+    assert np.array_equal(gather(vals), q) and np.array_equal(unfold(q), vals), node
+    modes = fwd(q)
+    # the rfft modes measured from the node, Nyquist rows included
+    ref = np.fft.rfftn(np.roll(vals, [-n for n in node], axis=tuple(range(dim))))
+    ref = ref[(slice(k),) * dim]
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(ref.imag)) <= 1e-13 * scale, node
+    assert np.max(np.abs(modes - ref.real)) <= 1e-13 * scale, node
+    ref_k2, ref_shape = fraclap.rfft_layout(g)[:2]
+    assert np.array_equal(k2.reshape(shape), ref_k2.reshape(ref_shape)[:k])
+    assert np.max(np.abs(inv(modes) - q)) <= 1e-14 * np.max(np.abs(q)), node
+    for s in (0.2, 0.5, 1.0):
+        want = apply_spectral(Field(g, vals), s).values
+        got = unfold(inv(modes * k2.reshape(shape) ** s))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (node, s)
+    # leading axes batch, and a row's result does not depend on the others
+    batch = fwd(np.stack([q, 2.0 * q]))
+    assert np.max(np.abs(batch[1] - 2.0 * modes)) <= 1e-15 * scale
+    assert np.array_equal(batch[0], fwd(q[None])[0])
+    assert np.array_equal(inv(batch)[0], inv(batch[:1])[0])
+    assert np.array_equal(gather(np.stack([vals, vals]))[1], q)
+    assert np.array_equal(unfold(np.stack([q, q]))[1], vals)
+
 
 def test_normalization_constant():
     assert np.isclose(normalization_constant(1, 0.5), 1.0 / math.pi, atol=1e-15)

@@ -12,6 +12,7 @@ runs must keep the blow-up times the direct sums gave.
 
 import argparse
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from fraclab import _kernels, fracops, harness, solver
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
-from fraclab.fraclap import SpaceGrid
+from fraclab.fraclap import Field, SpaceGrid
 from fraclab.fracops import TimeGrid, l1_weights, rect_weights, soe_weights
 from fraclab.solver import (BLOCK, WINDOW, BumpSpec, HistoryBuffer, MemorySum, SimConfig,
                             reduced_soe)
@@ -223,6 +224,23 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
         hist.append(zero)
     assert hist.nbytes <= 1.2e6, f"{hist.nbytes / 1e6:.2f} MB"
 
+
+def test_sim_1d_cosine_history_fits_in_0_17_mb():
+    # the three summed sums of the default 1-D run (M = 256, 50 000 steps,
+    # its bump on a grid node) in the cosine layout: 129 real columns per
+    # row, half the bytes of its 129 complex rfft columns
+    families, width = FAMILIES[:3], 256 // 2 + 1
+    nbytes = {}
+    for dtype in (np.float64, np.complex128):
+        hist = MemorySum([families], width, dtype, 50_000)
+        zero = np.zeros((len(families), 1, width), dtype=dtype)
+        for _ in range(WINDOW + BLOCK + 1):
+            hist.append(zero)
+        nbytes[dtype] = hist.nbytes
+    assert nbytes[np.float64] <= 0.17e6, f"{nbytes[np.float64] / 1e6:.3f} MB"
+    assert 2 * nbytes[np.float64] == nbytes[np.complex128]
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_kept_window_rows_are_read_exactly(complex_rows, rng):
     # the first fold folds BLOCK zero rows, so its state is exactly zero, and
@@ -402,33 +420,41 @@ def both_ways(monkeypatch, run, config):
     return fast, direct
 
 
+def both_layouts(config):
+    # bumps centred on a grid node run in the cosine layout; an explicit zero
+    # u0 keeps the same problem in the rfft layout
+    zero = Field(config.space, np.zeros(config.space.shape()))
+    return config, replace(config, u0=zero)
+
+
 def test_run_without_fold_is_bit_identical(monkeypatch):
     for steps in (WINDOW + BLOCK - 1, WINDOW + BLOCK):
-        cfg = SimConfig(PARAMS, GRID, TimeGrid(0.5, steps), BumpSpec(8.0, 1.0))
-        fast, direct = both_ways(monkeypatch, solver.run, cfg)
-        assert np.array_equal(fast.trace.values, direct.trace.values)
+        for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(0.5, steps),
+                                          BumpSpec(8.0, 1.0))):
+            fast, direct = both_ways(monkeypatch, solver.run, cfg)
+            assert np.array_equal(fast.trace.values, direct.trace.values)
 
 
 def test_run_matches_direct_history(monkeypatch):
-    cfg = SimConfig(PARAMS, GRID, TimeGrid(10.0, 2000), BumpSpec(8.0, 1.0))
-    fast, direct = both_ways(monkeypatch, solver.run, cfg)
-    assert fast.status == direct.status == "BlowUp"
-    assert fast.steps_taken == direct.steps_taken
-    assert fast.blowup_time == pytest.approx(direct.blowup_time, rel=1e-9, abs=0.0)
-    # before the sup-norm explodes the traces agree to the weights' accuracy
-    early = slice(0, fast.steps_taken - 50)
-    assert np.allclose(fast.trace.values[early], direct.trace.values[early],
-                       rtol=1e-9, atol=0.0)
+    for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(10.0, 2000), BumpSpec(8.0, 1.0))):
+        fast, direct = both_ways(monkeypatch, solver.run, cfg)
+        assert fast.status == direct.status == "BlowUp"
+        assert fast.steps_taken == direct.steps_taken
+        assert fast.blowup_time == pytest.approx(direct.blowup_time, rel=1e-9, abs=0.0)
+        # before the sup-norm explodes the traces agree to the weights' accuracy
+        early = slice(0, fast.steps_taken - 50)
+        assert np.allclose(fast.trace.values[early], direct.trace.values[early],
+                           rtol=1e-9, atol=0.0)
 
 
 def test_system_matches_direct_history(monkeypatch):
     sp = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
-    cfg = SimConfig(sp, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0),
-                    bump2=BumpSpec(1.0, 1.0))
-    fast, direct = both_ways(monkeypatch, solver.run_system, cfg)
-    for f, d in zip(fast, direct):
-        assert f.status == d.status
-        assert np.allclose(f.trace.values, d.trace.values, rtol=1e-9, atol=0.0)
+    for cfg in both_layouts(SimConfig(sp, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0),
+                                      bump2=BumpSpec(1.0, 1.0))):
+        fast, direct = both_ways(monkeypatch, solver.run_system, cfg)
+        for f, d in zip(fast, direct):
+            assert f.status == d.status
+            assert np.allclose(f.trace.values, d.trace.values, rtol=1e-9, atol=0.0)
 
 
 # blow-up times of the default sweep (p = 1.5, 2, 3) from the direct sums

@@ -11,7 +11,8 @@ import pytest
 import fraclab
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
-from fraclab.fraclap import Field, SpaceGrid
+from fraclab import solver
+from fraclab.fraclap import Field, SpaceGrid, cosine_layout
 from fraclab.fracops import TimeGrid, TimeSeries
 from fraclab.solver import (
     BumpSpec,
@@ -142,20 +143,12 @@ def test_2d_run_raises_no_warnings():
 GRID_2D = SpaceGrid(2, 8.0, 32)
 
 
-@pytest.mark.parametrize("config", [
-    dict(bump=BumpSpec(8.0, 1.0, center=1.0)),
-    dict(bump=BumpSpec(8.0, 1.0, center=1.0), snapshot_every=100),
-    dict(bump=BumpSpec(8.0, 1.0, center=1.0), bump2=BumpSpec(4.0, 1.5, center=1.0),
-         params=SystemParamSet(PARAMS_2D, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0, dim=2))),
-], ids=["scalar", "snapshots", "system"])
-def test_2d_layouts_agree(config):
+def assert_layouts_agree(c):
     # a bump centred on a grid node runs in the cosine layout, and with an
     # explicit zero u0 in the rfft layout; both blow up at the same step.
     # The threshold is low because rounding differences grow with the
     # solution near blow-up: a run translated by one cell in the rfft layout
     # differs from the rfft run by ~2e-13 at threshold 1e8
-    config = {"params": PARAMS_2D, **config}
-    c = SimConfig(space=GRID_2D, time=TimeGrid(4.0, 800), threshold=1e3, **config)
     assert history_dtype(c) == np.float64
     twin = rfft_twin(c)
     assert history_dtype(twin) == np.complex128
@@ -168,16 +161,46 @@ def test_2d_layouts_agree(config):
         assert r.blowup_time == pytest.approx(ref.blowup_time, rel=1e-12, abs=0.0)
         assert np.allclose(r.trace.values, ref.trace.values, rtol=1e-12, atol=0.0)
         assert (r.snapshots is None) == (ref.snapshots is None)
+        assert len(r.snapshots or ()) == len(ref.snapshots or ())
         for (t, f), (t_ref, f_ref) in zip(r.snapshots or (), ref.snapshots or ()):
             assert t == t_ref
             assert np.max(np.abs(f.values - f_ref.values)) <= 1e-12 * f_ref.sup_norm()
+    return results
+
+
+@pytest.mark.parametrize("config", [
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0)),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0), snapshot_every=100),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.0), bump2=BumpSpec(4.0, 1.5, center=1.0),
+         params=SystemParamSet(PARAMS_2D, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0, dim=2))),
+], ids=["scalar", "snapshots", "system"])
+def test_2d_layouts_agree(config):
+    config = {"params": PARAMS_2D, **config}
+    c = SimConfig(space=GRID_2D, time=TimeGrid(4.0, 800), threshold=1e3, **config)
+    results = assert_layouts_agree(c)
     if c.snapshot_every:
-        assert len(results[0].snapshots) == len(refs[0].snapshots) == 7
+        assert len(results[0].snapshots) == 7
+
+
+@pytest.mark.parametrize("config", [
+    dict(bump=BumpSpec(8.0, 1.0, center=1.25)),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.25), snapshot_every=100),
+    dict(bump=BumpSpec(8.0, 1.0, center=1.25), bump2=BumpSpec(4.0, 1.5, center=1.25),
+         params=SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))),
+], ids=["scalar", "snapshots", "system"])
+def test_1d_layouts_agree(config):
+    # 1.25 is four cells of GRID right of the origin
+    config = {"params": PARAMS, **config}
+    c = SimConfig(space=GRID, time=TimeGrid(4.0, 800), threshold=1e3, **config)
+    results = assert_layouts_agree(c)
+    if c.snapshot_every:
+        assert len(results[0].snapshots) == 6
 
 
 def test_2d_layout_follows_the_data():
-    # the cosine layout needs 2-D data even about one grid node: bumps with
-    # one centre on a node of the axis (spacing 0.5 here), and no u0 or v0_init
+    # the cosine layout needs data even about one grid node: bumps with one
+    # centre on a node of the axis (spacing 0.5 here, 0.3125 in 1-D), and no
+    # u0 or v0_init
     zero = Field(GRID_2D, np.zeros(GRID_2D.shape()))
     pair = SystemParamSet(PARAMS_2D, PARAMS_2D)
 
@@ -195,8 +218,51 @@ def test_2d_layout_follows_the_data():
     assert dtype(bump2=BumpSpec(1.0, 1.0, center=(0.0, 0.5))) == np.complex128
     assert dtype(u0=zero) == np.complex128
     assert dtype(v0_init=zero) == np.complex128
-    # 1-D runs keep the rfft layout
-    assert history_dtype(cfg(1.0, horizon=1.0, steps=10)) == np.complex128
+
+    def dtype_1d(center, **kw):
+        return history_dtype(SimConfig(SYS_PARAMS if kw else PARAMS, GRID, TimeGrid(1.0, 10),
+                                       BumpSpec(1.0, 1.0, center=center), **kw))
+
+    for center in (0.0, 0.3125, -2.5, 15.0):
+        assert dtype_1d(center) == np.float64, center
+    assert dtype_1d(1.25, bump2=BumpSpec(0.5, 1.5, center=1.25)) == np.float64
+    for center in (0.1, 0.15625, -2.4):
+        assert dtype_1d(center) == np.complex128, center
+    assert dtype_1d(0.0, bump2=BumpSpec(1.0, 1.0, center=0.3125)) == np.complex128
+    assert history_dtype(rfft_twin(cfg(1.0, horizon=1.0, steps=10))) == np.complex128
+    assert dtype_1d(0.0, v0_init=Field(GRID, np.zeros(GRID.shape()))) == np.complex128
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cosine_runs_unfold_only_for_snapshots(monkeypatch, dim):
+    # a cosine-layout run steps on the fundamental-domain samples: it gathers
+    # its data from the full field once, and makes a full field only for a
+    # snapshot after t = 0 (the t = 0 one is the data)
+    calls = {"gather": 0, "unfold": 0}
+
+    def counted(name, fn):
+        def wrapped(a):
+            calls[name] += 1
+            return fn(a)
+        return wrapped
+
+    def layout(grid, node):
+        *rest, gather, unfold = cosine_layout(grid, node)
+        return (*rest, counted("gather", gather), counted("unfold", unfold))
+
+    monkeypatch.setattr(solver, "cosine_layout", layout)
+    params, space = (PARAMS, GRID) if dim == 1 else (PARAMS_2D, GRID_2D)
+    # 2.5 is a grid node of both: 8 cells of GRID, 5 of GRID_2D
+    for every in (0, 7, 100):
+        calls.update(gather=0, unfold=0)
+        r = run(SimConfig(params, space, TimeGrid(4.0, 800), BumpSpec(8.0, 1.0, center=2.5),
+                          threshold=1e3, snapshot_every=every))
+        assert r.status == "BlowUp"
+        assert calls["gather"] == 1
+        assert calls["unfold"] == (len(r.snapshots) - 1 if every else 0), every
+        if every:
+            # every k-th step, and the blow-up state off the cadence
+            assert len(r.snapshots) == r.steps_taken // every + 2
 
 
 def test_run_rejects_mismatched_params():
