@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ParameterError
+from .fracops import _gauss_jacobi
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def cosine_layout(grid: SpaceGrid, node):
     # k j reduced mod M first, so the cosines' arguments are exact to rounding
     f = w * np.cos(2.0 * math.pi * (np.outer(half, half) % m) / m)
     g = f / m
-    k = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
+    k = 2.0 * math.pi * (half * (1.0 / (m * grid.spacing)))  # rfftfreq's, without numpy.fft
     k2 = sum(np.ix_(*[k**2] * grid.dim))
     if grid.dim == 1:
         # stacked (1, h) @ (h, h) products round alike for any count of rows
@@ -223,13 +224,9 @@ def _middle_nodes(level: int):
     bounds = [_R_IN]
     while bounds[-1] < _R_CUT:
         bounds.append(min(bounds[-1] * g, _R_CUT))
-    xg, wg = np.polynomial.legendre.leggauss(10 * level)
-    ys, ws = [], []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        half = 0.5 * (b - a)
-        ys.append(0.5 * (a + b) + half * xg)
-        ws.append(half * wg)
-    return np.concatenate(ys), np.concatenate(ws)
+    yg, wg = _gauss_jacobi(10 * level, 1.0)  # Gauss-Legendre on [0, 1]
+    lo, width = np.array(bounds[:-1])[:, None], np.diff(bounds)[:, None]
+    return (lo + width * yg).ravel(), (width * wg).ravel()
 
 
 def _second_derivative(psi, x: float) -> float:

@@ -201,12 +201,12 @@ def soe_weights(kind: str, order: float, first: int, last: int):
             kappa = b / math.gamma(a)
             want = _weights_accurate(kind, order, m)
             y, eta = _gauss_jacobi(_SOE_NODES, a)
-            u, omega = np.polynomial.legendre.leggauss(_SOE_NODES)
-            xg = np.outer(lo, 1.5 + 0.5 * u).ravel()
+            u, omega = _gauss_jacobi(_SOE_NODES, 1.0)  # Gauss-Legendre on [0, 1]
+            xg = np.outer(lo, 1.0 + u).ravel()
             x = np.concatenate([x0 * y, xg])
             c = kappa * np.concatenate([
                 eta * x0**a * phi(x0 * y) / (x0 * y),
-                np.outer(0.5 * lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
+                np.outer(lo, omega).ravel() * xg ** (a - 2.0) * phi(xg),
             ])
             e = np.outer(m, -x)
             got = np.exp(e, out=e) @ c

@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import exponents, fraclap, fracops, identities, solver, testfn
+from . import exponents, fraclap, fracops, solver
 from .errors import FraclabError, NoInteriorMinimumError, NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
 from .fraclap import SpaceGrid
@@ -359,10 +359,11 @@ class VerifyReport:
 # The verify checks: fn(tol, rng) -> CheckResult, where ``rng`` is the
 # ``random.Random`` the composition checks draw their inputs from.  Keyword
 # arguments set the strength, verify's as defaults; the acceptance suite runs
-# some stronger.
+# some stronger.  Only the checks that use ``identities`` or ``testfn`` load them.
 
 
 def check_power_rule(tol, rng) -> CheckResult:
+    from . import identities, testfn
     sizes = (2**10, 2**11, 2**12)
     errs = []
     for n in sizes:
@@ -381,6 +382,7 @@ def check_power_rule(tol, rng) -> CheckResult:
 
 
 def check_ibp(tol, rng) -> CheckResult:
+    from . import identities, testfn
     n = 2**12
     grid = TimeGrid(1.0, n)
     f = fracops.TimeSeries.from_callable(grid, lambda t: t**2)
@@ -415,6 +417,7 @@ def _composition(name, identity, orders, tol, rng, draws) -> CheckResult:
 
 
 def check_comp_int(tol, rng, *, draws=6) -> CheckResult:
+    from . import identities
     def orders(rng):  # q in [0.3, 0.7), then p above it by 0.2 to 0.8
         q = rng.uniform(0.3, 0.7)
         return q + rng.uniform(0.2, 0.8), q
@@ -424,6 +427,7 @@ def check_comp_int(tol, rng, *, draws=6) -> CheckResult:
 
 
 def check_comp_derivs(tol, rng, *, draws=6) -> CheckResult:
+    from . import identities
     def orders(rng):  # q, then p, each in [0.2, 0.45)
         q = rng.uniform(0.2, 0.45)
         return rng.uniform(0.2, 0.45), q
@@ -433,6 +437,7 @@ def check_comp_derivs(tol, rng, *, draws=6) -> CheckResult:
 
 
 def check_scaling(tol, rng, *, steps=2**12) -> CheckResult:
+    from . import testfn
     worst = 0.0
     pp = 2.0  # conjugate of p = 2
     for theta_d in (0.5, 1.3):
@@ -452,9 +457,9 @@ _PROBES = (0.0, 0.5, 1.0, 1.5)
 
 def check_laplacian(tol, rng) -> CheckResult:
     grid = SpaceGrid(1, 8.0, 512)
-    f = fraclap.Field.from_radial(grid, testfn.bump_profile)
+    f = fraclap.Field.from_radial(grid, solver.bump_profile)
     spectral = fraclap.apply_spectral(f, 0.5)
-    psi = lambda x: testfn.bump_profile(abs(x))
+    psi = lambda x: solver.bump_profile(abs(x))
     sing = np.array(
         [fraclap.apply_singular_integral(psi, x, 0.5) for x in _PROBES]
     )
@@ -467,8 +472,8 @@ def check_laplacian(tol, rng) -> CheckResult:
 
 
 def check_kk(tol, rng) -> CheckResult:
-    base = fraclap.lemma_kk_check(testfn.bump_profile, 0.5, 2.0)
-    fine = fraclap.lemma_kk_check(testfn.bump_profile, 0.5, 2.0, refined=True)
+    base = fraclap.lemma_kk_check(solver.bump_profile, 0.5, 2.0)
+    fine = fraclap.lemma_kk_check(solver.bump_profile, 0.5, 2.0, refined=True)
     # both estimates are finite: lemma_kk_check raises on a divergent one
     res = max(
         abs(fine.c1_estimate - base.c1_estimate) / abs(base.c1_estimate),

@@ -35,13 +35,14 @@ panel means, and the source integral over ``|u|^p``, held in mode space
 of its own), each row scaled on entry by its term's per-mode factor in the
 update, which needs only their sum.  The Caputo and damping sums start with a zero
 row, which adds exactly zero, so all 3C sums hold the same number of rows
-and form one :class:`MemorySum` of C groups of three that appends, sums
-each group and folds in lock step; a step makes one inverse and one forward
-transform for all components.  Their mode layout follows from the data.  A
-run whose data are bumps with one centre on a grid node, and no ``u0`` or
-``v0_init``, stays even about that node on each axis (every operator acts
-through |k| and ``|u|^p`` is pointwise), so it steps on the samples at
-offsets 0 ... M/2 from the node alone, with the real modes of
+and form one :class:`MemorySum` of C groups of three that fills, sums each
+group and folds in lock step; a step writes its rows in place into the
+next window slot and makes one inverse and one forward transform for all
+components.  Their mode layout follows from the data.  A run whose data
+are bumps with one centre on a grid node, and no ``u0`` or ``v0_init``,
+stays even about that node on each axis (every operator acts through |k|
+and ``|u|^p`` is pointwise), so it steps on the samples at offsets
+0 ... M/2 from the node alone, with the real modes of
 :func:`fraclap.cosine_layout` in float64 rows.  Every other run steps on
 full fields with the complex modes of :func:`fraclap.rfft_layout`, which
 :func:`fraclap.apply_spectral` and so its checks use too.  Summed directly
@@ -76,7 +77,20 @@ from .exponents import ParamSet, SystemParamSet
 # _Channel finds the mode layout through this module global at each run
 from .fraclap import Field, SpaceGrid, cosine_layout, rfft_layout as _mode_layout
 from .fracops import TimeGrid, TimeSeries, l1_weights, rect_weights, soe_weights
-from .testfn import bump_profile
+
+
+def bump_profile(r):
+    """Canonical mollifier: exp(1 - 1/(1-(r/2)^2)) for r < 2, else 0.
+
+    Normalized to 1 at the origin; smooth, compactly supported in radius 2,
+    and strictly decreasing in (0, 2).
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    inside = np.abs(r) < 2.0
+    q = (r[inside] / 2.0) ** 2
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - q))
+    return out
 
 
 @dataclass(frozen=True)
@@ -197,9 +211,10 @@ class HistoryBuffer:
     def rows(self) -> np.ndarray:
         return self._rows
 
-    def append(self, row: np.ndarray):
-        self._rows[self._count] = row
+    def push(self) -> int:
+        """Count one more row; returns its index, for the caller to write."""
         self._count += 1
+        return self._count - 1
 
     def drop_oldest(self, count: int):
         """Forget the ``count`` oldest rows; the others move to the front."""
@@ -213,19 +228,20 @@ class MemorySum:
 
     ``groups`` lists each sum's K ``(kind, order, lag)`` families: ``w_gc``
     are the ``kind`` (``"l1"``/``"rect"``) weights of ``order`` up to index
-    ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`append`
-    adds one ``(K, G, width)`` row, so all fill and fold in lock step;
-    complex rows are held as float pairs.  The newest ``WINDOW`` to
-    ``WINDOW + BLOCK`` rows sit in one window.  A full window folds its
-    oldest ``BLOCK`` rows, all K kinds at once, into one reduced SOE state
-    per group, ``S = sum_k decay^(folds since k) fold_w row_k`` of r' terms
-    (:func:`reduced_soe`), built at the first fold.  The fold then reads,
-    for each fill f < ``BLOCK`` until the next fold, all a group has seen:
-    its tail at f times its state plus the ``WINDOW`` rows it kept times
-    their exact weights at f.  A step adds that read row to one batched
-    product, by (age, kind), over the rows appended since, read in place;
-    before the first fold it covers the whole window.  Term counts are
-    padded to the largest with zero rows, which stay exactly 0.
+    ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`slot`
+    hands out the next ``(K, G, width)`` row to write in place, so all fill
+    and fold in lock step; complex rows are held as float pairs.  The
+    newest ``WINDOW`` to ``WINDOW + BLOCK`` rows sit in one window.  A full
+    window folds its oldest ``BLOCK`` rows, all K kinds at once, into one
+    reduced SOE state per group, ``S = sum_k decay^(folds since k) fold_w
+    row_k`` of r' terms (:func:`reduced_soe`), built at the first fold.
+    The fold then reads, for each fill f < ``BLOCK`` until the next fold,
+    all a group has seen: its tail at f times its state plus the ``WINDOW``
+    rows it kept times their exact weights at f.  A step adds that read row
+    to one batched product, by (age, kind), over the rows written since,
+    through views made for each fill; before the first fold it covers the
+    whole window.  Term counts are padded to the largest with zero rows,
+    which stay 0.
     """
 
     def __init__(self, groups, width: int, dtype, steps: int):
@@ -241,13 +257,27 @@ class MemorySum:
         # the window as (G, age * K + kind, cols): a view
         self._rows = self._window.rows.reshape(WINDOW + BLOCK, k, g, self._cols).transpose(
             2, 0, 1, 3).reshape(g, -1, self._cols)
+        self._slots = [row.reshape(k, g, self._cols).view(self._dtype)
+                       for row in self._window.rows]
         self._groups, self._steps = [tuple(group) for group in groups], steps
         self._state = None
+        self._views = self._total_views(0)
 
-    def append(self, row: np.ndarray):
+    def slot(self) -> np.ndarray:
+        """The next row, after a fold if the window is full.  A reused slot
+        holds a dropped row: write every part ever written, at every step."""
         if len(self._window) == WINDOW + BLOCK:
             self._fold()
-        self._window.append(np.ravel(row).view(np.float64))
+        return self._slots[self._window.push()]
+
+    def _total_views(self, kept: int) -> list:
+        # total()'s operands at each count n of rows: the weights and rows past
+        # the ``kept`` oldest, which the read row at fill n - WINDOW - 1 holds
+        k = self._shape[1]
+        return [(self._wrev[:, :, (WINDOW + BLOCK - n + kept) * k :],
+                 self._rows[:, kept * k : n * k],
+                 self._reads[:, n - WINDOW - 1, None] if kept else None)
+                for n in range(WINDOW + BLOCK + 1)]
 
     def _build_tail(self):
         g, k = self._shape
@@ -260,6 +290,7 @@ class MemorySum:
         self._keep_w = self._wrev[:, 0, k * np.arange(BLOCK)[::-1, None] + np.arange(WINDOW * k)]
         self._state = np.zeros((g, self._tail.shape[2], self._cols))
         self._reads = np.empty((g, BLOCK, self._cols))
+        self._views = self._total_views(WINDOW)
 
     def _fold(self):
         if self._state is None:
@@ -282,12 +313,10 @@ class MemorySum:
 
     def total(self) -> np.ndarray:
         """The G sums over every row appended so far, as ``(G, width)``."""
-        n, k = len(self._window), self._shape[1]
-        kept = 0 if self._state is None else WINDOW  # the read rows hold the kept rows
-        out = np.matmul(self._wrev[:, :, (WINDOW + BLOCK - n + kept) * k :],
-                        self._rows[:, kept * k : n * k])
-        if self._state is not None:
-            out += self._reads[:, n - WINDOW - 1, None]
+        weights, rows, read = self._views[len(self._window)]
+        out = np.matmul(weights, rows)
+        if read is not None:
+            out += read
         return out.reshape(self._shape[0], self._cols).view(self._dtype)
 
 
@@ -398,10 +427,11 @@ class _Channel:
     history holds, in one group per component, a zero row and v_k - v_{k-1}
     for 0 < k < j (weights b), a zero row and v_{k-1} + v_k (weights w), and
     the modes of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
-    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total.  The
-    modes are the cosine layout's when :func:`_even_node` finds a node, and
-    the rfft layout's, looked up as ``_mode_layout``, otherwise; the states
-    are the layout's samples, and ``unfold`` makes a new full field of one.
+    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total, and
+    written in place into the history's next slot.  The modes are the cosine
+    layout's when :func:`_even_node` finds a node, and the rfft layout's,
+    looked up as ``_mode_layout``, otherwise; the states are the layout's
+    samples, and ``unfold`` makes a new full field of one.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -435,25 +465,27 @@ class _Channel:
         self.uhat, self.vhat = (self.fwd(a).reshape(count, -1).astype(dtype) for a in (u0, v0))
         # rows are kind-major: every Caputo row, then every damping row, then the sources
         self.history = MemorySum(families, k2.size, dtype, config.time.steps)
-        # the next row to append; its source part stays 0 while the source is off
-        self._row = np.zeros((3, count, k2.size), dtype=dtype)
+        # the window starts zeroed, so the Caputo and damping parts of this
+        # row, and the source parts of a run without the source, stay 0
+        row = self.history.slot()
         if config.nonlinearity:
-            self._put_source(np.abs(u0))
-        self.history.append(self._row)
+            self._put_source(np.abs(u0), row)
 
-    def _put_source(self, mag: np.ndarray):
+    def _put_source(self, mag: np.ndarray, row: np.ndarray):
         # a Python-float exponent keeps numpy's fast path for squares
         power = np.array([mag[k] ** p for k, p in zip(self.feeds, self.powers)])
         modes = self.fwd(power).reshape(len(self.feeds), -1)
-        np.multiply(modes, self.scale[2], out=self._row[2])
+        np.multiply(modes, self.scale[2], out=row[2])
 
     def step(self, j: int, source: bool):
-        """Advance from node j - 1 to node j, with the source if ``source``;
-        returns the new states and their sup-norms."""
-        vhat, row = self.vhat, self._row
+        """Advance from node j - 1 to node j, with the source if ``source``,
+        which must be the config's ``nonlinearity`` at every step; returns
+        the new states and their sup-norms."""
+        vhat = self.vhat
         vnew = self.history.total()
         vnew += self.a * vhat
         vnew += self.b * self.uhat
+        row = self.history.slot()
         np.multiply(vnew - vhat, self.scale[0], out=row[0])
         vhat += vnew  # v_{j-1} + v_j
         np.multiply(vhat, self.scale[1], out=row[1])
@@ -462,8 +494,7 @@ class _Channel:
         u = self.inv(self.uhat.reshape(self.mode_shape))
         mag = np.abs(u)
         if source:
-            self._put_source(mag)
-        self.history.append(row)
+            self._put_source(mag, row)
         return u, mag.reshape(len(mag), -1).max(axis=1).tolist()
 
 
@@ -558,12 +589,16 @@ def march(config: SimConfig, params) -> list:
     snaps = [[(0.0, Field(space, u.copy()))] if every else None for u in stepper.u0]
     out = [None] * len(spans)
     live = list(enumerate(spans))
+    below = float(threshold).__gt__  # False for a nan
     for j in range(1, n + 1):
         states, sups = stepper.step(j, nonlinear)
         traces[:, j] = sups
+        # no group can stop, snapshot or grow too fast
+        if nonlinear and all(map(below, sups)) and not (every and j % every == 0):
+            continue
         for g, span in live:
             own = sups[span]
-            stop = not all(sup < threshold for sup in own)  # a nan stops too
+            stop = not all(map(below, own))
             # the blow-up state is kept even off the cadence; a non-finite one is not
             if every and (stop or j % every == 0) and all(map(math.isfinite, own)):
                 for snap, u in zip(snaps[span], states[span]):

@@ -6,8 +6,9 @@ The blow-up machinery tests the equation against products
 * ``phi1(t) = (1 - t/T)^eta`` on [0, T] (zero beyond), whose right-sided
   fractional derivatives stay closed-form powers of the same factor,
 * ``phi2(x) = psi(|x| / T^{theta/2})`` with ``psi`` the canonical
-  mollifier bump below, whose support dilates with the horizon through the
-  scaling exponent ``theta = (alpha1+1)/sigma``, ``ParamSet.theta``.
+  mollifier bump :func:`solver.bump_profile`, whose support dilates with
+  the horizon through the scaling exponent ``theta = (alpha1+1)/sigma``,
+  ``ParamSet.theta``.
 
 The test function's own parameters are ``eta`` and ``T``; the orders,
 ``theta``, the power and the dimension are the ParamSet's.
@@ -29,20 +30,7 @@ from .errors import NumericsError, ParameterError
 from .exponents import ParamSet
 from .fraclap import BULK_RADIUS, Field, SpaceGrid, apply_spectral
 from .fracops import TimeGrid, TimeSeries
-
-
-def bump_profile(r):
-    """Canonical mollifier: exp(1 - 1/(1-(r/2)^2)) for r < 2, else 0.
-
-    Normalized to 1 at the origin; smooth, compactly supported in radius 2,
-    and strictly decreasing in (0, 2).
-    """
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = np.abs(r) < 2.0
-    q = (r[inside] / 2.0) ** 2
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - q))
-    return out
+from .solver import bump_profile
 
 
 def _grid(eta: float, horizon: float, steps: int) -> TimeGrid:

@@ -14,7 +14,7 @@ from fraclab.fraclap import (
     lemma_kk_check,
     normalization_constant,
 )
-from fraclab.testfn import bump_profile
+from fraclab.solver import bump_profile
 
 
 def test_grid_validation():

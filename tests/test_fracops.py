@@ -57,6 +57,16 @@ def test_rect_weights_telescope():
     assert np.allclose(np.cumsum(w), np.arange(50, dtype=float) ** 0.7)
 
 
+@pytest.mark.parametrize("n", [7, 10, 20])
+def test_gauss_jacobi_of_order_one_is_gauss_legendre(n):
+    # soe_weights and the singular-integral panels take their Gauss-Legendre
+    # rules from the Golub-Welsch solver: Jacobi (0, 0) on [0, 1]
+    y, eta = fracops._gauss_jacobi(n, 1.0)
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs((2.0 * y - 1.0) - x)) <= 1e-15
+    assert np.max(np.abs(2.0 * eta / w - 1.0)) <= 2e-13
+
+
 def direct_conv(w, v, nout):
     """The direct O(n^2) sum out[j] = sum_m w[m] v[j-m], truncated to ``nout``."""
     full = np.convolve(w, v)

@@ -411,14 +411,29 @@ def test_importing_the_harness_leaves_the_process_pool_unloaded(tmp_path):
 
 def test_verify_leaves_numpy_random_unloaded():
     # verify's draws come from the standard library's random.Random, so the
-    # numpy.random package (several MB resident) never loads
+    # numpy.random package (several MB resident) never loads; nor does
+    # numpy.polynomial, since its Gauss rules come from fracops
     src = str(pathlib.Path(harness.__file__).parents[1])
     code = ("import sys, fraclab.harness; fraclab.harness.main(['verify']); "
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('numpy.random', 'numpy.polynomial'))))")
     env = {k: v for k, v in os.environ.items() if not k.startswith("FRACLAB_")}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**env, "PYTHONPATH": src}).stdout
     assert out.splitlines()[-2:] == ["9/9 checks passed", "[]"]
+
+
+def test_simulate_loads_only_what_it_runs():
+    # identities and testfn serve only verify's checks
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    code = ("import sys, fraclab.harness; fraclab.harness.main(['simulate']); "
+            "print(sorted(m for m in sys.modules if m in "
+            "('fraclab.identities', 'fraclab.testfn', 'numpy.polynomial', 'numpy.fft')))")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FRACLAB_")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**env, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[0] == "status = BlowUp"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_importing_the_package_root_loads_no_submodule():

@@ -39,6 +39,12 @@ def ungrouped(families):
     return [[family] for family in families]
 
 
+def append(hist, row):
+    # the solver writes each row in place into the sum's next slot
+    slot = hist.slot()
+    slot[...] = np.reshape(row, slot.shape)
+
+
 def soe_eval(x, c, m):
     out = np.zeros(m.shape)
     for xi, ci in zip(x, c):
@@ -109,7 +115,7 @@ def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
     hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
     assert not np.any(hist.total())
     for n in range(1, steps + 2):  # covers the folds at W+B, W+B+1, ... and k*B
-        hist.append(rows[n - 1][None])
+        append(hist, rows[n - 1][None])
         want = direct_sum(kind, order, lag, rows, n, dot)
         err = np.max(np.abs(hist.total()[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-9, f"after {n} rows: rel {err:.2e}"
@@ -125,7 +131,7 @@ def test_stacked_families_match_their_direct_sums(rng):
     rows = rows.reshape(steps + 1, len(FAMILIES), width)
     hist = MemorySum(ungrouped(FAMILIES), width, np.complex128, steps)
     for n in range(1, steps + 2):
-        hist.append(rows[n - 1])
+        append(hist, rows[n - 1])
         got = hist.total()
         for s, (kind, order, lag) in enumerate(FAMILIES):
             want = direct_sum(kind, order, lag, rows[:, s], n, _kernels.hist_dot_complex)
@@ -158,8 +164,8 @@ def test_grouped_sums_match_their_members(rng):
                         width, np.complex128, steps)
     terms = [reduced_soe(group, steps)[0].size for group in GROUPS]
     for n in range(1, count + 1):
-        grouped.append(rows[n - 1])
-        members.append(rows[n - 1])
+        append(grouped, rows[n - 1])
+        append(members, rows[n - 1])
         want = members.total().reshape(3, 2, width).sum(axis=0)
         err = np.max(np.abs(grouped.total() - want)) / np.max(np.abs(want))
         assert err <= 1e-13, f"after {n} rows: rel {err:.2e}"
@@ -177,7 +183,7 @@ def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
     rows = rows.reshape(WINDOW + BLOCK, len(families), width)
     hist = MemorySum(ungrouped(families), width, rows.dtype, 10_000)
     for n in range(1, WINDOW + BLOCK + 1):
-        hist.append(rows[n - 1])
+        append(hist, rows[n - 1])
         got = as_floats(hist.total())
         for s, (kind, order, lag) in enumerate(families):
             want = direct_sum(kind, order, lag, as_floats(rows[:, s]), n,
@@ -192,7 +198,7 @@ def test_memory_sum_memory_is_flat(rng):
     hist = MemorySum(groups, width, np.complex128, steps)
     sizes = set()
     for n in range(1, 2001):
-        hist.append(random_rows(rng, 6, width, True))
+        append(hist, random_rows(rng, 6, width, True))
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
@@ -209,7 +215,7 @@ def test_sim_2d_history_fits_in_4_6_mb():
     hist = MemorySum([families], width, np.complex128, 500)
     zero = np.zeros((len(families), 1, width), dtype=np.complex128)
     for _ in range(WINDOW + BLOCK + 1):
-        hist.append(zero)
+        append(hist, zero)
     assert hist.nbytes <= 4.6e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
@@ -221,7 +227,7 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
     hist = MemorySum([families], width, np.float64, 500)
     zero = np.zeros((len(families), 1, width))
     for _ in range(WINDOW + BLOCK + 1):
-        hist.append(zero)
+        append(hist, zero)
     assert hist.nbytes <= 1.2e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
@@ -235,7 +241,7 @@ def test_sim_1d_cosine_history_fits_in_0_17_mb():
         hist = MemorySum([families], width, dtype, 50_000)
         zero = np.zeros((len(families), 1, width), dtype=dtype)
         for _ in range(WINDOW + BLOCK + 1):
-            hist.append(zero)
+            append(hist, zero)
         nbytes[dtype] = hist.nbytes
     assert nbytes[np.float64] <= 0.17e6, f"{nbytes[np.float64] / 1e6:.3f} MB"
     assert 2 * nbytes[np.float64] == nbytes[np.complex128]
@@ -254,7 +260,7 @@ def test_kept_window_rows_are_read_exactly(complex_rows, rng):
     hist = MemorySum(ungrouped(families), width, rows.dtype, steps)
     dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
     for n in range(1, 2 * BLOCK + WINDOW + 1):
-        hist.append(rows[n - 1])
+        append(hist, rows[n - 1])
         if n <= WINDOW + BLOCK:
             continue
         got = hist.total()
@@ -307,10 +313,10 @@ def test_reduced_tail_matches_full_tail(steps, rng):
     rows = rows.reshape(count, len(ALL_FAMILIES), width)
     hist = MemorySum(ungrouped(ALL_FAMILIES), width, np.float64, steps)
     for row in rows:
-        hist.append(row)
+        append(hist, row)
     zero = np.zeros((len(ALL_FAMILIES), width))
     for _ in range(WINDOW + 1):
-        hist.append(zero)
+        append(hist, zero)
     fits = [soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
             for kind, order, lag in ALL_FAMILIES]
     appended, fills = count + WINDOW + 1, []
@@ -325,7 +331,7 @@ def test_reduced_tail_matches_full_tail(steps, rng):
             err = np.max(np.abs(got[s] / want - 1.0))
             assert err <= 1e-12, f"{kind} {order} {lag} fill {fill}: rel {err:.2e}"
         fills.append(fill)
-        hist.append(zero)
+        append(hist, zero)
         appended += 1
     assert fills == list(range(BLOCK)) * 4
 
@@ -342,10 +348,10 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
         rows = rows + 1j * random_rows(rng, count, width, False)
     hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
     for row in rows:
-        hist.append(row[None])
+        append(hist, row[None])
     zero = np.zeros((1, width), dtype=rows.dtype)
     for _ in range(WINDOW + BLOCK):
-        hist.append(zero)
+        append(hist, zero)
     x, c = soe_weights(kind, order, lag + WINDOW + 1, steps + lag)
     appended, fills = count + WINDOW + BLOCK, set()
     for _ in range(2 * BLOCK):
@@ -359,7 +365,7 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
         err = np.max(np.abs(hist.total()[0] - want) / np.abs(want))
         assert err <= 1e-12, f"fill {fill}: rel {err:.2e}"
         fills.add(fill)
-        hist.append(zero)
+        append(hist, zero)
         appended += 1
     assert fills == set(range(BLOCK))
 
@@ -373,17 +379,18 @@ def test_mode_space_source_matches_rfft_of_physical_sum(rng):
     physical = MemorySum(family, points, np.float64, steps)
     for n in range(1, steps + 2):
         row = random_rows(rng, 1, points, False)
-        modes.append(np.fft.rfft(row))
-        physical.append(row)
+        append(modes, np.fft.rfft(row))
+        append(physical, row)
         want = np.fft.rfft(physical.total()[0])
         err = np.max(np.abs(modes.total()[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-12, f"after {n} rows: rel {err:.2e}"
 
 
 class DirectSum:
-    """Stand-in for MemorySum that keeps every ``(K, G, width)`` row and
-    sums each group directly over (age, kind), age-major like MemorySum's
-    window product, on the same float columns."""
+    """Stand-in for MemorySum that hands out a fresh ``(K, G, width)`` slot
+    for every row, keeps them all, and sums each group directly over (age,
+    kind), age-major like MemorySum's window product, on the same float
+    columns."""
 
     def __init__(self, groups, width, dtype, steps):
         self.dtype = np.dtype(dtype)
@@ -395,8 +402,9 @@ class DirectSum:
         self.wrevs = self.wrevs.transpose(0, 2, 1).reshape(g, -1)
         self.rows = HistoryBuffer(k * g * self.cols, capacity=steps + 2)
 
-    def append(self, row):
-        self.rows.append(np.ravel(row).view(np.float64))
+    def slot(self):
+        g, k = self.shape
+        return self.rows.rows[self.rows.push()].reshape(k, g, self.cols).view(self.dtype)
 
     def total(self):
         n, (g, k) = len(self.rows), self.shape
@@ -455,6 +463,31 @@ def test_system_matches_direct_history(monkeypatch):
         for f, d in zip(fast, direct):
             assert f.status == d.status
             assert np.allclose(f.trace.values, d.trace.values, rtol=1e-9, atol=0.0)
+
+
+def test_source_off_run_leaves_every_source_slot_zero(monkeypatch):
+    # a fold hands out its dropped rows' slots again without clearing them;
+    # a run without the source never writes a source part, so each must
+    # still hold the zeros the window started with, through all four folds
+    steps, sums = WINDOW + 4 * BLOCK + 5, []
+
+    class Watched(MemorySum):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sums.append(self)
+
+        def slot(self):
+            row = super().slot()
+            assert not np.any(row[2]), f"row {len(self._window)}"
+            return row
+
+    monkeypatch.setattr(solver, "MemorySum", Watched)
+    for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(1.0, steps), BumpSpec(1.0, 1.0),
+                                      nonlinearity=False)):
+        assert solver.run(cfg).status == "Completed"
+        hist = sums.pop()
+        assert len(hist._window) == WINDOW + 6  # steps + 1 rows, four folds
+        assert not np.any(hist._window.rows.reshape(WINDOW + BLOCK, 3, 1, -1)[:, 2])
 
 
 # blow-up times of the default sweep (p = 1.5, 2, 3) from the direct sums

@@ -19,13 +19,13 @@ from fraclab.solver import (
     SimConfig,
     _Channel,
     _group,
+    bump_profile,
     default_space_grid,
     detect_blowup,
     run,
     run_system,
     tune_amplitude,
 )
-from fraclab.testfn import bump_profile
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)
 SYS_PARAMS = SystemParamSet(PARAMS, PARAMS)
@@ -484,6 +484,31 @@ def test_tune_amplitude_keeps_the_rest_of_the_config():
     direct = run(cfg(amp, horizon=6.0, steps=1200, u0=u0))
     assert r.blowup_time == direct.blowup_time
     assert np.array_equal(r.trace.values, direct.trace.values)
+
+
+def test_node_centred_runs_load_no_numpy_submodule():
+    # the Gauss-Legendre rules of the first fold's fits come from fracops'
+    # Golub-Welsch solver and the cosine wavenumbers from arange, so the
+    # default 1-D run and a 2-D run on a grid node, each past its first fold,
+    # load neither numpy.polynomial nor numpy.fft
+    code = (
+        "import sys\n"
+        "from fraclab.exponents import ParamSet\n"
+        "from fraclab.fraclap import SpaceGrid\n"
+        "from fraclab.fracops import TimeGrid\n"
+        "from fraclab.solver import BumpSpec, SimConfig, run\n"
+        "p = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)\n"
+        "run(SimConfig(p, SpaceGrid(1, 20.0, 256), TimeGrid(50.0, 50000), BumpSpec(4.0, 1.0)))\n"
+        "p2 = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)\n"
+        "run(SimConfig(p2, SpaceGrid(2, 20.0, 32), TimeGrid(0.5, 40), BumpSpec(4.0, 1.0)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['numpy', 'polynomial'], ['numpy', 'fft'])))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(fraclab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_is_reproducible_across_processes():

@@ -9,8 +9,8 @@ from fraclab import fracops
 from fraclab.errors import ParameterError
 from fraclab.exponents import ParamSet
 from fraclab.fraclap import SpaceGrid
+from fraclab.solver import bump_profile
 from fraclab.testfn import (
-    bump_profile,
     lemma3_integral_one,
     lemma3_integral_one_quad,
     lemma3_integral_two,
