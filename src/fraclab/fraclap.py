@@ -3,8 +3,8 @@ r"""Fractional Laplacian on periodic grids and as a direct singular integral.
 Two independent realizations of ``(-Delta)^s``:
 
 * :func:`apply_spectral`: Fourier multiplier ``|xi|^{2s}`` on a periodic
-  box, in the rfft layout of :func:`rfft_layout`, the one the time stepper
-  advances its modes in, so checks of this path cover its transforms,
+  box, in the rfft layout of :func:`rfft_layout`, one of the time stepper's
+  two, so checks of this path cover its transforms,
 * :func:`apply_singular_integral`: pointwise quadrature of
 
   .. math::
@@ -19,12 +19,12 @@ The two agree on smooth compactly supported fields and serve as each
 other's oracle in the tests.  The singular-integral path is 1-D; the
 spectral path covers 1-D and 2-D grids.
 
-:func:`cosine_layout` is the stepper's second mode layout: for fields even
-about a grid node on each axis it maps the samples ``q`` at offsets
-0 ... M/2 from the node to the real cosine modes ``F q`` (1-D) or
-``F q F^T`` (2-D), ``F[k, j] = w_j cos(2 pi k j / M)`` (w = 1 at j = 0 and
-M/2, else 2), in place of M/2+1 or M (M/2+1) complex ones.  The tests
-check it against :func:`apply_spectral` and the rfft modes.
+Both of the stepper's mode layouts hand out real columns, one k² each.
+:func:`cosine_layout`, for fields even about a grid node on each axis, maps
+the samples ``q`` at offsets 0 ... M/2 from the node to the cosine modes
+``F q`` (1-D) or ``F q F^T`` (2-D), ``F[k, j] = w_j cos(2 pi k j / M)``
+(w = 1 at j = 0 and M/2, else 2), in place of the rfft layout's (real,
+imaginary) pairs; the tests check it against those and apply_spectral.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ class SpaceGrid:
             raise ParameterError(f"points must be a power of two >= 8, got {m}")
         if not math.isfinite(self.spacing):
             raise ParameterError(f"half_length {self.half_length} overflows the grid spacing")
+        # the largest squared wavenumber, dim (pi / spacing)^2, at the corner mode
+        k = math.pi / self.spacing if self.spacing > 0.0 else math.inf
+        if not math.isfinite(self.dim * k * k):
+            raise ParameterError(
+                f"half_length {self.half_length} is too small: the largest squared "
+                "wavenumber overflows"
+            )
 
     @property
     def spacing(self) -> float:
@@ -76,12 +83,16 @@ class SpaceGrid:
         return -self.half_length + self.spacing * np.arange(self.points)
 
     def radius(self, center=0.0) -> np.ndarray:
-        """|x - center| at every grid point (shape (M,) or (M, M)); in 2-D a
-        scalar ``center`` means (center, center)."""
+        """|x - center| at every grid point (shape (M,) or (M, M)); a scalar
+        ``center`` means that coordinate on every axis, and a tuple must have
+        one per axis."""
         x = self.axis()
+        coords = center if isinstance(center, tuple) else (center,) * self.dim
+        if len(coords) != self.dim:
+            raise ParameterError(f"center {center} does not fit a {self.dim}-D grid")
         if self.dim == 1:
-            return np.abs(x - center)
-        cx, cy = center if isinstance(center, tuple) else (center, center)
+            return np.abs(x - coords[0])
+        cx, cy = coords
         return np.hypot(x[:, None] - cx, x[None, :] - cy)
 
     def shape(self) -> tuple:
@@ -89,21 +100,22 @@ class SpaceGrid:
 
 
 def rfft_layout(grid: SpaceGrid):
-    """Squared wavenumbers in rfft order, flattened, their shape, and the
-    forward and inverse transforms over the trailing space axes, so that
-    they batch over leading ones."""
+    """Squared wavenumbers, flattened, their shape, and the forward and inverse
+    transforms over the trailing space axes, batched over leading ones, with
+    each rfft mode as its (real, imaginary) pair of columns, one k² each."""
     m = grid.points
     if grid.dim == 1:
         k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
-        fwd = np.fft.rfft
-        inv = lambda a: np.fft.irfft(a, n=m)
+        fwd = lambda a: np.fft.rfft(a).view(np.float64)
+        inv = lambda c: np.fft.irfft(c.view(np.complex128), n=m)
     else:
         kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
         ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         # rfftn/irfftn over the last two axes, without their argument handling
-        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2)
-        inv = lambda a: np.fft.irfft(np.fft.ifft(a, axis=-2), n=m)
+        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2).view(np.float64)
+        inv = lambda c: np.fft.irfft(np.fft.ifft(c.view(np.complex128), axis=-2), n=m)
+    k2 = np.repeat(k2, 2, axis=-1)
     return k2.ravel(), k2.shape, fwd, inv
 
 

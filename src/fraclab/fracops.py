@@ -32,7 +32,7 @@ oracles in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        if not math.isfinite(self.horizon):
+            raise ParameterError(f"horizon must be finite, got {self.horizon}")
         if self.steps < 2:
             raise ParameterError(f"need at least 2 steps, got {self.steps}")
 
@@ -330,55 +332,15 @@ def caputo_right(f: TimeSeries, alpha) -> TimeSeries:
 # closed-form power rules (the oracles everything else is checked against)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerRule:
-    """Closed-form fractional derivative of a power function.
+def power_rule(beta: float, theta: float, t, side: str = "left", horizon: float = 1.0):
+    """Closed-form fractional derivative of order ``theta`` of a power
+    function, evaluated at ``t``.
 
-    ``side="left"`` maps ``t^beta`` to ``coefficient * t^(beta-theta)``;
-    ``side="right"`` maps ``(1-t/T)^beta`` to
-    ``coefficient * T^(-theta) * (1-t/T)^(beta-theta)``.
-    """
-
-    beta: float
-    theta: float
-    side: str
-    horizon: float
-    coefficient: float = field(init=False)
-    exponent: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "coefficient",
-            math.gamma(self.beta + 1.0) / math.gamma(self.beta + 1.0 - self.theta),
-        )
-        object.__setattr__(self, "exponent", self.beta - self.theta)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        e = self.exponent
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.side == "left":
-                base = t
-            else:
-                base = 1.0 - t / self.horizon
-            if e == 0.0:
-                powered = np.ones_like(base)
-            else:
-                powered = np.where(base > 0.0, base, 0.0) ** e
-                powered = np.where(base == 0.0, np.inf if e < 0.0 else 0.0, powered)
-        scale = self.coefficient
-        if self.side == "right":
-            scale *= self.horizon ** (-self.theta)
-        return scale * powered
-
-
-def power_rule(beta: float, theta: float, side: str = "left", horizon: float = 1.0) -> PowerRule:
-    """Closed-form map for the fractional derivative of a power function.
-
-    ``theta = 0`` gives the identity rule (coefficient 1, exponent ``beta``)
-    and integer ``theta`` reproduces the classical derivative, so the rule is
-    valid for any ``theta >= 0`` with ``beta - theta > -1``.
+    ``side="left"`` maps ``t^beta`` to ``Gamma(beta+1)/Gamma(beta+1-theta)
+    * t^(beta-theta)``; ``side="right"`` maps ``(1-t/T)^beta`` to the same
+    coefficient times ``T^(-theta) * (1-t/T)^(beta-theta)``.  ``theta = 0``
+    gives the identity and integer ``theta`` the classical derivative, so
+    the rule holds for any ``theta >= 0`` with ``beta - theta > -1``.
     """
     if beta < 0.0:
         raise ParameterError(f"power exponent must be >= 0, got {beta}")
@@ -392,4 +354,16 @@ def power_rule(beta: float, theta: float, side: str = "left", horizon: float = 1
         raise ParameterError(f"side must be 'left' or 'right', got {side!r}")
     if horizon <= 0.0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    return PowerRule(beta, theta, side, horizon)
+    scale = math.gamma(beta + 1.0) / math.gamma(beta + 1.0 - theta)
+    e = beta - theta
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = t if side == "left" else 1.0 - t / horizon
+        if e == 0.0:
+            powered = np.ones_like(base)
+        else:
+            powered = np.where(base > 0.0, base, 0.0) ** e
+            powered = np.where(base == 0.0, np.inf if e < 0.0 else 0.0, powered)
+    if side == "right":
+        scale *= horizon ** (-theta)
+    return scale * powered

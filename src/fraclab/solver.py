@@ -38,13 +38,13 @@ row, which adds exactly zero, so all 3C sums hold the same number of rows
 and form one :class:`MemorySum` of C groups of three that fills, sums each
 group and folds in lock step; a step writes its rows in place into the
 next window slot and makes one inverse and one forward transform for all
-components.  Their mode layout follows from the data.  A run whose data
-are bumps with one centre on a grid node, and no ``u0`` or ``v0_init``,
-stays even about that node on each axis (every operator acts through |k|
-and ``|u|^p`` is pointwise), so it steps on the samples at offsets
-0 ... M/2 from the node alone, with the real modes of
-:func:`fraclap.cosine_layout` in float64 rows.  Every other run steps on
-full fields with the complex modes of :func:`fraclap.rfft_layout`, which
+components.  Every operator acts on a mode through |k|, so both mode
+layouts hand out real columns with one k² each.  A run whose data are
+bumps with one centre on a grid node, and no ``u0`` or ``v0_init``, stays
+even about that node on each axis (``|u|^p`` is pointwise), so it steps
+on the samples at offsets 0 ... M/2 from the node alone, in the cosine
+modes of :func:`fraclap.cosine_layout`.  Every other run steps on full
+fields in the rfft modes of :func:`fraclap.rfft_layout`, as pairs, which
 :func:`fraclap.apply_spectral` and so its checks use too.  Summed directly
 the sums would cost O(j) at step j and keep every row; a :class:`MemorySum`
 keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` = 24 rows exact and
@@ -107,8 +107,10 @@ class BumpSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.width <= 0.0:
+        if not self.width > 0.0:
             raise ParameterError(f"width must be positive, got {self.width}")
+        if np.any(np.isnan(self.center)):
+            raise ParameterError(f"center must be a number, got {self.center}")
 
     def render(self, grid: SpaceGrid) -> Field:
         if np.max(np.abs(np.atleast_1d(self.center))) + 2.0 * self.width > grid.half_length:
@@ -229,9 +231,9 @@ class MemorySum:
     ``groups`` lists each sum's K ``(kind, order, lag)`` families: ``w_gc``
     are the ``kind`` (``"l1"``/``"rect"``) weights of ``order`` up to index
     ``steps + lag``, and ``age`` is 0 for the newest row.  :meth:`slot`
-    hands out the next ``(K, G, width)`` row to write in place, so all fill
-    and fold in lock step; complex rows are held as float pairs.  The
-    newest ``WINDOW`` to ``WINDOW + BLOCK`` rows sit in one window.  A full
+    hands out the next ``(K, G, width)`` row of real columns, as both mode
+    layouts give them, to write in place, so all fill and fold in lock step.
+    The newest ``WINDOW`` to ``WINDOW + BLOCK`` rows sit in one window.  A full
     window folds its oldest ``BLOCK`` rows, all K kinds at once, into one
     reduced SOE state per group, ``S = sum_k decay^(folds since k) fold_w
     row_k`` of r' terms (:func:`reduced_soe`), built at the first fold.
@@ -244,9 +246,8 @@ class MemorySum:
     which stay 0.
     """
 
-    def __init__(self, groups, width: int, dtype, steps: int):
-        self._dtype = np.dtype(dtype)
-        self._cols = width * (2 if self._dtype.kind == "c" else 1)
+    def __init__(self, groups, width: int, steps: int):
+        self._cols = width
         self._shape = g, k = len(groups), len(groups[0])
         # reversed and age-major: the weights of the n newest rows are [..., -n * K:]
         self._wrev = np.array([[
@@ -257,8 +258,7 @@ class MemorySum:
         # the window as (G, age * K + kind, cols): a view
         self._rows = self._window.rows.reshape(WINDOW + BLOCK, k, g, self._cols).transpose(
             2, 0, 1, 3).reshape(g, -1, self._cols)
-        self._slots = [row.reshape(k, g, self._cols).view(self._dtype)
-                       for row in self._window.rows]
+        self._slots = [row.reshape(k, g, self._cols) for row in self._window.rows]
         self._groups, self._steps = [tuple(group) for group in groups], steps
         self._state = None
         self._views = self._total_views(0)
@@ -317,7 +317,7 @@ class MemorySum:
         out = np.matmul(weights, rows)
         if read is not None:
             out += read
-        return out.reshape(self._shape[0], self._cols).view(self._dtype)
+        return out.reshape(self._shape[0], self._cols)
 
 
 def reduced_soe(group, steps: int):
@@ -428,10 +428,10 @@ class _Channel:
     for 0 < k < j (weights b), a zero row and v_{k-1} + v_k (weights w), and
     the modes of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
     its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total, and
-    written in place into the history's next slot.  The modes are the cosine
-    layout's when :func:`_even_node` finds a node, and the rfft layout's,
-    looked up as ``_mode_layout``, otherwise; the states are the layout's
-    samples, and ``unfold`` makes a new full field of one.
+    written in place into the history's next slot.  The modes, real columns
+    with one k² each, are the cosine layout's when :func:`_even_node` finds
+    a node, and the rfft layout's, looked up as ``_mode_layout``, otherwise;
+    the states are the layout's samples, which ``unfold`` makes full fields.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -439,10 +439,9 @@ class _Channel:
         node = _even_node(config)
         if node is None:
             k2, shape, self.fwd, self.inv = _mode_layout(config.space)
-            gather, self.unfold, dtype = np.asarray, np.copy, np.complex128
+            gather, self.unfold = np.asarray, np.copy
         else:
             k2, shape, self.fwd, self.inv, gather, self.unfold = cosine_layout(config.space, node)
-            dtype = np.float64
         count = len(comps)
         self.mode_shape, self.feeds = (count,) + shape, feeds
         blocks, u0s, v0s = zip(*comps)
@@ -458,13 +457,13 @@ class _Channel:
                 c1 - 0.5 * qdel - 0.5 * h * lsig, -lsig)])
             families.append((("l1", pr.alpha1, 1), ("rect", 1.0 - pr.alpha2, 2),
                              ("rect", 1.0 - pr.gamma, 1)))
-        *self.scale, self.a, self.b = np.array(list(zip(*factors)), dtype=dtype)
+        *self.scale, self.a, self.b = np.array(list(zip(*factors)))
         self.powers = [pr.p for pr in blocks]
         self.u0 = np.array(u0s)
         u0, v0 = gather(np.array([u0s, v0s]))
-        self.uhat, self.vhat = (self.fwd(a).reshape(count, -1).astype(dtype) for a in (u0, v0))
+        self.uhat, self.vhat = (self.fwd(a).reshape(count, -1) for a in (u0, v0))
         # rows are kind-major: every Caputo row, then every damping row, then the sources
-        self.history = MemorySum(families, k2.size, dtype, config.time.steps)
+        self.history = MemorySum(families, k2.size, config.time.steps)
         # the window starts zeroed, so the Caputo and damping parts of this
         # row, and the source parts of a run without the source, stay 0
         row = self.history.slot()

@@ -57,8 +57,8 @@ def phi1_right_derivative_closed(
     phi1 vanishes to order eta at the horizon).
     """
     grid = _grid(eta, horizon, steps)
-    rule = fracops.power_rule(eta, theta_d, side="right", horizon=horizon)
-    return TimeSeries(grid, rule(grid.nodes()))
+    return TimeSeries(grid, fracops.power_rule(eta, theta_d, grid.nodes(), side="right",
+                                               horizon=horizon))
 
 
 # ---------------------------------------------------------------------------

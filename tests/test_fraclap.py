@@ -29,6 +29,14 @@ def test_grid_validation():
     # finite, but 2 * half_length overflows
     with pytest.raises(ParameterError, match="overflows the grid spacing"):
         SpaceGrid(1, 1e308, 256)
+    # the largest squared wavenumber, dim (pi / spacing)^2, overflows: at 256
+    # points it is ~1.6e305 at half-length 1e-150, and ~1.2e308 at 3.67e-152,
+    # which a 2-D grid doubles past the largest float
+    assert np.isfinite(fraclap.rfft_layout(SpaceGrid(1, 1e-150, 256))[0].max())
+    assert np.isfinite(fraclap.rfft_layout(SpaceGrid(1, 3.67e-152, 256))[0].max())
+    for dim, half_length in ((2, 3.67e-152), (1, 2e-159), (2, 2e-159), (1, 5e-324)):
+        with pytest.raises(ParameterError, match=f"half_length {half_length} is too small"):
+            SpaceGrid(dim, half_length, 256)
 
 
 def test_grid_geometry():
@@ -59,6 +67,11 @@ def test_grid_radius_about_a_center():
     assert np.array_equal(r, np.hypot(a[:, None] - 1.0, a[None, :] + 2.5))
     i, j = np.unravel_index(np.argmin(r), r.shape)
     assert (a[i], a[j]) == (1.0, -2.5) and r[i, j] == 0.0
+    # a tuple centre has one coordinate per axis
+    assert np.array_equal(g.radius((0.75,)), g.radius(0.75))
+    for grid, center in ((g, (1.0, 2.0)), (g2, (1.0,)), (g2, (1.0, 2.0, 3.0))):
+        with pytest.raises(ParameterError, match=f"does not fit a {grid.dim}-D grid"):
+            grid.radius(center)
 
 
 def test_field_validation():
@@ -171,6 +184,25 @@ def test_spectral_matches_full_fft_on_random_fields(rng, dim, half_length, point
 
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_both_layouts_hand_out_real_columns_with_one_k2_each(rng, dim):
+    # the stepper's one mode contract: fwd maps fields to float64 rows of
+    # k2.size columns, batched over leading axes, and inv maps them back;
+    # the rfft layout's columns are the rfft modes' (real, imaginary) pairs
+    g = SpaceGrid(dim, 7.3, 32)
+    node = (5,) * dim
+    q, vals = even_about(rng, g.points, node)
+    rfft = fraclap.rfft_layout(g)
+    for (k2, shape, fwd, inv, *_), field in ((rfft, vals), (cosine_layout(g, node), q)):
+        assert k2.dtype == np.float64 and k2.shape == (math.prod(shape),)
+        modes = fwd(np.stack([field, 2.0 * field]))
+        assert modes.dtype == np.float64 and modes.shape == (2, *shape)
+        assert np.max(np.abs(inv(modes)[1] - 2.0 * field)) <= 1e-14 * np.max(np.abs(field))
+    fwd = rfft[2]
+    assert np.array_equal(fwd(vals).view(np.complex128),
+                          np.fft.rfft(vals) if dim == 1 else np.fft.rfftn(vals))
+
+
 def even_about(rng, points, node):
     # a random field even about the grid node `node` on each axis, and its
     # fundamental domain: offset o from the node reads the sample at min(o, M - o)
@@ -204,7 +236,8 @@ def check_cosine_layout(rng, g, node):
     assert np.max(np.abs(ref.imag)) <= 1e-13 * scale, node
     assert np.max(np.abs(modes - ref.real)) <= 1e-13 * scale, node
     ref_k2, ref_shape = fraclap.rfft_layout(g)[:2]
-    assert np.array_equal(k2.reshape(shape), ref_k2.reshape(ref_shape)[:k])
+    # one rfft k2 per (real, imaginary) pair of columns
+    assert np.array_equal(k2.reshape(shape), ref_k2.reshape(ref_shape)[..., ::2][:k])
     assert np.max(np.abs(inv(modes) - q)) <= 1e-14 * np.max(np.abs(q)), node
     for s in (0.2, 0.5, 1.0):
         want = apply_spectral(Field(g, vals), s).values

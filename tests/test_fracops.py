@@ -26,6 +26,11 @@ def test_time_grid_invariants():
         TimeGrid(1.0, 1)
     with pytest.raises(ParameterError):
         g.coarsened(3)
+    for horizon in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match=f"horizon must be finite, got {horizon}"):
+            TimeGrid(horizon, 10)
+    with pytest.raises(ParameterError, match="horizon must be positive"):
+        TimeGrid(-float("inf"), 10)
 
 
 def test_time_series_validation():
@@ -197,11 +202,9 @@ def test_right_derivative_spec_value():
 
 
 def test_right_matches_reflected_power_rule():
-    rule = fracops.power_rule(4.0, 0.7, side="right", horizon=2.0)
     f = series(lambda t: (1.0 - t / 2.0) ** 4, 4096, horizon=2.0)
     out = fracops.rl_right_derivative(f, 0.7)
-    t = f.grid.nodes()
-    exact = rule(t)
+    exact = fracops.power_rule(4.0, 0.7, f.grid.nodes(), side="right", horizon=2.0)
     interior = slice(100, -100)
     scale = np.max(np.abs(exact[interior]))
     assert np.max(np.abs(out.values[interior] - exact[interior])) / scale < 1e-3
@@ -215,22 +218,24 @@ def test_caputo_right_equals_rl_right_for_vanishing_terminal():
 
 
 def test_power_rule_identity_and_integer_cases():
-    r0 = fracops.power_rule(3.0, 0.0)
-    assert r0.coefficient == 1.0 and r0.exponent == 3.0
-    r1 = fracops.power_rule(3.0, 1.0)
     t = np.linspace(0.0, 1.0, 11)
-    assert np.allclose(r1(t), 3.0 * t**2)
+    assert np.array_equal(fracops.power_rule(3.0, 0.0, t), t**3)
+    assert np.allclose(fracops.power_rule(3.0, 1.0, t), 3.0 * t**2)
+    # beta = theta: the constant Gamma(beta + 1), at t = 0 and on the right too
+    assert np.array_equal(fracops.power_rule(0.5, 0.5, t), np.full(11, math.gamma(1.5)))
+    right = fracops.power_rule(2.0, 2.0, t, side="right", horizon=0.5)
+    assert np.array_equal(right, np.full(11, 2.0 * 0.5**-2.0))
 
 
 def test_power_rule_rejections():
     with pytest.raises(ParameterError, match="nonintegrable singularity"):
-        fracops.power_rule(0.2, 1.5)
+        fracops.power_rule(0.2, 1.5, 0.5)
     with pytest.raises(ParameterError):
-        fracops.power_rule(-1.0, 0.5)
+        fracops.power_rule(-1.0, 0.5, 0.5)
     with pytest.raises(ParameterError, match="derivative order must be >= 0"):
-        fracops.power_rule(1.0, -0.5)
+        fracops.power_rule(1.0, -0.5, 0.5)
     with pytest.raises(ParameterError):
-        fracops.power_rule(1.0, 0.5, side="up")
+        fracops.power_rule(1.0, 0.5, 0.5, side="up")
 
 
 def test_operators_reject_diverged_input():

@@ -481,6 +481,43 @@ def test_failed_sweep_rows_keep_their_message(monkeypatch, tmp_path, capsys):
     ]
 
 
+def test_sweep_whose_shared_fit_fails_prints_a_failed_row_per_p(monkeypatch, capsys):
+    # the rows share the first fold's L1 fit, which a vanishing Caputo order
+    # cannot have: the whole march fails, and every row reports that failure
+    clear_fraclab_env(monkeypatch)
+    for key, value in {"PARAMS_MODE": "permissive", "PARAMS_ALPHA1": "1e-300",
+                       "TIME_STEPS": "100", "TIME_HORIZON": "0.1"}.items():
+        monkeypatch.setenv("FRACLAB_" + key, value)
+    assert harness.main(["sweep"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        CSV_HEADER, "1.5,8,Failed,,nan", "2,8,Failed,,nan", "3,8,Failed,,nan"]
+    lines = [line.split(": ", 2) for line in captured.err.splitlines()]
+    assert [line[:2] for line in lines] == [["warning", f"p={p}"] for p in ("1.5", "2", "3")]
+    for _, _, message in lines:
+        assert message.startswith(
+            "no sum-of-exponentials fit of the l1 weights of order 1e-300 "), message
+
+
+def test_simulate_doubling_the_amplitude_through_main(monkeypatch, capsys):
+    clear_fraclab_env(monkeypatch)
+    for key, value in {"RUN_AMPLITUDE_POLICY": "double", "BUMP_AMPLITUDE": "0.5",
+                       "TIME_STEPS": "200", "TIME_HORIZON": "2"}.items():
+        monkeypatch.setenv("FRACLAB_" + key, value)
+    assert harness.main(["simulate"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for line in ("amplitude = 16", "status = BlowUp", "steps_taken = 181"):
+        assert line in lines, lines
+    # a horizon too short for any of the doublings to blow up
+    monkeypatch.setenv("FRACLAB_TIME_STEPS", "20")
+    monkeypatch.setenv("FRACLAB_TIME_HORIZON", "0.02")
+    assert harness.main(["simulate"]) == EXIT_NUMERICS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "numerical failure: no blow-up detected after 12 doublings from 0.5"]
+
+
 def test_exponent_query_text(monkeypatch):
     clear_fraclab_env(monkeypatch)
     text = harness.exponent_query(build_spec(ns(mode="exponent")))
@@ -633,6 +670,11 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
      "error: half_length 1e+308 overflows the grid spacing"),
     ("sweep", {"SPACE_HALF_LENGTH": "1e308"}, EXIT_BAD_CONFIG,
      "error: half_length 1e+308 overflows the grid spacing"),
+    # the default box of so narrow a bump: its largest squared wavenumber is inf
+    ("simulate", {"BUMP_WIDTH": "1e-160"}, EXIT_BAD_CONFIG,
+     "error: half_length 2e-159 is too small: the largest squared wavenumber overflows"),
+    ("sweep", {"BUMP_WIDTH": "1e-160"}, EXIT_BAD_CONFIG,
+     "error: half_length 2e-159 is too small: the largest squared wavenumber overflows"),
     ("sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
      "error: [params] gamma 1e-17 is too small: its memory order 1 - gamma rounds to 1"),
     ("system-sweep", {"PARAMS_GAMMA": "1e-17"}, EXIT_BAD_CONFIG,
@@ -645,7 +687,8 @@ def test_overflowing_run_prints_one_line_and_no_numpy_warning(monkeypatch, capsy
      "for these data (reduce h or the amplitude), or the threshold 1e-300 is below "
      "the sup-norm 0.004 of step 1"),
 ], ids=["gamma", "alpha2", "alpha1", "alpha1-subnormal", "box", "box-sweep",
-        "gamma-sweep", "gamma-system-sweep", "gamma2-system-sweep", "threshold"])
+        "box-wavenumbers", "box-wavenumbers-sweep", "gamma-sweep", "gamma-system-sweep",
+        "gamma2-system-sweep", "threshold"])
 def test_extreme_orders_and_boxes_end_in_messages_not_tracebacks(monkeypatch, capsys,
                                                                   mode, env, code, needle):
     clear_fraclab_env(monkeypatch)

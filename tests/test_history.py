@@ -40,9 +40,10 @@ def ungrouped(families):
 
 
 def append(hist, row):
-    # the solver writes each row in place into the sum's next slot
+    # the solver writes each row in place into the sum's next slot, complex
+    # rows as their float pairs
     slot = hist.slot()
-    slot[...] = np.reshape(row, slot.shape)
+    slot[...] = np.reshape(as_floats(row), slot.shape)
 
 
 def soe_eval(x, c, m):
@@ -95,29 +96,39 @@ def direct_sum(kind, order, lag, rows, n, dot):
     return dot(wrev, 0, rows, 0, n)
 
 
-def random_rows(rng, count, width, complex_rows):
-    if complex_rows:
+def random_rows(rng, count, width, pairs=False):
+    # nonnegative float rows, like |u|^p; with ``pairs``, complex rows, like
+    # the rfft modes that the rfft layout hands out as float pairs
+    if pairs:
         return rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
-    return rng.random((count, width)) ** 2  # nonnegative, like |u|^p
+    return rng.random((count, width)) ** 2
 
 
 def as_floats(rows):
-    # the float columns a stacked sum holds for these rows
+    # the float columns of these rows: a complex row's (real, imaginary) pairs
     return np.ascontiguousarray(rows).view(np.float64)
 
 
+def totals(hist, pairs):
+    # the sums' columns, read back as complex numbers when they hold pairs
+    out = hist.total()
+    return out.view(np.complex128) if pairs else out
+
+
 @pytest.mark.parametrize("kind,order,lag", FAMILIES)
-@pytest.mark.parametrize("complex_rows", [False, True])
-def test_memory_sum_matches_direct_sum(kind, order, lag, complex_rows, rng):
+@pytest.mark.parametrize("pairs", [False, True])
+def test_memory_sum_matches_direct_sum(kind, order, lag, pairs, rng):
+    # real columns, and complex rows as their float pairs against the
+    # complex direct sum
     steps, width = 3000, 7
-    rows = random_rows(rng, steps + 1, width, complex_rows)
-    dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
-    hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
+    rows = random_rows(rng, steps + 1, width, pairs)
+    dot = _kernels.hist_dot_complex if pairs else _kernels.hist_dot_real
+    hist = MemorySum([[(kind, order, lag)]], as_floats(rows).shape[1], steps)
     assert not np.any(hist.total())
     for n in range(1, steps + 2):  # covers the folds at W+B, W+B+1, ... and k*B
         append(hist, rows[n - 1][None])
         want = direct_sum(kind, order, lag, rows, n, dot)
-        err = np.max(np.abs(hist.total()[0] - want)) / np.max(np.abs(want))
+        err = np.max(np.abs(totals(hist, pairs)[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-9, f"after {n} rows: rel {err:.2e}"
 
 
@@ -127,14 +138,14 @@ def test_stacked_families_match_their_direct_sums(rng):
     # every padded state row must stay exactly zero
     steps, width = 3000, 5
     terms = [reduced_soe(group, steps)[0].size for group in ungrouped(FAMILIES)]
-    rows = random_rows(rng, (steps + 1) * len(FAMILIES), width, True)
+    rows = random_rows(rng, (steps + 1) * len(FAMILIES), width)
     rows = rows.reshape(steps + 1, len(FAMILIES), width)
-    hist = MemorySum(ungrouped(FAMILIES), width, np.complex128, steps)
+    hist = MemorySum(ungrouped(FAMILIES), width, steps)
     for n in range(1, steps + 2):
         append(hist, rows[n - 1])
         got = hist.total()
         for s, (kind, order, lag) in enumerate(FAMILIES):
-            want = direct_sum(kind, order, lag, rows[:, s], n, _kernels.hist_dot_complex)
+            want = direct_sum(kind, order, lag, rows[:, s], n, _kernels.hist_dot_real)
             err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
             assert err <= 1e-9, f"{kind} {order} {lag} after {n} rows: rel {err:.2e}"
         if n > WINDOW + BLOCK:
@@ -157,11 +168,10 @@ def test_grouped_sums_match_their_members(rng):
     # several folds, and every padded row of the stacked states stays
     # exactly zero
     steps, width, count = 3000, 5, WINDOW + 6 * BLOCK
-    rows = random_rows(rng, count * 6, width, True).reshape(count, 3, 2, width)
-    grouped = MemorySum(GROUPS, width, np.complex128, steps)
+    rows = random_rows(rng, count * 6, width).reshape(count, 3, 2, width)
+    grouped = MemorySum(GROUPS, width, steps)
     # kind-major, like the rows
-    members = MemorySum(ungrouped([f for same in zip(*GROUPS) for f in same]),
-                        width, np.complex128, steps)
+    members = MemorySum(ungrouped([f for same in zip(*GROUPS) for f in same]), width, steps)
     terms = [reduced_soe(group, steps)[0].size for group in GROUPS]
     for n in range(1, count + 1):
         append(grouped, rows[n - 1])
@@ -170,21 +180,21 @@ def test_grouped_sums_match_their_members(rng):
         err = np.max(np.abs(grouped.total() - want)) / np.max(np.abs(want))
         assert err <= 1e-13, f"after {n} rows: rel {err:.2e}"
         if n > WINDOW + BLOCK:
-            assert grouped._state.shape == (2, max(terms), 2 * width)
+            assert grouped._state.shape == (2, max(terms), width)
             for g, t in enumerate(terms):
                 assert np.all(grouped._state[g, t:] == 0.0), f"group {g} after {n} rows"
     assert len(set(terms)) > 1
 
 
-@pytest.mark.parametrize("complex_rows", [False, True])
-def test_memory_sum_without_fold_is_bit_identical(complex_rows, rng):
+@pytest.mark.parametrize("pairs", [False, True])
+def test_memory_sum_without_fold_is_bit_identical(pairs, rng):
     width, families = 33, FAMILIES[:3]
-    rows = random_rows(rng, (WINDOW + BLOCK) * len(families), width, complex_rows)
+    rows = random_rows(rng, (WINDOW + BLOCK) * len(families), width, pairs)
     rows = rows.reshape(WINDOW + BLOCK, len(families), width)
-    hist = MemorySum(ungrouped(families), width, rows.dtype, 10_000)
+    hist = MemorySum(ungrouped(families), as_floats(rows).shape[-1], 10_000)
     for n in range(1, WINDOW + BLOCK + 1):
         append(hist, rows[n - 1])
-        got = as_floats(hist.total())
+        got = hist.total()
         for s, (kind, order, lag) in enumerate(families):
             want = direct_sum(kind, order, lag, as_floats(rows[:, s]), n,
                               _kernels.hist_dot_real)
@@ -195,25 +205,26 @@ def test_memory_sum_memory_is_flat(rng):
     width, steps = 16, 100_000
     # the solver's three sums of one component, twice over: two groups
     groups = [FAMILIES[:3]] * 2
-    hist = MemorySum(groups, width, np.complex128, steps)
+    hist = MemorySum(groups, width, steps)
     sizes = set()
     for n in range(1, 2001):
-        append(hist, random_rows(rng, 6, width, True))
+        append(hist, random_rows(rng, 6, width))
         if n > WINDOW + BLOCK:
             sizes.add(hist.nbytes)
     assert len(sizes) == 1
     terms = reduced_soe(FAMILIES[:3], steps)[0].size
-    # one float pair per column for each window row of the six sums, and
-    # for each state term and each fill's read row of the two groups
-    assert sizes.pop() == width * 16 * (6 * (WINDOW + BLOCK) + 2 * (terms + BLOCK))
+    # one float per column for each window row of the six sums, and for
+    # each state term and each fill's read row of the two groups
+    assert sizes.pop() == width * 8 * (6 * (WINDOW + BLOCK) + 2 * (terms + BLOCK))
 
 
 def test_sim_2d_history_fits_in_4_6_mb():
-    # the three summed sums of a 64 x 64 scalar run (33 rfft columns per
-    # row) over 500 steps, after the first fold has built the reduced state
-    families, width = FAMILIES[:3], 64 * 33
-    hist = MemorySum([families], width, np.complex128, 500)
-    zero = np.zeros((len(families), 1, width), dtype=np.complex128)
+    # the three summed sums of a 64 x 64 scalar run in the rfft layout (64 x
+    # 33 modes, each a pair of real columns) over 500 steps, after the first
+    # fold has built the reduced state
+    families, width = FAMILIES[:3], 64 * 33 * 2
+    hist = MemorySum([families], width, 500)
+    zero = np.zeros((len(families), 1, width))
     for _ in range(WINDOW + BLOCK + 1):
         append(hist, zero)
     assert hist.nbytes <= 4.6e6, f"{hist.nbytes / 1e6:.2f} MB"
@@ -224,7 +235,7 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
     # the same sums in the cosine layout that a 64 x 64 run with its bump on
     # a grid node takes: 33 x 33 real columns per row
     families, width = FAMILIES[:3], 33 * 33
-    hist = MemorySum([families], width, np.float64, 500)
+    hist = MemorySum([families], width, 500)
     zero = np.zeros((len(families), 1, width))
     for _ in range(WINDOW + BLOCK + 1):
         append(hist, zero)
@@ -234,36 +245,36 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
 def test_sim_1d_cosine_history_fits_in_0_17_mb():
     # the three summed sums of the default 1-D run (M = 256, 50 000 steps,
     # its bump on a grid node) in the cosine layout: 129 real columns per
-    # row, half the bytes of its 129 complex rfft columns
-    families, width = FAMILIES[:3], 256 // 2 + 1
+    # row, half the bytes of the rfft layout's 129 modes as real pairs
+    families, cosine = FAMILIES[:3], 256 // 2 + 1
     nbytes = {}
-    for dtype in (np.float64, np.complex128):
-        hist = MemorySum([families], width, dtype, 50_000)
-        zero = np.zeros((len(families), 1, width), dtype=dtype)
+    for width in (cosine, 2 * cosine):
+        hist = MemorySum([families], width, 50_000)
+        zero = np.zeros((len(families), 1, width))
         for _ in range(WINDOW + BLOCK + 1):
             append(hist, zero)
-        nbytes[dtype] = hist.nbytes
-    assert nbytes[np.float64] <= 0.17e6, f"{nbytes[np.float64] / 1e6:.3f} MB"
-    assert 2 * nbytes[np.float64] == nbytes[np.complex128]
+        nbytes[width] = hist.nbytes
+    assert nbytes[cosine] <= 0.17e6, f"{nbytes[cosine] / 1e6:.3f} MB"
+    assert 2 * nbytes[cosine] == nbytes[2 * cosine]
 
 
-@pytest.mark.parametrize("complex_rows", [False, True])
-def test_kept_window_rows_are_read_exactly(complex_rows, rng):
+@pytest.mark.parametrize("pairs", [False, True])
+def test_kept_window_rows_are_read_exactly(pairs, rng):
     # the first fold folds BLOCK zero rows, so its state is exactly zero, and
     # keeps the WINDOW random rows after them; until the next fold, total()
     # reads those through the fold's precomputed rows and the rows appended
     # since directly, and both must carry their exact weights
     width, families, steps = 9, FAMILIES, 3000
-    rows = random_rows(rng, (2 * BLOCK + WINDOW) * len(families), width, complex_rows)
+    rows = random_rows(rng, (2 * BLOCK + WINDOW) * len(families), width, pairs)
     rows = rows.reshape(2 * BLOCK + WINDOW, len(families), width)
     rows[:BLOCK] = 0.0
-    hist = MemorySum(ungrouped(families), width, rows.dtype, steps)
-    dot = _kernels.hist_dot_complex if complex_rows else _kernels.hist_dot_real
+    hist = MemorySum(ungrouped(families), as_floats(rows).shape[-1], steps)
+    dot = _kernels.hist_dot_complex if pairs else _kernels.hist_dot_real
     for n in range(1, 2 * BLOCK + WINDOW + 1):
         append(hist, rows[n - 1])
         if n <= WINDOW + BLOCK:
             continue
-        got = hist.total()
+        got = totals(hist, pairs)
         for s, (kind, order, lag) in enumerate(families):
             want = direct_sum(kind, order, lag, rows[:, s], n, dot)
             err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
@@ -309,9 +320,9 @@ def test_reduced_tail_matches_full_tail(steps, rng):
     # reduced tail alone; read at every fill from that fold on, over four
     # folds, it must equal the full T-term fit's tail on the folded rows
     width, count = 3, 4 * BLOCK
-    rows = random_rows(rng, count * len(ALL_FAMILIES), width, False)
+    rows = random_rows(rng, count * len(ALL_FAMILIES), width)
     rows = rows.reshape(count, len(ALL_FAMILIES), width)
-    hist = MemorySum(ungrouped(ALL_FAMILIES), width, np.float64, steps)
+    hist = MemorySum(ungrouped(ALL_FAMILIES), width, steps)
     for row in rows:
         append(hist, row)
     zero = np.zeros((len(ALL_FAMILIES), width))
@@ -337,16 +348,16 @@ def test_reduced_tail_matches_full_tail(steps, rng):
 
 
 @pytest.mark.parametrize("kind,order,lag", FAMILIES)
-@pytest.mark.parametrize("complex_rows", [False, True])
-def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
+@pytest.mark.parametrize("pairs", [False, True])
+def test_low_rank_tail_matches_full_tail(kind, order, lag, pairs, rng):
     # several folds of nonzero rows, then zero rows until the window holds
     # nothing else: total() is then the tail alone, which must equal the
     # full fit's weights times the folded rows
     steps, width, count = 3000, 5, WINDOW + 4 * BLOCK
-    rows = random_rows(rng, count, width, False)
-    if complex_rows:
-        rows = rows + 1j * random_rows(rng, count, width, False)
-    hist = MemorySum([[(kind, order, lag)]], width, rows.dtype, steps)
+    rows = random_rows(rng, count, width)
+    if pairs:
+        rows = rows + 1j * random_rows(rng, count, width)
+    hist = MemorySum([[(kind, order, lag)]], as_floats(rows).shape[1], steps)
     for row in rows:
         append(hist, row[None])
     zero = np.zeros((1, width), dtype=rows.dtype)
@@ -362,7 +373,7 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
         # weight index of folded row k: first + fill + its offset in S
         m = lag + WINDOW + 1 + fill + (done - 1 - np.arange(count))
         want = (np.exp(-np.outer(m, x)) @ c) @ rows
-        err = np.max(np.abs(hist.total()[0] - want) / np.abs(want))
+        err = np.max(np.abs(totals(hist, pairs)[0] - want) / np.abs(want))
         assert err <= 1e-12, f"fill {fill}: rel {err:.2e}"
         fills.add(fill)
         append(hist, zero)
@@ -371,18 +382,18 @@ def test_low_rank_tail_matches_full_tail(kind, order, lag, complex_rows, rng):
 
 
 def test_mode_space_source_matches_rfft_of_physical_sum(rng):
-    # the solver sums rfft(|u|^p) rows; the sum is linear, so its total must
-    # be the rfft of the sum of the physical rows
+    # the solver sums rfft(|u|^p) rows as (real, imaginary) pairs; the sum is
+    # linear, so its total must be the rfft of the sum of the physical rows
     steps, points = 500, 64
     family = [[("rect", 0.75, 1)]]
-    modes = MemorySum(family, points // 2 + 1, np.complex128, steps)
-    physical = MemorySum(family, points, np.float64, steps)
+    modes = MemorySum(family, 2 * (points // 2 + 1), steps)
+    physical = MemorySum(family, points, steps)
     for n in range(1, steps + 2):
-        row = random_rows(rng, 1, points, False)
-        append(modes, np.fft.rfft(row))
+        row = random_rows(rng, 1, points)
+        append(modes, np.fft.rfft(row).view(np.float64))
         append(physical, row)
         want = np.fft.rfft(physical.total()[0])
-        err = np.max(np.abs(modes.total()[0] - want)) / np.max(np.abs(want))
+        err = np.max(np.abs(totals(modes, True)[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-12, f"after {n} rows: rel {err:.2e}"
 
 
@@ -392,9 +403,8 @@ class DirectSum:
     kind), age-major like MemorySum's window product, on the same float
     columns."""
 
-    def __init__(self, groups, width, dtype, steps):
-        self.dtype = np.dtype(dtype)
-        self.cols = width * (2 if self.dtype.kind == "c" else 1)
+    def __init__(self, groups, width, steps):
+        self.cols = width
         self.shape = g, k = len(groups), len(groups[0])
         # each group's reversed weights, age-major: the n newest rows' are [-n * K:]
         self.wrevs = np.array([[WEIGHTS[kind](order, steps + lag + 2)[lag:][::-1]
@@ -404,7 +414,7 @@ class DirectSum:
 
     def slot(self):
         g, k = self.shape
-        return self.rows.rows[self.rows.push()].reshape(k, g, self.cols).view(self.dtype)
+        return self.rows.rows[self.rows.push()].reshape(k, g, self.cols)
 
     def total(self):
         n, (g, k) = len(self.rows), self.shape
@@ -413,7 +423,7 @@ class DirectSum:
             _kernels.hist_dot_real(wrev, wrev.size - n * k,
                                    rows[:, :, i].reshape(n * k, self.cols), 0, n * k)
             for i, wrev in enumerate(self.wrevs)
-        ]).view(self.dtype)
+        ])
 
 
 PARAMS = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)

@@ -18,6 +18,7 @@ from fraclab.solver import (
     BumpSpec,
     SimConfig,
     _Channel,
+    _even_node,
     _group,
     bump_profile,
     default_space_grid,
@@ -57,6 +58,11 @@ def test_bump_render_distances_are_radius(dim, center):
 def test_bump_spec():
     with pytest.raises(ParameterError):
         BumpSpec(1.0, 0.0)
+    with pytest.raises(ParameterError, match="width must be positive, got nan"):
+        BumpSpec(4.0, float("nan"))
+    for center in (float("nan"), (0.0, float("nan"))):
+        with pytest.raises(ParameterError, match="center must be a number"):
+            BumpSpec(1.0, 1.0, center=center)
     f = BumpSpec(3.0, 1.0).render(GRID)
     assert f.sup_norm() == 3.0
     assert f.values[np.argmin(np.abs(GRID.axis()))] == 3.0
@@ -117,9 +123,16 @@ def test_sim_config_refuses_bad_numbers():
 PARAMS_2D = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)
 
 
-def history_dtype(config):
-    # complex history rows: the rfft layout; float64 rows: the cosine layout
-    return _Channel(config, *_group(config, config.params)).history.total().dtype
+def layout(config):
+    # the cosine layout, (M/2+1)^dim mode columns, for data even about a grid
+    # node; else the rfft layout, a (real, imaginary) pair of columns per mode
+    m, dim = config.space.points, config.space.dim
+    cols = _Channel(config, *_group(config, config.params)).history.total().shape[1]
+    if _even_node(config) is None:
+        assert cols == 2 * m ** (dim - 1) * (m // 2 + 1)
+        return "rfft"
+    assert cols == (m // 2 + 1) ** dim
+    return "cosine"
 
 
 def rfft_twin(config):
@@ -131,8 +144,8 @@ def test_2d_run_raises_no_warnings():
     # the inverse 2-D transform once warned on every step under NumPy 2; the
     # bump on a grid node runs in the cosine layout, its twin in the rfft one
     c = SimConfig(PARAMS_2D, SpaceGrid(2, 8.0, 16), TimeGrid(0.5, 8), BumpSpec(1.0, 1.0))
-    for config, dtype in ((c, np.float64), (rfft_twin(c), np.complex128)):
-        assert history_dtype(config) == dtype
+    for config, kind in ((c, "cosine"), (rfft_twin(c), "rfft")):
+        assert layout(config) == kind
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = run(config)
@@ -149,9 +162,9 @@ def assert_layouts_agree(c):
     # The threshold is low because rounding differences grow with the
     # solution near blow-up: a run translated by one cell in the rfft layout
     # differs from the rfft run by ~2e-13 at threshold 1e8
-    assert history_dtype(c) == np.float64
+    assert layout(c) == "cosine"
     twin = rfft_twin(c)
-    assert history_dtype(twin) == np.complex128
+    assert layout(twin) == "rfft"
     scalar = isinstance(c.params, ParamSet)
     results = [run(c)] if scalar else run_system(c)
     refs = [run(twin)] if scalar else run_system(twin)
@@ -204,33 +217,33 @@ def test_2d_layout_follows_the_data():
     zero = Field(GRID_2D, np.zeros(GRID_2D.shape()))
     pair = SystemParamSet(PARAMS_2D, PARAMS_2D)
 
-    def dtype(bump_center=0.0, **kw):
+    def kind(bump_center=0.0, **kw):
         params = pair if "bump2" in kw or "v0_init" in kw else PARAMS_2D
-        return history_dtype(SimConfig(params, GRID_2D, TimeGrid(1.0, 10),
-                                       BumpSpec(1.0, 1.0, center=bump_center), **kw))
+        return layout(SimConfig(params, GRID_2D, TimeGrid(1.0, 10),
+                                BumpSpec(1.0, 1.0, center=bump_center), **kw))
 
     for center in (0.0, 1.5, -3.0, (1.0, -2.5), (0.0, 0.0)):
-        assert dtype(center) == np.float64, center
-    assert dtype(2.0, bump2=BumpSpec(0.5, 1.5, center=(2.0, 2.0))) == np.float64
+        assert kind(center) == "cosine", center
+    assert kind(2.0, bump2=BumpSpec(0.5, 1.5, center=(2.0, 2.0))) == "cosine"
     for center in (0.25, (1.0, 0.3), (0.1, 1.0)):
-        assert dtype(center) == np.complex128, center
-    assert dtype(bump2=BumpSpec(1.0, 1.0, center=0.5)) == np.complex128
-    assert dtype(bump2=BumpSpec(1.0, 1.0, center=(0.0, 0.5))) == np.complex128
-    assert dtype(u0=zero) == np.complex128
-    assert dtype(v0_init=zero) == np.complex128
+        assert kind(center) == "rfft", center
+    assert kind(bump2=BumpSpec(1.0, 1.0, center=0.5)) == "rfft"
+    assert kind(bump2=BumpSpec(1.0, 1.0, center=(0.0, 0.5))) == "rfft"
+    assert kind(u0=zero) == "rfft"
+    assert kind(v0_init=zero) == "rfft"
 
-    def dtype_1d(center, **kw):
-        return history_dtype(SimConfig(SYS_PARAMS if kw else PARAMS, GRID, TimeGrid(1.0, 10),
-                                       BumpSpec(1.0, 1.0, center=center), **kw))
+    def kind_1d(center, **kw):
+        return layout(SimConfig(SYS_PARAMS if kw else PARAMS, GRID, TimeGrid(1.0, 10),
+                                BumpSpec(1.0, 1.0, center=center), **kw))
 
     for center in (0.0, 0.3125, -2.5, 15.0):
-        assert dtype_1d(center) == np.float64, center
-    assert dtype_1d(1.25, bump2=BumpSpec(0.5, 1.5, center=1.25)) == np.float64
+        assert kind_1d(center) == "cosine", center
+    assert kind_1d(1.25, bump2=BumpSpec(0.5, 1.5, center=1.25)) == "cosine"
     for center in (0.1, 0.15625, -2.4):
-        assert dtype_1d(center) == np.complex128, center
-    assert dtype_1d(0.0, bump2=BumpSpec(1.0, 1.0, center=0.3125)) == np.complex128
-    assert history_dtype(rfft_twin(cfg(1.0, horizon=1.0, steps=10))) == np.complex128
-    assert dtype_1d(0.0, v0_init=Field(GRID, np.zeros(GRID.shape()))) == np.complex128
+        assert kind_1d(center) == "rfft", center
+    assert kind_1d(0.0, bump2=BumpSpec(1.0, 1.0, center=0.3125)) == "rfft"
+    assert layout(rfft_twin(cfg(1.0, horizon=1.0, steps=10))) == "rfft"
+    assert kind_1d(0.0, v0_init=Field(GRID, np.zeros(GRID.shape()))) == "rfft"
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -277,6 +290,12 @@ def test_run_rejects_mismatched_params():
     c2.params = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)
     with pytest.raises(ParameterError):
         run(c2)
+    # a bump centre with another count of coordinates than the grid's axes
+    for params, space, center in ((PARAMS, GRID, (1.0, 2.0)), (PARAMS_2D, GRID_2D, (1.0,)),
+                                  (PARAMS_2D, GRID_2D, (1.0, 2.0, 3.0))):
+        c3 = SimConfig(params, space, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0, center=center))
+        with pytest.raises(ParameterError, match=f"does not fit a {space.dim}-D grid"):
+            run(c3)
 
 
 def test_zero_data_is_fixed_point():
