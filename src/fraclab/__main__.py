@@ -1,4 +1,17 @@
-from .harness import main
+"""The ``fraclab`` command: ``python -m fraclab`` and the console script.
+
+Every product a run makes is small, so BLAS worker threads only add
+start-up stalls and contention: the command runs numpy on one thread
+unless its caller set a count.  That is set here, before numpy loads, and
+not in the library, whose imports leave the environment alone.
+"""
+
+import os
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .harness import main  # noqa: E402  (numpy loads here)
 
 if __name__ == "__main__":
     raise SystemExit(main())

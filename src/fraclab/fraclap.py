@@ -25,6 +25,8 @@ the samples ``q`` at offsets 0 ... M/2 from the node to the cosine modes
 ``F q`` (1-D) or ``F q F^T`` (2-D), ``F[k, j] = w_j cos(2 pi k j / M)``
 (w = 1 at j = 0 and M/2, else 2), in place of the rfft layout's (real,
 imaginary) pairs; the tests check it against those and apply_spectral.
+In 2-D the fields are also symmetric under the swap of the axes, so the
+mode matrix is symmetric and only its triangle i <= j is handed out.
 """
 
 from __future__ import annotations
@@ -132,9 +134,14 @@ def cosine_layout(grid: SpaceGrid, node):
         w_0 = w_{M/2} = 1, \quad w_j = 2 \text{ otherwise},
 
     and ``inv`` maps modes back to samples through ``G = F / M`` the same
-    way, both row by row over leading axes.  ``gather`` reads a full
-    field's samples; ``unfold`` makes the full field, offset o reading the
-    sample at min(o, M - o).
+    way, both row by row over leading axes.  In 2-D the fields must also
+    read the same at offsets (a, b) and (b, a), as a radial field about
+    the node does: then ``F q F^T`` is symmetric, and its modes are the
+    T = (M/2+1)(M/2+2)/2 entries i <= j, row by row (``shape`` is
+    ``(T,)``).  ``fwd`` takes that triangle of the product, and ``inv``
+    mirrors it back to the square first.  ``gather`` reads a full field's
+    samples; ``unfold`` makes the full field, offset o reading the sample
+    at min(o, M - o).
     """
     m = grid.points
     half = np.arange(m // 2 + 1)
@@ -143,21 +150,29 @@ def cosine_layout(grid: SpaceGrid, node):
     f = w * np.cos(2.0 * math.pi * (np.outer(half, half) % m) / m)
     g = f / m
     k = 2.0 * math.pi * (half * (1.0 / (m * grid.spacing)))  # rfftfreq's, without numpy.fft
-    k2 = sum(np.ix_(*[k**2] * grid.dim))
     if grid.dim == 1:
+        k2 = k**2
         # stacked (1, h) @ (h, h) products round alike for any count of rows
         fwd = lambda a: (a[..., None, :] @ f.T)[..., 0, :]
         inv = lambda c: (c[..., None, :] @ g.T)[..., 0, :]
     else:
+        # the triangle i <= j of the symmetric mode matrix, as flat indices,
+        # and for each entry of the square the triangle column it mirrors
+        rows, cols = np.triu_indices(half.size)
+        tri = rows * half.size + cols
+        mirror = np.empty((half.size, half.size), dtype=np.intp)
+        mirror[rows, cols] = mirror[cols, rows] = np.arange(tri.size)
+        k2 = k[rows] ** 2 + k[cols] ** 2
         # contiguous transposes, which BLAS rounds unlike transposed views
         ft, gt = f.T.copy(), g.T.copy()
-        fwd = lambda a: f @ a @ ft
-        inv = lambda c: g @ c @ gt
+        # ndarray.take, not np.take, whose Python-level dispatch a 64^2 step feels
+        fwd = lambda a: (f @ a @ ft).reshape(*a.shape[:-2], -1).take(tri, axis=-1)
+        inv = lambda c: g @ c.take(mirror, axis=-1) @ gt
     read = np.ix_(*((n + half) % m for n in node))
     back = np.ix_(*(np.minimum(d, m - d) for d in ((np.arange(m) - n) % m for n in node)))
     gather = lambda a: a[(..., *read)]
     unfold = lambda q: q[(..., *back)]
-    return k2.ravel(), k2.shape, fwd, inv, gather, unfold
+    return k2, k2.shape, fwd, inv, gather, unfold
 
 
 @dataclass

@@ -43,7 +43,10 @@ layouts hand out real columns with one k² each.  A run whose data are
 bumps with one centre on a grid node, and no ``u0`` or ``v0_init``, stays
 even about that node on each axis (``|u|^p`` is pointwise), so it steps
 on the samples at offsets 0 ... M/2 from the node alone, in the cosine
-modes of :func:`fraclap.cosine_layout`.  Every other run steps on full
+modes of :func:`fraclap.cosine_layout`.  In 2-D those data also stay
+symmetric under the swap of the axes about the node (the bumps are
+radial, and |k|² = k₁² + k₂²), so it advances only the triangle i <= j of
+the symmetric mode matrix, half the columns.  Every other run steps on full
 fields in the rfft modes of :func:`fraclap.rfft_layout`, as pairs, which
 :func:`fraclap.apply_spectral` and so its checks use too.  Summed directly
 the sums would cost O(j) at step j and keep every row; a :class:`MemorySum`
@@ -430,8 +433,9 @@ class _Channel:
     its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total, and
     written in place into the history's next slot.  The modes, real columns
     with one k² each, are the cosine layout's when :func:`_even_node` finds
-    a node, and the rfft layout's, looked up as ``_mode_layout``, otherwise;
-    the states are the layout's samples, which ``unfold`` makes full fields.
+    a node (in 2-D the triangle of a symmetric mode matrix), and the rfft
+    layout's, looked up as ``_mode_layout``, otherwise; the states are the
+    layout's samples, which ``unfold`` makes full fields.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
@@ -503,7 +507,9 @@ def _even_node(config: SimConfig):
 
     Those are the data of a run without ``u0`` or ``v0_init`` whose bumps
     (``bump``, and ``bump2`` when set) share one centre, in 2-D a float c
-    meaning (c, c), that is a point of ``grid.axis()`` on each axis.
+    meaning (c, c), that is a point of ``grid.axis()`` on each axis.  Being
+    radial, such data read the same at offsets (a, b) and (b, a) from the
+    node too, off the diagonal included, as the 2-D cosine layout needs.
     """
     if config.u0 is not None or config.v0_init is not None:
         return None

@@ -204,9 +204,12 @@ def test_both_layouts_hand_out_real_columns_with_one_k2_each(rng, dim):
 
 
 def even_about(rng, points, node):
-    # a random field even about the grid node `node` on each axis, and its
-    # fundamental domain: offset o from the node reads the sample at min(o, M - o)
+    # a random field even about the grid node `node` on each axis, and in 2-D
+    # under the swap of the axes too, and its fundamental domain: offset o
+    # from the node reads the sample at min(o, M - o)
     half = rng.normal(size=(points // 2 + 1,) * len(node))
+    if len(node) == 2:
+        half = half + half.T
     fold = np.ix_(*(np.minimum((np.arange(points) - n) % points, (n - np.arange(points)) % points)
                     for n in node))
     return half, half[fold]
@@ -226,7 +229,9 @@ def check_cosine_layout(rng, g, node):
     dim, k = g.dim, g.points // 2 + 1
     q, vals = even_about(rng, g.points, node)
     k2, shape, fwd, inv, gather, unfold = cosine_layout(g, node)
-    assert shape == (k,) * dim
+    # 2-D modes are the triangle i <= j of the symmetric (k, k) mode matrix
+    tri = (lambda a: a) if dim == 1 else (lambda a: a[np.triu_indices(k)])
+    assert shape == ((k,) if dim == 1 else (k * (k + 1) // 2,))
     assert np.array_equal(gather(vals), q) and np.array_equal(unfold(q), vals), node
     modes = fwd(q)
     # the rfft modes measured from the node, Nyquist rows included
@@ -234,10 +239,10 @@ def check_cosine_layout(rng, g, node):
     ref = ref[(slice(k),) * dim]
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(ref.imag)) <= 1e-13 * scale, node
-    assert np.max(np.abs(modes - ref.real)) <= 1e-13 * scale, node
+    assert np.max(np.abs(modes - tri(ref.real))) <= 1e-13 * scale, node
     ref_k2, ref_shape = fraclap.rfft_layout(g)[:2]
     # one rfft k2 per (real, imaginary) pair of columns
-    assert np.array_equal(k2.reshape(shape), ref_k2.reshape(ref_shape)[..., ::2][:k])
+    assert np.array_equal(k2.reshape(shape), tri(ref_k2.reshape(ref_shape)[..., ::2][:k]))
     assert np.max(np.abs(inv(modes) - q)) <= 1e-14 * np.max(np.abs(q)), node
     for s in (0.2, 0.5, 1.0):
         want = apply_spectral(Field(g, vals), s).values

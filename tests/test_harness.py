@@ -445,6 +445,32 @@ def test_importing_the_package_root_loads_no_submodule():
     assert out.strip() == "[]"
 
 
+def test_the_command_runs_blas_on_one_thread_unless_told_otherwise():
+    # the command's module sets the thread counts before numpy loads, by
+    # setdefault, so a caller's value stands; the library sets none
+    src = str(pathlib.Path(harness.__file__).parents[1])
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    spy = ("import os, sys\n"
+           "class Spy:\n"
+           "    def find_spec(self, name, path=None, target=None):\n"
+           "        if name == 'numpy':\n"
+           "            print('numpy loads with', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+           "sys.meta_path.insert(0, Spy())\n")
+    show = f"print(*(os.environ.get(k) for k in {names!r}))"
+
+    def child(code, **extra):
+        return subprocess.run([sys.executable, "-c", spy + code + "\n" + show],
+                              capture_output=True, text=True, check=True,
+                              env={**env, "PYTHONPATH": src, **extra}).stdout.splitlines()
+
+    assert child("import fraclab.__main__") == ["numpy loads with 1", "1 1"]
+    assert child("import fraclab.__main__", OPENBLAS_NUM_THREADS="3") == [
+        "numpy loads with 3", "3 1"]
+    assert child("before = dict(os.environ)\nimport fraclab.harness\n"
+                 "assert dict(os.environ) == before") == ["numpy loads with None", "None None"]
+
+
 def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):
     clear_fraclab_env(monkeypatch)
     ini = tmp_path / "f.ini"

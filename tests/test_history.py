@@ -242,6 +242,18 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
     assert hist.nbytes <= 1.2e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
+def test_sim_2d_triangle_history_fits_in_0_6_mb():
+    # the same sums in the columns a 64 x 64 cosine-layout run steps on: the
+    # 33 * 34 / 2 modes i <= j of its mode matrix, symmetric under the swap
+    # of the axes
+    families, width = FAMILIES[:3], 33 * 34 // 2
+    hist = MemorySum([families], width, 500)
+    zero = np.zeros((len(families), 1, width))
+    for _ in range(WINDOW + BLOCK + 1):
+        append(hist, zero)
+    assert hist.nbytes <= 0.6e6, f"{hist.nbytes / 1e6:.3f} MB"
+
+
 def test_sim_1d_cosine_history_fits_in_0_17_mb():
     # the three summed sums of the default 1-D run (M = 256, 50 000 steps,
     # its bump on a grid node) in the cosine layout: 129 real columns per

@@ -124,14 +124,16 @@ PARAMS_2D = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)
 
 
 def layout(config):
-    # the cosine layout, (M/2+1)^dim mode columns, for data even about a grid
-    # node; else the rfft layout, a (real, imaginary) pair of columns per mode
+    # the cosine layout, k = M/2+1 mode columns in 1-D and the k(k+1)/2 of a
+    # symmetric k x k mode matrix's triangle in 2-D, for data even about a
+    # grid node; else the rfft layout, a (real, imaginary) pair of columns per mode
     m, dim = config.space.points, config.space.dim
     cols = _Channel(config, *_group(config, config.params)).history.total().shape[1]
     if _even_node(config) is None:
         assert cols == 2 * m ** (dim - 1) * (m // 2 + 1)
         return "rfft"
-    assert cols == (m // 2 + 1) ** dim
+    k = m // 2 + 1
+    assert cols == (k if dim == 1 else k * (k + 1) // 2)
     return "cosine"
 
 
@@ -186,7 +188,10 @@ def assert_layouts_agree(c):
     dict(bump=BumpSpec(8.0, 1.0, center=1.0), snapshot_every=100),
     dict(bump=BumpSpec(8.0, 1.0, center=1.0), bump2=BumpSpec(4.0, 1.5, center=1.0),
          params=SystemParamSet(PARAMS_2D, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0, dim=2))),
-], ids=["scalar", "snapshots", "system"])
+    # off the diagonal the data are still symmetric under the swap of the
+    # axes, measured from the node
+    dict(bump=BumpSpec(8.0, 1.0, center=(1.0, -1.5))),
+], ids=["scalar", "snapshots", "system", "off-diagonal"])
 def test_2d_layouts_agree(config):
     config = {"params": PARAMS_2D, **config}
     c = SimConfig(space=GRID_2D, time=TimeGrid(4.0, 800), threshold=1e3, **config)
@@ -200,11 +205,12 @@ def test_2d_layouts_agree(config):
     dict(bump=BumpSpec(8.0, 1.0, center=1.25), snapshot_every=100),
     dict(bump=BumpSpec(8.0, 1.0, center=1.25), bump2=BumpSpec(4.0, 1.5, center=1.25),
          params=SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))),
-], ids=["scalar", "snapshots", "system"])
+    dict(bump=BumpSpec(8.0, 1.0, center=1.25), space=SpaceGrid(1, 20.0, 1024)),
+], ids=["scalar", "snapshots", "system", "1024-points"])
 def test_1d_layouts_agree(config):
-    # 1.25 is four cells of GRID right of the origin
-    config = {"params": PARAMS, **config}
-    c = SimConfig(space=GRID, time=TimeGrid(4.0, 800), threshold=1e3, **config)
+    # 1.25 is four cells of GRID right of the origin, and 32 of the 1024-point grid
+    config = {"params": PARAMS, "space": GRID, **config}
+    c = SimConfig(time=TimeGrid(4.0, 800), threshold=1e3, **config)
     results = assert_layouts_agree(c)
     if c.snapshot_every:
         assert len(results[0].snapshots) == 6
