@@ -6,7 +6,7 @@ entry of which can be overridden through the environment as
 ``--tol``, ``--seed``, ``--out`` flags override both.  Any
 ``FRACLAB_*`` name that is not a config key is refused.
 
-:data:`_DEFAULTS` is the schema: every key and its typed default.
+:data:`config._DEFAULTS` is the schema: every key and its typed default.
 :func:`build_spec` converts each section a mode reads by those types and
 passes it by keyword to the constructor it feeds; ``[system]``, whose keys
 follow ``ParamSet``'s fields, builds the system's second ``ParamSet`` block
@@ -28,7 +28,6 @@ while tuning, step-size guard).
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
 import random
@@ -38,6 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import exponents, fraclap, fracops, solver
+from .config import _DEFAULTS, load_config
 from .errors import FraclabError, NoInteriorMinimumError, NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
 from .fraclap import SpaceGrid
@@ -51,29 +51,6 @@ EXIT_NUMERICS = 3
 
 _MODES = ("verify", "exponent", "simulate", "sweep", "system-sweep")
 
-# The config schema: every key, with a default whose type is the key's type.
-# A float must be finite; "" marks a number that may be left blank (unset);
-# a tuple is a list of sweep powers.
-_DEFAULTS = {
-    "params": {
-        "alpha1": 0.5, "alpha2": 0.3, "gamma": 0.25,
-        "sigma": 0.5, "delta": 0.7, "p": 2.0,
-        "dim": 1, "mode": "strict",
-    },
-    "system": {
-        "beta1": 0.5, "beta2": 0.3, "gamma2": 0.25,
-        "sigma2": 0.5, "delta2": 0.7, "q": 2.0,
-    },
-    "space": {"points": 256, "half_length": ""},
-    "time": {"horizon": 50.0, "steps": 50000},
-    "bump": {"amplitude": 4.0, "width": 1.0, "center": 0.0},
-    "run": {"threshold": 1e8, "snapshot_every": 0, "amplitude_policy": "fixed"},
-    "sweep": {"p_values": (1.5, 2.0, 3.0)},
-    "exponent": {"radius": 1.0},
-    "verify": {"seed": 7, "tol": ""},
-}
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -81,57 +58,6 @@ def _fmt(x) -> str:
 
 
 # ---------------------------------------------------------------- config
-
-
-def load_config(path: str | None) -> configparser.ConfigParser:
-    """Defaults, then the file, then FRACLAB_<SECTION>_<KEY> overrides.
-
-    Values are read literally: ``%`` is not interpolation syntax."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.read_dict({
-        sec: {key: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
-              for key, v in keys.items()}
-        for sec, keys in _DEFAULTS.items()
-    })
-    if path is not None:
-        probe = configparser.ConfigParser(interpolation=None)
-        try:
-            # utf-8-sig: a leading byte-order mark is not part of the INI
-            with open(path, encoding="utf-8-sig") as fh:
-                probe.read_file(fh)
-        except FileNotFoundError:
-            raise ParameterError(f"config file not found: {path}")
-        except OSError as exc:
-            raise ParameterError(f"cannot read config file {path}: {exc.strerror}")
-        except UnicodeDecodeError as exc:
-            raise ParameterError(f"config file {path} is not UTF-8: {exc}")
-        except configparser.Error as exc:
-            # the parser's message spans lines; the error is one line
-            raise ParameterError(
-                f"config file {path} is not valid INI: {' '.join(str(exc).split())}")
-        # [DEFAULT] would feed every section and override none of them
-        default = [probe.default_section] if probe.defaults() else []
-        for sec in default + probe.sections():
-            if sec not in _DEFAULTS:
-                raise ParameterError(
-                    f"unknown config section [{sec}]; known: {sorted(_DEFAULTS)}"
-                )
-            for key in probe[sec]:
-                if key not in _DEFAULTS[sec]:
-                    raise ParameterError(
-                        f"unknown key {key!r} in [{sec}]; known: "
-                        f"{sorted(_DEFAULTS[sec])}"
-                    )
-        cp.read_dict(probe)
-    for name, value in os.environ.items():
-        if not name.startswith("FRACLAB_"):
-            continue
-        section, _, key = name[len("FRACLAB_"):].lower().partition("_")
-        if key not in _DEFAULTS.get(section, ()):
-            where = f"in [{section}]" if section in _DEFAULTS else f"of {sorted(_DEFAULTS)}"
-            raise ParameterError(f"environment override {name} names no config key {where}")
-        cp[section][key] = value
-    return cp
 
 
 def _parse_p_values(raw: str) -> tuple:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclab import harness, solver, testfn
+from fraclab.config import blas_threads
 from fraclab.errors import ParameterError
 from fraclab.exponents import ParamSet
 from fraclab.harness import (
@@ -445,30 +446,64 @@ def test_importing_the_package_root_loads_no_submodule():
     assert out.strip() == "[]"
 
 
-def test_the_command_runs_blas_on_one_thread_unless_told_otherwise():
-    # the command's module sets the thread counts before numpy loads, by
-    # setdefault, so a caller's value stands; the library sets none
+def test_the_command_sets_blas_threads_before_numpy_loads():
+    # the command sets the thread counts before numpy loads, by setdefault,
+    # so a caller's value stands; importing it or the library sets none.
+    # Each child prints the count numpy loaded with, then both names.
     src = str(pathlib.Path(harness.__file__).parents[1])
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    spy = ("import os, sys\n"
+    env = {k: v for k, v in os.environ.items()
+           if k not in names and not k.startswith("FRACLAB_")}
+    spy = ("import contextlib, io, os, sys\n"
+           "loads = []\n"
            "class Spy:\n"
            "    def find_spec(self, name, path=None, target=None):\n"
            "        if name == 'numpy':\n"
-           "            print('numpy loads with', os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+           "            loads.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
            "sys.meta_path.insert(0, Spy())\n")
-    show = f"print(*(os.environ.get(k) for k in {names!r}))"
+    show = f"print(loads[0], *(os.environ.get(k) for k in {names!r}))"
 
     def child(code, **extra):
         return subprocess.run([sys.executable, "-c", spy + code + "\n" + show],
                               capture_output=True, text=True, check=True,
-                              env={**env, "PYTHONPATH": src, **extra}).stdout.splitlines()
+                              env={**env, "PYTHONPATH": src, **extra}).stdout.split()
 
-    assert child("import fraclab.__main__") == ["numpy loads with 1", "1 1"]
-    assert child("import fraclab.__main__", OPENBLAS_NUM_THREADS="3") == [
-        "numpy loads with 3", "3 1"]
-    assert child("before = dict(os.environ)\nimport fraclab.harness\n"
-                 "assert dict(os.environ) == before") == ["numpy loads with None", "None None"]
+    run = ("import fraclab.__main__\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    assert fraclab.__main__.main(['simulate']) == 0")
+    short = {"FRACLAB_TIME_STEPS": "2", "FRACLAB_TIME_HORIZON": "0.002"}
+    assert child(run, **short) == ["1", "1", "1"]
+    large = "2" if os.cpu_count() >= 2 else "1"
+    assert child(run, FRACLAB_PARAMS_DIM="2", FRACLAB_SPACE_POINTS="512", **short) == [large] * 3
+    assert child(run, OPENBLAS_NUM_THREADS="3", **short) == ["3", "3", "1"]
+    for module in ("fraclab.__main__", "fraclab.harness"):
+        assert child(f"before = dict(os.environ)\nimport {module}, numpy\n"
+                     "assert dict(os.environ) == before") == ["None", "None", "None"]
+
+
+def test_blas_threads_follow_the_run_grid(monkeypatch, tmp_path):
+    # two threads only for a run on 512 x 512 points or more, on two CPUs;
+    # a command line or config that does not parse gets one
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ini = tmp_path / "large.ini"
+    ini.write_text("[params]\ndim = 2\n[space]\npoints = 512\n")
+    for mode in ("simulate", "sweep", "system-sweep"):
+        assert blas_threads([mode, "--config", str(ini)]) == 2
+        assert blas_threads([mode, f"--config={ini}", "--out", "x.csv"]) == 2
+    for argv in ([], ["verify", "--config", str(ini)], ["exponent", "--config", str(ini)],
+                 ["simulate"], ["simulate", "--config"],
+                 ["simulate", "--config", str(tmp_path / "missing.ini")]):
+        assert blas_threads(argv) == 1
+    monkeypatch.setenv("FRACLAB_PARAMS_DIM", "2")
+    for points, threads in (("256", 1), ("512", 2), ("1024", 2), ("many", 1)):
+        monkeypatch.setenv("FRACLAB_SPACE_POINTS", points)
+        assert blas_threads(["simulate"]) == threads
+    # a dimension the run refuses is not raised to a power here
+    monkeypatch.setenv("FRACLAB_PARAMS_DIM", str(10**9))
+    assert blas_threads(["simulate"]) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert blas_threads(["simulate", "--config", str(ini)]) == 1
 
 
 def test_sweep_records_failures_as_rows(monkeypatch, tmp_path):

@@ -242,16 +242,24 @@ def test_sim_2d_cosine_history_fits_in_1_2_mb():
     assert hist.nbytes <= 1.2e6, f"{hist.nbytes / 1e6:.2f} MB"
 
 
-def test_sim_2d_triangle_history_fits_in_0_6_mb():
-    # the same sums in the columns a 64 x 64 cosine-layout run steps on: the
-    # 33 * 34 / 2 modes i <= j of its mode matrix, symmetric under the swap
-    # of the axes
-    families, width = FAMILIES[:3], 33 * 34 // 2
-    hist = MemorySum([families], width, 500)
-    zero = np.zeros((len(families), 1, width))
-    for _ in range(WINDOW + BLOCK + 1):
-        append(hist, zero)
-    assert hist.nbytes <= 0.6e6, f"{hist.nbytes / 1e6:.3f} MB"
+def test_sim_2d_triangle_history_fits_in_0_6_mb(monkeypatch):
+    # the history of the command's 2-D run (64 x 64, 500 steps, its bump on
+    # the node at 0), as its channel builds it, after the first fold: the
+    # rows hold the 33 * 34 / 2 modes i <= j of the mode matrix, symmetric
+    # under the swap of the axes, not the 33 x 33 square
+    for name in list(os.environ):
+        if name.startswith("FRACLAB_"):
+            monkeypatch.delenv(name)
+    for key, value in (("PARAMS_DIM", "2"), ("SPACE_POINTS", "64"),
+                       ("TIME_HORIZON", "0.5"), ("TIME_STEPS", "500")):
+        monkeypatch.setenv(f"FRACLAB_{key}", value)
+    cfg = harness.run_config(harness.build_spec(argparse.Namespace(
+        mode="simulate", config=None, out=None, tol=None, seed=None)))
+    channel = solver._Channel(cfg, *solver._group(cfg, cfg.params))
+    for j in range(1, WINDOW + BLOCK + 2):
+        channel.step(j, True)
+    assert channel.history.total().shape == (1, 33 * 34 // 2)
+    assert channel.history.nbytes <= 0.6e6, f"{channel.history.nbytes / 1e6:.3f} MB"
 
 
 def test_sim_1d_cosine_history_fits_in_0_17_mb():
