@@ -104,21 +104,24 @@ class SpaceGrid:
 def rfft_layout(grid: SpaceGrid):
     """Squared wavenumbers, flattened, their shape, and the forward and inverse
     transforms over the trailing space axes, batched over leading ones, with
-    each rfft mode as its (real, imaginary) pair of columns, one k² each."""
+    each rfft mode as its (real, imaginary) pair of columns, one k² each, flat."""
     m = grid.points
+    # built once: a dtype per view call is measurable in a step
+    real, pairs = np.dtype(np.float64), np.dtype(np.complex128)
     if grid.dim == 1:
         k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
-        fwd = lambda a: np.fft.rfft(a).view(np.float64)
-        inv = lambda c: np.fft.irfft(c.view(np.complex128), n=m)
+        fwd = lambda a: np.fft.rfft(a).view(real)
+        inv = lambda c: np.fft.irfft(c.view(pairs), n=m)
     else:
         kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
         ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
         # rfftn/irfftn over the last two axes, without their argument handling
-        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2).view(np.float64)
-        inv = lambda c: np.fft.irfft(np.fft.ifft(c.view(np.complex128), axis=-2), n=m)
-    k2 = np.repeat(k2, 2, axis=-1)
-    return k2.ravel(), k2.shape, fwd, inv
+        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2).view(real).reshape(*a.shape[:-2], -1)
+        inv = lambda c: np.fft.irfft(np.fft.ifft(
+            c.reshape(*c.shape[:-1], m, -1).view(pairs), axis=-2), n=m)
+    k2 = np.repeat(k2, 2, axis=-1).ravel()
+    return k2, k2.shape, fwd, inv
 
 
 def cosine_layout(grid: SpaceGrid, node):
@@ -134,11 +137,13 @@ def cosine_layout(grid: SpaceGrid, node):
         w_0 = w_{M/2} = 1, \quad w_j = 2 \text{ otherwise},
 
     and ``inv`` maps modes back to samples through ``G = F / M`` the same
-    way, both row by row over leading axes.  In 2-D the fields must also
-    read the same at offsets (a, b) and (b, a), as a radial field about
-    the node does: then ``F q F^T`` is symmetric, and its modes are the
-    T = (M/2+1)(M/2+2)/2 entries i <= j, row by row (``shape`` is
-    ``(T,)``).  ``fwd`` takes that triangle of the product, and ``inv``
+    way, both over leading axes.  A 1-D product is ``q F^T``, one ``@``:
+    rows stacked as ``(..., 1, M/2+1)``, the stepper's shape, are one
+    product each, while an ``(n, M/2+1)`` block is one product whose rows
+    round with the block.  In 2-D the fields must also read the same at
+    offsets (a, b) and (b, a), as a radial field about the node does: then
+    ``F q F^T`` is symmetric, and its modes are the T = (M/2+1)(M/2+2)/2
+    entries i <= j, row by row (``shape`` is ``(T,)``).  ``fwd`` takes that triangle of the product, and ``inv``
     mirrors it back to the square first.  ``gather`` reads a full field's
     samples; ``unfold`` makes the full field, offset o reading the sample
     at min(o, M - o).
@@ -152,9 +157,10 @@ def cosine_layout(grid: SpaceGrid, node):
     k = 2.0 * math.pi * (half * (1.0 / (m * grid.spacing)))  # rfftfreq's, without numpy.fft
     if grid.dim == 1:
         k2 = k**2
-        # stacked (1, h) @ (h, h) products round alike for any count of rows
-        fwd = lambda a: (a[..., None, :] @ f.T)[..., 0, :]
-        inv = lambda c: (c[..., None, :] @ g.T)[..., 0, :]
+        # transposed views, which BLAS rounds unlike contiguous copies
+        ft, gt = f.T, g.T
+        fwd = lambda a: a @ ft
+        inv = lambda c: c @ gt
     else:
         # the triangle i <= j of the symmetric mode matrix, as flat indices,
         # and for each entry of the square the triangle column it mirrors
@@ -214,8 +220,8 @@ def apply_spectral(f: Field, s) -> Field:
         raise ParameterError(f"Laplacian order must lie in (0,1], got {s}")
     if not np.all(np.isfinite(f.values)):
         raise ParameterError("non-finite samples in field")
-    k2, shape, fwd, inv = rfft_layout(f.grid)
-    return Field(f.grid, inv(fwd(f.values) * k2.reshape(shape) ** s))
+    k2, _, fwd, inv = rfft_layout(f.grid)
+    return Field(f.grid, inv(fwd(f.values) * k2**s))
 
 
 def normalization_constant(dim: int, s: float) -> float:

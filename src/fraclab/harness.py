@@ -171,6 +171,11 @@ class ExperimentSpec:
                     f"snapshot_every applies to simulate only; {self.mode} "
                     f"needs 0, got {self.snapshot_every}"
                 )
+        # verify and exponent run nothing, so they would drop a threshold too
+        default = _DEFAULTS["run"]["threshold"]
+        if self.mode in ("verify", "exponent") and self.threshold != default:
+            raise ParameterError(f"threshold applies to simulate and the sweeps only; "
+                                 f"{self.mode} needs {default:g}, got {self.threshold:g}")
 
 
 def build_spec(args) -> ExperimentSpec:

@@ -200,7 +200,7 @@ def test_both_layouts_hand_out_real_columns_with_one_k2_each(rng, dim):
         assert np.max(np.abs(inv(modes)[1] - 2.0 * field)) <= 1e-14 * np.max(np.abs(field))
     fwd = rfft[2]
     assert np.array_equal(fwd(vals).view(np.complex128),
-                          np.fft.rfft(vals) if dim == 1 else np.fft.rfftn(vals))
+                          np.fft.rfft(vals) if dim == 1 else np.fft.rfftn(vals).ravel())
 
 
 def even_about(rng, points, node):
@@ -240,18 +240,20 @@ def check_cosine_layout(rng, g, node):
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(ref.imag)) <= 1e-13 * scale, node
     assert np.max(np.abs(modes - tri(ref.real))) <= 1e-13 * scale, node
-    ref_k2, ref_shape = fraclap.rfft_layout(g)[:2]
-    # one rfft k2 per (real, imaginary) pair of columns
-    assert np.array_equal(k2.reshape(shape), tri(ref_k2.reshape(ref_shape)[..., ::2][:k]))
+    # one rfft k2 per (real, imaginary) pair of columns, the rfft modes flat
+    ref_k2 = fraclap.rfft_layout(g)[0].reshape(*g.shape()[:-1], -1)
+    assert np.array_equal(k2.reshape(shape), tri(ref_k2[..., ::2][:k]))
     assert np.max(np.abs(inv(modes) - q)) <= 1e-14 * np.max(np.abs(q)), node
     for s in (0.2, 0.5, 1.0):
         want = apply_spectral(Field(g, vals), s).values
         got = unfold(inv(modes * k2.reshape(shape) ** s))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (node, s)
     # leading axes batch, and a row's result does not depend on the others
-    batch = fwd(np.stack([q, 2.0 * q]))
-    assert np.max(np.abs(batch[1] - 2.0 * modes)) <= 1e-15 * scale
-    assert np.array_equal(batch[0], fwd(q[None])[0])
+    # when each comes as a (1, ...) stack, as the stepper holds them: in 1-D
+    # a (2, k) block is one product, which rounds unlike two rows
+    batch = fwd(np.stack([q, 2.0 * q])[:, None])
+    assert np.max(np.abs(batch[1, 0] - 2.0 * modes)) <= 1e-15 * scale
+    assert np.array_equal(batch[0], fwd(q[None, None])[0])
     assert np.array_equal(inv(batch)[0], inv(batch[:1])[0])
     assert np.array_equal(gather(np.stack([vals, vals]))[1], q)
     assert np.array_equal(unfold(np.stack([q, q]))[1], vals)

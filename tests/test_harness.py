@@ -818,15 +818,19 @@ def test_main_sweep_empty_p_list_header_only(monkeypatch, tmp_path):
     assert out.read_text() == CSV_HEADER + "\n"
 
 
-@pytest.mark.parametrize("mode", ["sweep", "system-sweep", "verify", "exponent"])
-@pytest.mark.parametrize("key,value,needle", [
-    ("AMPLITUDE_POLICY", "double", "amplitude_policy 'double' applies to simulate only"),
-    ("SNAPSHOT_EVERY", "5", "snapshot_every applies to simulate only"),
-])
+@pytest.mark.parametrize("key,value,needle,mode", [
+    (*setting, mode)
+    for setting in (
+        ("AMPLITUDE_POLICY", "double", "amplitude_policy 'double' applies to simulate only"),
+        ("SNAPSHOT_EVERY", "5", "snapshot_every applies to simulate only"))
+    for mode in ("sweep", "system-sweep", "verify", "exponent")
+] + [("THRESHOLD", "5", "threshold applies to simulate and the sweeps only", mode)
+     for mode in ("verify", "exponent")])
 def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, tmp_path, mode,
                                                 key, value, needle):
-    # every mode but simulate would drop them: the sweeps run each row at
-    # the configured amplitude without snapshots, verify and exponent run nothing
+    # every mode but simulate would drop the amplitude policy and the
+    # snapshots: the sweeps run each row at the configured amplitude without
+    # snapshots; verify and exponent run nothing, so they drop a threshold too
     clear_fraclab_env(monkeypatch)
     monkeypatch.setenv("FRACLAB_RUN_" + key, value)
     for name in ("verify_all", "exponent_query", "sweep"):
@@ -836,8 +840,12 @@ def test_sweeps_refuse_settings_they_would_drop(monkeypatch, capsys, tmp_path, m
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + needle), lines
-    # simulate honours both settings, so it accepts them (snapshots need --out)
+    # simulate honours every one of them, so it accepts them (snapshots need
+    # --out), and the sweeps run at the threshold
     assert build_spec(ns("simulate", out=str(tmp_path / "run.txt"))).mode == "simulate"
+    if key == "THRESHOLD":
+        for sweep in ("sweep", "system-sweep"):
+            assert build_spec(ns(sweep)).config.threshold == 5.0
 
 
 @pytest.mark.parametrize("out", [[], ["--out", ""]])

@@ -40,10 +40,11 @@ def ungrouped(families):
 
 
 def append(hist, row):
-    # the solver writes each row in place into the sum's next slot, complex
-    # rows as their float pairs
-    slot = hist.slot()
-    slot[...] = np.reshape(as_floats(row), slot.shape)
+    # the solver writes each row in place into the sum's next slot, one
+    # (G, 1, width) part per kind, complex rows as their float pairs
+    parts = hist.slot()
+    for part, value in zip(parts, np.reshape(as_floats(row), (len(parts), *parts[0].shape))):
+        part[...] = value
 
 
 def soe_eval(x, c, m):
@@ -109,9 +110,10 @@ def as_floats(rows):
     return np.ascontiguousarray(rows).view(np.float64)
 
 
-def totals(hist, pairs):
-    # the sums' columns, read back as complex numbers when they hold pairs
-    out = hist.total()
+def totals(hist, pairs=False):
+    # the sums' columns, one row per group (total() keeps its product's
+    # (G, 1, width) shape), read back as complex numbers when they hold pairs
+    out = hist.total()[:, 0]
     return out.view(np.complex128) if pairs else out
 
 
@@ -143,7 +145,7 @@ def test_stacked_families_match_their_direct_sums(rng):
     hist = MemorySum(ungrouped(FAMILIES), width, steps)
     for n in range(1, steps + 2):
         append(hist, rows[n - 1])
-        got = hist.total()
+        got = totals(hist)
         for s, (kind, order, lag) in enumerate(FAMILIES):
             want = direct_sum(kind, order, lag, rows[:, s], n, _kernels.hist_dot_real)
             err = np.max(np.abs(got[s] - want)) / np.max(np.abs(want))
@@ -176,8 +178,8 @@ def test_grouped_sums_match_their_members(rng):
     for n in range(1, count + 1):
         append(grouped, rows[n - 1])
         append(members, rows[n - 1])
-        want = members.total().reshape(3, 2, width).sum(axis=0)
-        err = np.max(np.abs(grouped.total() - want)) / np.max(np.abs(want))
+        want = totals(members).reshape(3, 2, width).sum(axis=0)
+        err = np.max(np.abs(totals(grouped) - want)) / np.max(np.abs(want))
         assert err <= 1e-13, f"after {n} rows: rel {err:.2e}"
         if n > WINDOW + BLOCK:
             assert grouped._state.shape == (2, max(terms), width)
@@ -194,7 +196,7 @@ def test_memory_sum_without_fold_is_bit_identical(pairs, rng):
     hist = MemorySum(ungrouped(families), as_floats(rows).shape[-1], 10_000)
     for n in range(1, WINDOW + BLOCK + 1):
         append(hist, rows[n - 1])
-        got = hist.total()
+        got = totals(hist)
         for s, (kind, order, lag) in enumerate(families):
             want = direct_sum(kind, order, lag, as_floats(rows[:, s]), n,
                               _kernels.hist_dot_real)
@@ -258,7 +260,7 @@ def test_sim_2d_triangle_history_fits_in_0_6_mb(monkeypatch):
     channel = solver._Channel(cfg, *solver._group(cfg, cfg.params))
     for j in range(1, WINDOW + BLOCK + 2):
         channel.step(j, True)
-    assert channel.history.total().shape == (1, 33 * 34 // 2)
+    assert channel.history.total().shape == (1, 1, 33 * 34 // 2)
     assert channel.history.nbytes <= 0.6e6, f"{channel.history.nbytes / 1e6:.3f} MB"
 
 
@@ -355,7 +357,7 @@ def test_reduced_tail_matches_full_tail(steps, rng):
         fill = (appended - WINDOW - BLOCK - 1) % BLOCK
         done = appended - WINDOW - 1 - fill  # rows folded so far
         assert done == count + BLOCK * (len(fills) // BLOCK)
-        got = hist.total()
+        got = totals(hist)
         for s, ((kind, order, lag), (x, c)) in enumerate(zip(ALL_FAMILIES, fits)):
             m = lag + WINDOW + 1 + fill + (done - 1 - np.arange(count))
             want = (np.exp(-np.outer(m, x)) @ c) @ rows[:, s]
@@ -412,16 +414,17 @@ def test_mode_space_source_matches_rfft_of_physical_sum(rng):
         row = random_rows(rng, 1, points)
         append(modes, np.fft.rfft(row).view(np.float64))
         append(physical, row)
-        want = np.fft.rfft(physical.total()[0])
+        want = np.fft.rfft(totals(physical)[0])
         err = np.max(np.abs(totals(modes, True)[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-12, f"after {n} rows: rel {err:.2e}"
 
 
 class DirectSum:
-    """Stand-in for MemorySum that hands out a fresh ``(K, G, width)`` slot
-    for every row, keeps them all, and sums each group directly over (age,
-    kind), age-major like MemorySum's window product, on the same float
-    columns."""
+    """Stand-in for MemorySum that hands out a fresh slot for every row,
+    its K kind parts ``(G, 1, width)`` each, keeps them all, and sums each
+    group directly over (age, kind), age-major like MemorySum's window
+    product, on the same float columns, into MemorySum's ``(G, 1, width)``
+    totals."""
 
     def __init__(self, groups, width, steps):
         self.cols = width
@@ -434,14 +437,15 @@ class DirectSum:
 
     def slot(self):
         g, k = self.shape
-        return self.rows.rows[self.rows.push()].reshape(k, g, self.cols)
+        self.rows.count += 1
+        return tuple(self.rows.rows[self.rows.count - 1].reshape(k, g, 1, self.cols))
 
     def total(self):
-        n, (g, k) = len(self.rows), self.shape
+        n, (g, k) = self.rows.count, self.shape
         rows = self.rows.rows[:n].reshape(n, k, g, self.cols)
         return np.array([
             _kernels.hist_dot_real(wrev, wrev.size - n * k,
-                                   rows[:, :, i].reshape(n * k, self.cols), 0, n * k)
+                                   rows[:, :, i].reshape(n * k, self.cols), 0, n * k)[None]
             for i, wrev in enumerate(self.wrevs)
         ])
 

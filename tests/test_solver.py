@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import fraclab
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
-from fraclab import solver
+from fraclab import harness, solver
 from fraclab.fraclap import Field, SpaceGrid, cosine_layout
 from fraclab.fracops import TimeGrid, TimeSeries
 from fraclab.solver import (
@@ -128,7 +129,7 @@ def layout(config):
     # symmetric k x k mode matrix's triangle in 2-D, for data even about a
     # grid node; else the rfft layout, a (real, imaginary) pair of columns per mode
     m, dim = config.space.points, config.space.dim
-    cols = _Channel(config, *_group(config, config.params)).history.total().shape[1]
+    cols = _Channel(config, *_group(config, config.params)).history.total().shape[-1]
     if _even_node(config) is None:
         assert cols == 2 * m ** (dim - 1) * (m // 2 + 1)
         return "rfft"
@@ -486,6 +487,107 @@ def test_asymmetric_system_components_differ():
     assert ru.status == rv.status == "Completed"
     assert not np.array_equal(ru.trace.values, rv.trace.values)
     assert ru.trace.values[-1] != rv.trace.values[-1]
+
+
+class ReferenceChannel(_Channel):
+    """The step as it was before every operand kept the history product's
+    ``(C, 1, cols)`` shape; kept as the reference the lean step must match
+    bit for bit.  The modes are flat ``(C, cols)`` rows, reshaped around
+    the history and each transform, each row transformed as its own
+    ``(1, ...)`` stack, and every component's ``|u|^p`` is its own power."""
+
+    def __init__(self, config, comps, feeds):
+        super().__init__(config, comps, feeds)
+        count, self.h = len(comps), config.time.h
+        self.feeds, self.powers = feeds, [pr.p for pr, _, _ in comps]
+        self.uhat, self.vhat, self.a, self.b = (
+            x.reshape(count, -1) for x in (self.uhat, self.vhat, self.a, self.b))
+        self.scale = [x.reshape(count, -1) for x in self.scale]
+
+    def step(self, j, source):
+        vhat = self.vhat
+        vnew = self.history.total().reshape(len(vhat), -1)
+        vnew += self.a * vhat
+        vnew += self.b * self.uhat
+        row = [part[:, 0] for part in self.history.slot()]
+        np.multiply(vnew - vhat, self.scale[0], out=row[0])
+        vhat += vnew
+        np.multiply(vhat, self.scale[1], out=row[1])
+        self.uhat += 0.5 * self.h * vhat
+        self.vhat = vnew
+        u = self.inv(self.uhat[:, None])
+        mag = np.abs(u)
+        if source:
+            power = np.array([mag[k] ** p for k, p in zip(self.feeds, self.powers)])
+            modes = self.fwd(power).reshape(len(self.feeds), -1)
+            np.multiply(modes, self.scale[2], out=row[2])
+        return u, mag.reshape(len(mag), -1).max(axis=1).tolist()
+
+
+ASYM = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
+GRID_64 = SpaceGrid(2, 8.0, 64)
+
+
+@pytest.mark.parametrize("config,params", [
+    (cfg(8.0, snapshot_every=300), [PARAMS]),
+    (replace(cfg(8.0, snapshot_every=300), bump=BumpSpec(8.0, 1.0, center=0.1)), [PARAMS]),
+    (SimConfig(PARAMS_2D, GRID_64, TimeGrid(4.0, 800), BumpSpec(8.0, 1.0), threshold=1e3,
+               snapshot_every=100), [PARAMS_2D]),
+    (SimConfig(PARAMS_2D, GRID_64, TimeGrid(4.0, 800), BumpSpec(8.0, 1.0, center=0.3),
+               threshold=1e3, snapshot_every=100), [PARAMS_2D]),
+    (SimConfig(ASYM, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0), bump2=BumpSpec(1.0, 1.0),
+               snapshot_every=50), [ASYM]),
+    (cfg(8.0, snapshot_every=200), [replace(PARAMS, p=p) for p in (1.5, 2.0, 3.0)]),
+], ids=["1d-cosine", "1d-rfft", "2d-triangle", "2d-rfft", "asymmetric-system", "sweep"])
+def test_lean_step_matches_the_reference_step(monkeypatch, config, params):
+    # every run passes at least three folds, and its traces, blow-up times
+    # and snapshots must be the reference's bit for bit
+    lean = solver.march(config, params)
+    monkeypatch.setattr(solver, "_Channel", ReferenceChannel)
+    reference = solver.march(config, params)
+    assert max(r.steps_taken for run in lean for r in run) >= solver.WINDOW + 3 * solver.BLOCK
+    for run, ref in zip(lean, reference):
+        for r, want in zip(run, ref):
+            assert (r.status, r.steps_taken) == (want.status, want.steps_taken)
+            assert r.blowup_time == want.blowup_time
+            assert np.array_equal(r.trace.values, want.trace.values, equal_nan=True)
+            assert len(r.snapshots) == len(want.snapshots) > 2
+            for (t, f), (t_ref, f_ref) in zip(r.snapshots, want.snapshots):
+                assert t == t_ref and np.array_equal(f.values, f_ref.values)
+
+
+def test_march_calls_step_once_per_step_index(monkeypatch):
+    # the benchmark's late_step_ms reads a clock stamp that it sets after
+    # each _Channel.step call, keyed by the step index, so a step inlined
+    # into march would leave it nothing to read
+    for name in list(os.environ):
+        if name.startswith("FRACLAB_"):
+            monkeypatch.delenv(name)
+    calls, step = [], _Channel.step
+
+    def stamped(self, j, source):
+        calls.append((j, source))
+        return step(self, j, source)
+
+    monkeypatch.setattr(_Channel, "step", stamped)
+
+    def spec(mode):
+        return harness.build_spec(argparse.Namespace(
+            mode=mode, config=None, out=None, tol=None, seed=None))
+
+    scalar, system, sweep = spec("simulate"), spec("system-sweep"), spec("sweep")
+    runs = [
+        (scalar.config, lambda c: [run(c)]),
+        (replace(scalar.config, nonlinearity=False, time=TimeGrid(1.0, 60)), lambda c: [run(c)]),
+        (system.config, run_system),
+        (sweep.config, lambda c: [r for rs in solver.march(
+            c, [replace(c.params, p=p) for p in sweep.sweep_p]) for r in rs]),
+    ]
+    for config, go in runs:
+        calls.clear()
+        last = max(r.steps_taken for r in go(config))
+        assert calls == [(j, config.nonlinearity) for j in range(1, last + 1)]
+    assert last == 5549  # the default sweep steps until its p = 1.5 row blows up
 
 
 def test_tune_amplitude_doubles_until_blowup():
