@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclab import _kernels, fracops
 from fraclab.errors import ParameterError
 from fraclab.fracops import TimeGrid, TimeSeries
+from fraclab.solver import bump_profile
 
 
 def series(fn, n=256, horizon=1.0):
@@ -81,7 +82,19 @@ def direct_conv(w, v, nout):
     return out
 
 
+B = _kernels._BLOCK
+
+
+def _truncated_at(nout, n=3 * B):
+    # the frac that makes length-n inputs give exactly nout outputs
+    return dict(nw=n, nv=n, extra=None, frac=(nout + 0.5) / (2 * n - 1))
+
+
 @settings(max_examples=60, deadline=None)
+@example(**_truncated_at(B), seed=1)  # no lagged block
+@example(**_truncated_at(B + 1), seed=2)  # one lagged output
+@example(**_truncated_at(2 * B - 1), seed=3)
+@example(**_truncated_at(2 * B), seed=4)
 @given(
     nw=st.integers(1, 5000),
     nv=st.integers(1, 5000),
@@ -118,6 +131,60 @@ def test_zero_prefix_stays_exactly_zero():
     for out in (fracops.rl_integral(f, 0.4), fracops.caputo_left(f, 0.6)):
         assert np.all(out.values[quiet] == 0.0)
         assert np.all(out.values[~quiet] > 0.0)
+
+
+@pytest.mark.parametrize("k", [B - 1, B, B + 1, 2 * B, 3 * B - 1])
+@pytest.mark.parametrize("weights", ["signed", "power"])
+def test_zero_prefix_ending_at_a_block_edge(k, weights):
+    # the first nonzero sample sits on either side of a block edge: the
+    # lagged spectra of the zero blocks before it must add exact zeros
+    n = 5 * B + 3
+    rng = np.random.default_rng(k)
+    w = rng.standard_normal(n) if weights == "signed" else fracops.l1_weights(0.5, n)
+    v = rng.standard_normal(n)
+    v[:k] = 0.0
+    got = _kernels.causal_conv(w, v, n)
+    want = direct_conv(w, v, n)
+    assert np.all(got[:k] == 0.0)
+    assert np.all(got[k:k + 5] != 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_short_output_is_the_direct_sum():
+    # nout <= B has no lagged block: lag 0 alone, one matrix product
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(3 * B)
+    v = rng.standard_normal(2 * B)
+    for nout in (1, 2, B - 1, B):
+        got = _kernels.causal_conv(w, v, nout)
+        want = direct_conv(w, v, nout)
+        assert got.shape == (nout,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+@pytest.mark.parametrize("order", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("kind", ["l1", "rect"])
+def test_nonnegative_inputs_give_nonnegative_outputs(kind, order, n):
+    # fracops feeds these outputs to fractional powers: a tiny output that
+    # rounds below zero would turn into NaN.  Every entry keeps its sign and
+    # its own relative accuracy, also where the series is many orders of
+    # magnitude below its peak.
+    t = np.linspace(0.0, 1.0, n)
+    flat = (1.0 + t + t**2 + t**3) * (1.0 - t) ** 8  # order-8 flat end
+    cases = {
+        "flat": flat,
+        "flat reflected": flat[::-1],
+        "bump": bump_profile(6.0 * t - 3.0),
+        "onset": np.maximum(t - 0.3, 0.0) ** 2,
+    }
+    weights = {"l1": fracops.l1_weights, "rect": fracops.rect_weights}[kind]
+    w = weights(order, n)
+    for name, v in cases.items():
+        got = _kernels.causal_conv(w, v, n)
+        want = np.convolve(w, v)[:n]
+        assert np.all(got >= 0.0), name
+        assert np.all(np.abs(got - want) <= 1e-12 * want), name
 
 
 def test_integral_of_one_is_power():
