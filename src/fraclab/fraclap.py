@@ -3,8 +3,7 @@ r"""Fractional Laplacian on periodic grids and as a direct singular integral.
 Two independent realizations of ``(-Delta)^s``:
 
 * :func:`apply_spectral`: Fourier multiplier ``|xi|^{2s}`` on a periodic
-  box, in the rfft layout of :func:`rfft_layout`, one of the time stepper's
-  two, so checks of this path cover its transforms,
+  box, in the full-field rfft modes of :func:`rfft_layout`,
 * :func:`apply_singular_integral`: pointwise quadrature of
 
   .. math::
@@ -19,14 +18,10 @@ The two agree on smooth compactly supported fields and serve as each
 other's oracle in the tests.  The singular-integral path is 1-D; the
 spectral path covers 1-D and 2-D grids.
 
-Both of the stepper's mode layouts hand out real columns, one k² each.
-:func:`cosine_layout`, for fields even about a grid node on each axis, maps
-the samples ``q`` at offsets 0 ... M/2 from the node to the cosine modes
-``F q`` (1-D) or ``F q F^T`` (2-D), ``F[k, j] = w_j cos(2 pi k j / M)``
-(w = 1 at j = 0 and M/2, else 2), in place of the rfft layout's (real,
-imaginary) pairs; the tests check it against those and apply_spectral.
-In 2-D the fields are also symmetric under the swap of the axes, so the
-mode matrix is symmetric and only its triangle i <= j is handed out.
+The time stepper's one mode layout, :func:`cosine_layout`, hands out the
+real cosine modes of fields even about a grid node, one k² each; the
+tests check it against the full-field rfft modes of :func:`rfft_layout`,
+the same contract as (real, imaginary) pairs, and step the solver on both.
 """
 
 from __future__ import annotations
@@ -84,14 +79,18 @@ class SpaceGrid:
     def axis(self) -> np.ndarray:
         return -self.half_length + self.spacing * np.arange(self.points)
 
-    def radius(self, center=0.0) -> np.ndarray:
-        """|x - center| at every grid point (shape (M,) or (M, M)); a scalar
-        ``center`` means that coordinate on every axis, and a tuple must have
-        one per axis."""
-        x = self.axis()
+    def coords(self, center) -> tuple:
+        """``center`` as one coordinate per axis; a scalar means it on every axis."""
         coords = center if isinstance(center, tuple) else (center,) * self.dim
         if len(coords) != self.dim:
             raise ParameterError(f"center {center} does not fit a {self.dim}-D grid")
+        return coords
+
+    def radius(self, center=0.0) -> np.ndarray:
+        """|x - center| at every grid point (shape (M,) or (M, M)), ``center``
+        as :meth:`coords` reads it."""
+        x = self.axis()
+        coords = self.coords(center)
         if self.dim == 1:
             return np.abs(x - coords[0])
         cx, cy = coords
@@ -101,13 +100,17 @@ class SpaceGrid:
         return (self.points,) * self.dim
 
 
+# 1-D cosine transforms are dense products up to this many points, FFTs above:
+# the two forward-and-inverse pairs cost the same at 512 (one BLAS thread).
+DENSE_POINTS = 512
+
+
 def rfft_layout(grid: SpaceGrid):
-    """Squared wavenumbers, flattened, their shape, and the forward and inverse
-    transforms over the trailing space axes, batched over leading ones, with
-    each rfft mode as its (real, imaginary) pair of columns, one k² each, flat."""
-    m = grid.points
-    # built once: a dtype per view call is measurable in a step
-    real, pairs = np.dtype(np.float64), np.dtype(np.complex128)
+    """Squared wavenumbers, flattened, their shape (which perfbench/layers.py
+    unpacks), and the forward and inverse transforms over the trailing space
+    axes, batched over leading ones, with each rfft mode as its (real,
+    imaginary) pair of columns, one k² each, flat."""
+    m, real, pairs = grid.points, np.float64, np.complex128
     if grid.dim == 1:
         k2 = (2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)) ** 2
         fwd = lambda a: np.fft.rfft(a).view(real)
@@ -116,20 +119,19 @@ def rfft_layout(grid: SpaceGrid):
         kx = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
         ky = 2.0 * math.pi * np.fft.rfftfreq(m, d=grid.spacing)
         k2 = kx[:, None] ** 2 + ky[None, :] ** 2
-        # rfftn/irfftn over the last two axes, without their argument handling
-        fwd = lambda a: np.fft.fft(np.fft.rfft(a), axis=-2).view(real).reshape(*a.shape[:-2], -1)
-        inv = lambda c: np.fft.irfft(np.fft.ifft(
-            c.reshape(*c.shape[:-1], m, -1).view(pairs), axis=-2), n=m)
+        fwd = lambda a: np.fft.rfftn(a, axes=(-2, -1)).view(real).reshape(*a.shape[:-2], -1)
+        inv = lambda c: np.fft.irfftn(c.reshape(*c.shape[:-1], m, -1).view(pairs),
+                                      s=(m, m), axes=(-2, -1))
     k2 = np.repeat(k2, 2, axis=-1).ravel()
     return k2, k2.shape, fwd, inv
 
 
 def cosine_layout(grid: SpaceGrid, node):
-    r"""``(k2, shape, fwd, inv, gather, unfold)`` for fields even about the
-    grid node of indices ``node``, one per axis, held as their samples ``q``
-    at offsets 0 ... M/2 from it on each axis.  Their rfft modes measured
-    from the node are real and even, so (M/2+1)^dim cosine modes carry
-    them: ``fwd`` maps ``q`` to ``F q`` (1-D) or ``F q F^T`` (2-D), with
+    r"""``(k2, fwd, inv, gather, unfold)`` for fields even about the grid
+    node of indices ``node``, one per axis, held as their samples ``q`` at
+    offsets 0 ... M/2 from it on each axis.  Their rfft modes measured from
+    the node are real and even, so (M/2+1)^dim cosine modes carry them:
+    ``fwd`` maps ``q`` to ``F q`` (1-D) or ``F q F^T`` (2-D), with
 
     .. math::
 
@@ -140,21 +142,32 @@ def cosine_layout(grid: SpaceGrid, node):
     way, both over leading axes.  A 1-D product is ``q F^T``, one ``@``:
     rows stacked as ``(..., 1, M/2+1)``, the stepper's shape, are one
     product each, while an ``(n, M/2+1)`` block is one product whose rows
-    round with the block.  In 2-D the fields must also read the same at
-    offsets (a, b) and (b, a), as a radial field about the node does: then
-    ``F q F^T`` is symmetric, and its modes are the T = (M/2+1)(M/2+2)/2
-    entries i <= j, row by row (``shape`` is ``(T,)``).  ``fwd`` takes that triangle of the product, and ``inv``
-    mirrors it back to the square first.  ``gather`` reads a full field's
-    samples; ``unfold`` makes the full field, offset o reading the sample
-    at min(o, M - o).
+    round with the block.  Above ``DENSE_POINTS`` points the 1-D transforms
+    are FFTs of the whole-sample even extension, row by row, and no
+    (M/2+1)^2 matrix is built (Martucci, IEEE TSP 42, 1994).  In 2-D the
+    fields must also read the same at offsets (a, b) and (b, a), as a
+    radial field about the node does: then ``F q F^T`` is symmetric, and its
+    modes are the T = (M/2+1)(M/2+2)/2 entries i <= j, row by row.  ``fwd``
+    takes that triangle of the product, and ``inv`` mirrors it back to the
+    square first.  ``gather`` reads a full field's samples; ``unfold`` makes the
+    full field, offset o reading the sample at min(o, M - o).
     """
     m = grid.points
     half = np.arange(m // 2 + 1)
+    read = np.ix_(*((n + half) % m for n in node))
+    back = np.ix_(*(np.minimum(d, m - d) for d in ((np.arange(m) - n) % m for n in node)))
+    gather = lambda a: a[(..., *read)]
+    unfold = lambda q: q[(..., *back)]
+    k = 2.0 * math.pi * (half * (1.0 / (m * grid.spacing)))  # rfftfreq's, without numpy.fft
+    if grid.dim == 1 and m > DENSE_POINTS:
+        # F q is the real rfft of q's even extension, and G c the head of irfft(c)
+        fwd = lambda a: np.fft.rfft(np.concatenate([a, a[..., -2:0:-1]], axis=-1)).real
+        inv = lambda c: np.fft.irfft(c, n=m)[..., : half.size]
+        return k**2, fwd, inv, gather, unfold
     w = np.where((half == 0) | (half == m // 2), 1.0, 2.0)
     # k j reduced mod M first, so the cosines' arguments are exact to rounding
     f = w * np.cos(2.0 * math.pi * (np.outer(half, half) % m) / m)
     g = f / m
-    k = 2.0 * math.pi * (half * (1.0 / (m * grid.spacing)))  # rfftfreq's, without numpy.fft
     if grid.dim == 1:
         k2 = k**2
         # transposed views, which BLAS rounds unlike contiguous copies
@@ -174,11 +187,7 @@ def cosine_layout(grid: SpaceGrid, node):
         # ndarray.take, not np.take, whose Python-level dispatch a 64^2 step feels
         fwd = lambda a: (f @ a @ ft).reshape(*a.shape[:-2], -1).take(tri, axis=-1)
         inv = lambda c: g @ c.take(mirror, axis=-1) @ gt
-    read = np.ix_(*((n + half) % m for n in node))
-    back = np.ix_(*(np.minimum(d, m - d) for d in ((np.arange(m) - n) % m for n in node)))
-    gather = lambda a: a[(..., *read)]
-    unfold = lambda q: q[(..., *back)]
-    return k2, k2.shape, fwd, inv, gather, unfold
+    return k2, fwd, inv, gather, unfold
 
 
 @dataclass

@@ -234,8 +234,9 @@ def run_config(spec: ExperimentSpec) -> SimConfig:
     """The run ``simulate`` advances and a sweep varies in ``p``.
 
     Built once, while the spec is resolved: the config refuses a bad
-    threshold or amplitude, rendering the bump once refuses a bump that
-    does not fit its box, and a damping or source order whose memory order
+    threshold or amplitude, rendering the bump once, on the grid node
+    nearest its centre as the run does, refuses a bump that does not fit
+    its box there, and a damping or source order whose memory order
     1 - order rounds to 1 is refused by its key, before any run starts."""
     params = spec.system_params if spec.mode == "system-sweep" else spec.params
     blocks = (params.first, params.second) if isinstance(params, SystemParamSet) else (params,)
@@ -249,7 +250,7 @@ def run_config(spec: ExperimentSpec) -> SimConfig:
         params=params, space=spec.space, time=spec.time, bump=spec.bump,
         threshold=spec.threshold, snapshot_every=spec.snapshot_every,
     )
-    spec.bump.render(spec.space)
+    solver.nearest_node(spec.space, spec.bump)[1].render(spec.space)
     return config
 
 
@@ -585,22 +586,25 @@ def exponent_query(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------- simulate
 
 
-def _grid_header(title: str, space: SpaceGrid, time_grid: TimeGrid,
+def _grid_header(title: str, spec: ExperimentSpec, time_grid: TimeGrid,
                  columns: str) -> list:
+    # a run off a grid node is its nearest node's run, on the grid moved by the offset
+    space, offset = spec.space, solver.nearest_node(spec.space, spec.bump)[2]
+    origin = f" origin={','.join(map(_fmt, offset))}" if any(offset) else ""
     return [
         f"# fraclab {title}",
         f"# dim={space.dim} points={space.points} "
-        f"half_length={_fmt(space.half_length)} spacing={_fmt(space.spacing)}",
+        f"half_length={_fmt(space.half_length)} spacing={_fmt(space.spacing)}{origin}",
         f"# horizon={_fmt(time_grid.horizon)} steps={time_grid.steps} "
         f"h={_fmt(time_grid.h)}",
         f"# columns: {columns}",
     ]
 
 
-def render_snapshots(space: SpaceGrid, time_grid: TimeGrid, snaps) -> str:
+def render_snapshots(spec: ExperimentSpec, snaps) -> str:
     """Delimited text: metadata header lines, then one row (t, values...)
     per snapshot, 12 significant digits, row-major flattening in 2-D."""
-    lines = _grid_header("snapshots", space, time_grid,
+    lines = _grid_header("snapshots", spec, spec.time,
                          "t value[i] (grid values flattened row-major)")
     for t, field in snaps:
         row = [_fmt(t)] + [_fmt(v) for v in field.values.ravel()]
@@ -608,9 +612,9 @@ def render_snapshots(space: SpaceGrid, time_grid: TimeGrid, snaps) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_trace(space: SpaceGrid, result) -> str:
+def render_trace(spec: ExperimentSpec, result) -> str:
     grid = result.trace.grid
-    lines = _grid_header("sup-norm trace", space, grid, "t supnorm")
+    lines = _grid_header("sup-norm trace", spec, grid, "t supnorm")
     t = grid.nodes()
     for i, v in enumerate(result.trace.values):
         lines.append(f"{_fmt(t[i])} {_fmt(v)}")
@@ -633,8 +637,8 @@ def simulate(spec: ExperimentSpec) -> tuple:
     ]
     saved = ""
     if spec.out:
-        saved = (render_snapshots(spec.space, spec.time, result.snapshots)
-                 if result.snapshots else render_trace(spec.space, result))
+        saved = (render_snapshots(spec, result.snapshots)
+                 if result.snapshots else render_trace(spec, result))
         lines.append(f"wrote {spec.out}")
     code = EXIT_NUMERICS if result.status == "Diverged" else EXIT_OK
     return "\n".join(lines) + "\n", saved, code

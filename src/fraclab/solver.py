@@ -38,21 +38,18 @@ row, which adds exactly zero, so all 3C sums hold the same number of rows
 and form one :class:`MemorySum` of C groups of three that fills, sums each
 group and folds in lock step; a step writes its rows in place into the
 next window slot and makes one inverse and one forward transform for all
-components.  Every operator acts on a mode through |k|, so both mode
-layouts hand out real columns with one k² each.  A run whose data are
-bumps with one centre on a grid node, and no ``u0`` or ``v0_init``, stays
-even about that node on each axis (``|u|^p`` is pointwise), so it steps
-on the samples at offsets 0 ... M/2 from the node alone, in the cosine
-modes of :func:`fraclap.cosine_layout`.  In 2-D those data also stay
-symmetric under the swap of the axes about the node (the bumps are
-radial, and |k|² = k₁² + k₂²), so it advances only the triangle i <= j of
-the symmetric mode matrix, half the columns.  Every other run steps on full
-fields in the rfft modes of :func:`fraclap.rfft_layout`, as pairs, which
-:func:`fraclap.apply_spectral` and so its checks use too.  Summed directly
-the sums would cost O(j) at step j and keep every row; a :class:`MemorySum`
-keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` = 24 rows exact and
-folds older ones, ``BLOCK`` = 16 at a time, into a reduced
-sum-of-exponentials (SOE) state.  The SOE fit of each sum's weights
+components.  Every run steps as its bumps moved to the grid node nearest
+their shared centre (:func:`nearest_node`).  Those data and the constant
+``u0`` stay even about the node on each axis (every operator acts on a
+mode through |k|, and ``|u|^p`` is pointwise), so a run steps on the
+samples at offsets 0 ... M/2 from it alone, in the real cosine modes of
+:func:`fraclap.cosine_layout`.  In 2-D they also stay symmetric under the
+swap of the axes (the bumps are radial), so a run advances only the
+triangle i <= j of the symmetric mode matrix, half the columns.  Summed
+directly the sums would cost O(j) at step j and keep every row; a
+:class:`MemorySum` keeps the newest ``WINDOW`` = 8 to ``WINDOW + BLOCK`` =
+24 rows exact and folds older ones, ``BLOCK`` = 16 at a time, into a
+reduced sum-of-exponentials (SOE) state.  The SOE fit of each sum's weights
 (:func:`fracops.soe_weights`; Jiang, Zhang, Zhang & Zhang, CiCP 21, 2017)
 has 70 to 133 terms, and only a group's total is read: the read
 functionals of its three fits together span only r' = 40 to 68
@@ -77,8 +74,9 @@ import numpy as np
 
 from .errors import NumericsError, ParameterError
 from .exponents import ParamSet, SystemParamSet
-# _Channel finds the mode layout through this module global at each run
-from .fraclap import Field, SpaceGrid, cosine_layout, rfft_layout as _mode_layout
+from .fraclap import Field, SpaceGrid, cosine_layout
+# no run steps on the rfft layout; perfbench/layers.py still wraps this name
+from .fraclap import rfft_layout as _mode_layout
 from .fracops import TimeGrid, TimeSeries, l1_weights, rect_weights, soe_weights
 
 
@@ -117,7 +115,8 @@ class BumpSpec:
 
     def render(self, grid: SpaceGrid) -> Field:
         if np.max(np.abs(np.atleast_1d(self.center))) + 2.0 * self.width > grid.half_length:
-            raise ParameterError("bump support does not fit inside the box")
+            raise ParameterError(f"bump support does not fit inside the box (centre "
+                                 f"{self.center}, half_length {grid.half_length:g})")
         return Field(grid, self.amplitude * bump_profile(grid.radius(self.center) / self.width))
 
 
@@ -130,11 +129,12 @@ def default_space_grid(dim: int, bump: BumpSpec, points: int) -> SpaceGrid:
 class SimConfig:
     """Everything one run needs.
 
-    ``bump`` is the initial velocity; ``u0`` (default zero, as the blow-up
-    results assume) the initial datum.  ``bump2``/``v0_init`` are the second
-    component's data (``bump2`` defaults to ``bump``), read by :func:`march`
-    for every ``SystemParamSet`` entry (``run_system`` and each
-    ``system-sweep`` row); they are validated like the first component's.
+    ``bump`` is the initial velocity, and ``u0`` the initial datum, one
+    constant for every component (default zero, as the blow-up results
+    assume).  ``bump2`` is the second component's initial velocity (default
+    ``bump``, whose centre it must share: a run steps about the node of
+    :func:`nearest_node`), read by :func:`march` for every
+    ``SystemParamSet`` entry (``run_system`` and each ``system-sweep`` row).
     Negative initial velocities are refused: the blow-up theorems assume
     nonnegative ones.
     ``snapshot_every`` > 0 stores every k-th state of every component for
@@ -146,8 +146,7 @@ class SimConfig:
     time: TimeGrid
     bump: BumpSpec
     bump2: BumpSpec | None = None
-    u0: Field | None = None
-    v0_init: Field | None = None
+    u0: float = 0.0
     threshold: float = 1e8
     nonlinearity: bool = True
     snapshot_every: int = 0
@@ -161,13 +160,12 @@ class SimConfig:
             )
         if min(b.amplitude for b in (self.bump, self.bump2) if b is not None) < 0.0:
             raise ParameterError("the blow-up theorems assume nonnegative initial velocities")
-        for name, datum in (("u0", self.u0), ("v0_init", self.v0_init)):
-            if datum is not None and datum.grid != self.space:
-                raise ParameterError(f"{name} lives on a different grid")
-            if datum is not None and datum.sup_norm() >= self.threshold:
-                raise ParameterError(
-                    f"threshold must exceed the initial sup-norm of {name}"
-                )
+        if not abs(self.u0) < self.threshold:  # a nan too
+            raise ParameterError(f"u0 must be finite and below the threshold, got {self.u0}")
+        at = lambda b: self.space.coords(b.center)
+        if self.bump2 is not None and at(self.bump2) != at(self.bump):
+            raise ParameterError(f"bump2 must share bump's centre {self.bump.center}, "
+                                 f"got {self.bump2.center}")
 
 
 @dataclass
@@ -419,36 +417,32 @@ def _zero_padded(arrays) -> np.ndarray:
 class _Channel:
     """The C components of the first-order system, advanced together.
 
-    ``comps[i]`` is ``(ParamSet, u0, v0)``: component i is an equation of
-    the scalar form, and its source, on with the config's ``nonlinearity``,
-    is I^{1-gamma}|u_{feeds[i]}|^p with its own gamma and p.  At step j the
-    history holds, in one group per component, a zero row and v_k - v_{k-1}
-    for 0 < k < j (weights b), a zero row and v_{k-1} + v_k (weights w), and
-    the modes of |u_{feeds[i]}|^p at every k < j (0 if off), each scaled by
-    its factor in v_j = a v_{j-1} + b u_{j-1} + the group's total, and
-    written in place into the history's next slot.  The modes, real columns
-    with one k² each, are the cosine layout's when :func:`_even_node` finds
-    a node (in 2-D the triangle of a symmetric mode matrix), and the rfft
-    layout's, looked up as ``_mode_layout``, otherwise; the states are the
-    layout's samples, and ``unfold`` makes a component's ``u[0]`` a full
-    field.  Each component
-    is one row, so a step reshapes nothing: the modes, ``a``, ``b``, the
-    ``scale`` rows and the history's totals and slot parts are ``(C, 1,
-    cols)``, its product's shape, and the samples ``(C, 1, ...)``, the 1-D
-    cosine products'.  A step is that product, ten elementwise updates,
-    one inverse, ``|u|^p`` (one power if the powers agree), one forward
-    transform, its row's scale and one reduction for the sup-norms.
+    ``comps[i]`` is ``(ParamSet, v0)``: component i is an equation of the
+    scalar form from the config's ``u0``, and its source, on with the
+    config's ``nonlinearity``, is I^{1-gamma}|u_{feeds[i]}|^p with its own
+    gamma and p.  At step j the history holds, in one group per component,
+    a zero row and v_k - v_{k-1} for 0 < k < j (weights b), a zero row and
+    v_{k-1} + v_k (weights w), and the modes of |u_{feeds[i]}|^p at every
+    k < j (0 if off), each scaled by its factor in v_j = a v_{j-1} + b
+    u_{j-1} + the group's total, and written in place into the history's
+    next slot.  The modes, real columns with one k² each, are those of
+    :func:`fraclap.cosine_layout` about the node of :func:`nearest_node`
+    (in 2-D a symmetric mode matrix's triangle), the states are its
+    samples, and ``unfold`` makes a component's ``u[0]`` a full field.
+    Each component is one row, so a step reshapes nothing: the modes,
+    ``a``, ``b``, the ``scale`` rows and the history's totals and slot
+    parts are ``(C, 1, cols)``, its product's shape, and the samples ``(C,
+    1, ...)``, the 1-D cosine products'.  A step is that product, ten
+    elementwise updates, one inverse, ``|u|^p`` (one power if the powers
+    agree), one forward transform, its row's scale and one reduction for
+    the sup-norms.
     """
 
     def __init__(self, config: SimConfig, comps, feeds):
         h = config.time.h
-        node = _even_node(config)
-        if node is None:
-            k2, _, self.fwd, self.inv = _mode_layout(config.space)
-            gather, self.unfold = np.asarray, np.copy
-        else:
-            k2, _, self.fwd, self.inv, gather, self.unfold = cosine_layout(config.space, node)
-        blocks, u0s, v0s = zip(*comps)
+        node, _, _ = nearest_node(config.space, config.bump)
+        k2, self.fwd, self.inv, gather, self.unfold = cosine_layout(config.space, node)
+        blocks, v0s = zip(*comps)
         factors, families = [], []
         for pr in blocks:
             c1 = h ** (-pr.alpha1) / math.gamma(2.0 - pr.alpha1)
@@ -472,8 +466,8 @@ class _Channel:
             self.power = lambda mag, p=powers[0]: mag ** p
         else:
             self.power = lambda mag, p=powers[0], feeds=np.array(feeds): mag[feeds] ** p
-        self.u0 = np.array(u0s)
-        u0, v0 = gather(np.array([u0s, v0s]))[:, :, None]
+        v0 = gather(np.array(v0s))[:, None]
+        u0 = np.full_like(v0, config.u0)
         self.space_axes = tuple(range(1, u0.ndim))
         self.uhat, self.vhat = self.fwd(u0), self.fwd(v0)
         # rows are kind-major: every Caputo row, then every damping row, then the sources
@@ -505,27 +499,6 @@ class _Channel:
         return u, np.maximum.reduce(mag, axis=self.space_axes).tolist()
 
 
-def _even_node(config: SimConfig):
-    """The grid indices, one per axis, of the node that ``config``'s data
-    are even about on each axis, or None.
-
-    Those are the data of a run without ``u0`` or ``v0_init`` whose bumps
-    (``bump``, and ``bump2`` when set) share one centre, in 2-D a float c
-    meaning (c, c), that is a point of ``grid.axis()`` on each axis.  Being
-    radial, such data read the same at offsets (a, b) and (b, a) from the
-    node too, off the diagonal included, as the 2-D cosine layout needs.
-    """
-    if config.u0 is not None or config.v0_init is not None:
-        return None
-    centers = {b.center if isinstance(b.center, tuple) else (b.center,) * config.space.dim
-               for b in (config.bump, config.bump2) if b is not None}
-    if len(centers) != 1:
-        return None
-    axis = config.space.axis()
-    node = [np.flatnonzero(axis == c) for c in centers.pop()]
-    return tuple(int(i[0]) for i in node) if all(i.size for i in node) else None
-
-
 def detect_blowup(trace: TimeSeries, threshold: float):
     """First threshold crossing of a sup-norm trace, linearly interpolated.
 
@@ -547,21 +520,32 @@ def detect_blowup(trace: TimeSeries, threshold: float):
     return float((j - 1) * grid.h + frac * grid.h)
 
 
+def nearest_node(grid: SpaceGrid, bump: BumpSpec):
+    """``(node, moved, offset)``: the indices of the grid node nearest
+    ``bump``'s centre, ``bump`` moved there, and the centre minus the node,
+    one per axis.  On the periodic box moving data only translates the
+    solution, so a run is its nearest-node run, read on the grid moved by
+    ``offset``: the same traces, blow-up time and fields."""
+    axis, coords = grid.axis(), grid.coords(bump.center)
+    node = tuple(int(np.argmin(np.abs(axis - c))) for c in coords)
+    at = tuple(float(axis[i]) for i in node)
+    return node, replace(bump, center=at), tuple(c - a for c, a in zip(coords, at))
+
+
 def _group(config: SimConfig, pr):
     """The components and feeds of ``config``'s run with the parameters
     ``pr``: a ``ParamSet`` is one component fed by itself, a
-    ``SystemParamSet`` its two blocks fed crosswise."""
+    ``SystemParamSet`` its two blocks fed crosswise; the bumps sit on the
+    grid node nearest their centre."""
     if pr.dim != config.space.dim:
         raise ParameterError("params.dim and space.dim disagree")
-    space, zero = config.space, np.zeros(config.space.shape())
-    u = (zero if config.u0 is None else config.u0.values,
-         config.bump.render(space).values)
+    space = config.space
+    _, bump, _ = nearest_node(space, config.bump)
     if isinstance(pr, ParamSet):
-        return [(pr, *u)], [0]
-    bump2 = config.bump2 if config.bump2 is not None else config.bump
-    v = (zero if config.v0_init is None else config.v0_init.values,
-         bump2.render(space).values)
-    return [(pr.first, *u), (pr.second, *v)], [1, 0]
+        return [(pr, bump.render(space).values)], [0]
+    bump2 = bump if config.bump2 is None else replace(config.bump2, center=bump.center)
+    return [(pr.first, bump.render(space).values),
+            (pr.second, bump2.render(space).values)], [1, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -592,10 +576,11 @@ def march(config: SimConfig, params) -> list:
     space, time = config.space, config.time
     n, h, threshold = time.steps, time.h, config.threshold
     nonlinear, every = config.nonlinearity, config.snapshot_every
-    prev = [float(np.abs(u).max()) for u in stepper.u0]
+    u0 = np.full(space.shape(), float(config.u0))
+    prev = [abs(float(config.u0))] * len(comps)
     traces = np.zeros((len(prev), n + 1))  # pages past the last stop step stay untouched
     traces[:, 0] = prev
-    snaps = [[(0.0, Field(space, u.copy()))] if every else None for u in stepper.u0]
+    snaps = [[(0.0, Field(space, u0.copy()))] if every else None for _ in comps]
     out = [None] * len(spans)
     live = list(enumerate(spans))
     below = float(threshold).__gt__  # False for a nan

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,13 +193,15 @@ def test_both_layouts_hand_out_real_columns_with_one_k2_each(rng, dim):
     g = SpaceGrid(dim, 7.3, 32)
     node = (5,) * dim
     q, vals = even_about(rng, g.points, node)
-    rfft = fraclap.rfft_layout(g)
-    for (k2, shape, fwd, inv, *_), field in ((rfft, vals), (cosine_layout(g, node), q)):
-        assert k2.dtype == np.float64 and k2.shape == (math.prod(shape),)
+    k2, shape, fwd, inv = fraclap.rfft_layout(g)
+    assert shape == k2.shape  # the rfft layout also hands out its flat shape
+    rfft = k2, fwd, inv
+    for (k2, fwd, inv), field in ((rfft, vals), (cosine_layout(g, node)[:3], q)):
+        assert k2.dtype == np.float64 and k2.ndim == 1
         modes = fwd(np.stack([field, 2.0 * field]))
-        assert modes.dtype == np.float64 and modes.shape == (2, *shape)
+        assert modes.dtype == np.float64 and modes.shape == (2, k2.size)
         assert np.max(np.abs(inv(modes)[1] - 2.0 * field)) <= 1e-14 * np.max(np.abs(field))
-    fwd = rfft[2]
+    fwd = rfft[1]
     assert np.array_equal(fwd(vals).view(np.complex128),
                           np.fft.rfft(vals) if dim == 1 else np.fft.rfftn(vals).ravel())
 
@@ -215,10 +218,11 @@ def even_about(rng, points, node):
     return half, half[fold]
 
 
-@pytest.mark.parametrize("points", [16, 64])
+@pytest.mark.parametrize("points", [16, 64, 1024, 2048])
 def test_cosine_layout_is_the_rfft_layout_of_even_fields(rng, points):
-    k, m = points // 2 + 1, points
-    for dim in (1, 2):
+    # above fraclap.DENSE_POINTS the 1-D transforms are FFTs
+    m = points
+    for dim in (1, 2) if points <= 64 else (1,):
         g = SpaceGrid(dim, 7.3, points)
         for node in ((0,) * dim, (m // 2,) * dim, tuple(rng.integers(1, m // 2, dim)),
                      tuple(rng.integers(m // 2 + 1, m, dim))):
@@ -228,10 +232,10 @@ def test_cosine_layout_is_the_rfft_layout_of_even_fields(rng, points):
 def check_cosine_layout(rng, g, node):
     dim, k = g.dim, g.points // 2 + 1
     q, vals = even_about(rng, g.points, node)
-    k2, shape, fwd, inv, gather, unfold = cosine_layout(g, node)
+    k2, fwd, inv, gather, unfold = cosine_layout(g, node)
     # 2-D modes are the triangle i <= j of the symmetric (k, k) mode matrix
     tri = (lambda a: a) if dim == 1 else (lambda a: a[np.triu_indices(k)])
-    assert shape == ((k,) if dim == 1 else (k * (k + 1) // 2,))
+    assert k2.shape == ((k,) if dim == 1 else (k * (k + 1) // 2,))
     assert np.array_equal(gather(vals), q) and np.array_equal(unfold(q), vals), node
     modes = fwd(q)
     # the rfft modes measured from the node, Nyquist rows included
@@ -242,11 +246,11 @@ def check_cosine_layout(rng, g, node):
     assert np.max(np.abs(modes - tri(ref.real))) <= 1e-13 * scale, node
     # one rfft k2 per (real, imaginary) pair of columns, the rfft modes flat
     ref_k2 = fraclap.rfft_layout(g)[0].reshape(*g.shape()[:-1], -1)
-    assert np.array_equal(k2.reshape(shape), tri(ref_k2[..., ::2][:k]))
+    assert np.array_equal(k2, tri(ref_k2[..., ::2][:k]))
     assert np.max(np.abs(inv(modes) - q)) <= 1e-14 * np.max(np.abs(q)), node
     for s in (0.2, 0.5, 1.0):
         want = apply_spectral(Field(g, vals), s).values
-        got = unfold(inv(modes * k2.reshape(shape) ** s))
+        got = unfold(inv(modes * k2**s))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (node, s)
     # leading axes batch, and a row's result does not depend on the others
     # when each comes as a (1, ...) stack, as the stepper holds them: in 1-D
@@ -257,6 +261,20 @@ def check_cosine_layout(rng, g, node):
     assert np.array_equal(inv(batch)[0], inv(batch[:1])[0])
     assert np.array_equal(gather(np.stack([vals, vals]))[1], q)
     assert np.array_equal(unfold(np.stack([q, q]))[1], vals)
+
+
+def test_cosine_layout_builds_no_dense_matrix_above_the_crossover():
+    # one (M/2+1)^2 matrix of floats would take 134 MB at M = 8192
+    g = SpaceGrid(1, 20.0, 8192)
+    tracemalloc.start()
+    try:
+        k2, fwd, inv, *_ = cosine_layout(g, (4096,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.points > fraclap.DENSE_POINTS and peak < 2**20, peak
+    q = np.ones((1, k2.size))
+    assert np.allclose(inv(fwd(q)), q, rtol=0.0, atol=1e-14)
 
 
 def test_normalization_constant():

@@ -791,6 +791,34 @@ def test_main_simulate_trace_and_snapshot_files(monkeypatch, tmp_path, capsys):
     assert first[0] == "0" and len(first) == 1 + 64
 
 
+def test_a_centre_off_a_node_runs_as_its_node_and_says_so(monkeypatch, tmp_path, capsys):
+    # 0.15625 is one cell of the default 256-point box, and the node nearest
+    # 0.1: both print the same, and only the trace of the run off its node
+    # names the offset of the grid its values sit on
+    clear_fraclab_env(monkeypatch)
+    monkeypatch.setenv("FRACLAB_TIME_HORIZON", "0.2")
+    monkeypatch.setenv("FRACLAB_TIME_STEPS", "200")
+    out = tmp_path / "trace.txt"
+    runs = {}
+    for center in ("0.1", "0.15625", "0"):
+        monkeypatch.setenv("FRACLAB_BUMP_CENTER", center)
+        assert harness.main(["simulate", "--out", str(out)]) == EXIT_OK
+        runs[center] = capsys.readouterr().out, out.read_text().splitlines()
+    (off, off_file), (node, node_file), (_, zero_file) = runs.values()
+    assert off == node
+    assert off_file[1] == node_file[1] + " origin=-0.05625"
+    assert off_file[:1] + off_file[2:] == node_file[:1] + node_file[2:]
+    assert not any("origin=" in line for line in node_file + zero_file)
+    # a centre whose bump fits the box, but not from its nearest node, is refused
+    monkeypatch.setenv("FRACLAB_SPACE_POINTS", "64")  # nodes 17.5, 18.125
+    monkeypatch.setenv("FRACLAB_BUMP_CENTER", "17.9")
+    assert harness.main(["simulate"]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, lines
+    assert lines[0].startswith("error: bump support does not fit inside the box")
+
+
 def test_main_sweep_writes_csv(monkeypatch, tmp_path, capsys):
     clear_fraclab_env(monkeypatch)
     ini = tmp_path / "sw.ini"

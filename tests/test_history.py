@@ -11,8 +11,8 @@ runs must keep the blow-up times the direct sums gave.
 """
 
 import argparse
+import contextlib
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ import pytest
 from fraclab import _kernels, fracops, harness, solver
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
-from fraclab.fraclap import Field, SpaceGrid
+from fraclab.fraclap import SpaceGrid
 from fraclab.fracops import TimeGrid, l1_weights, rect_weights, soe_weights
 from fraclab.solver import (BLOCK, WINDOW, BumpSpec, HistoryBuffer, MemorySum, SimConfig,
                             reduced_soe)
@@ -462,24 +462,27 @@ def both_ways(monkeypatch, run, config):
     return fast, direct
 
 
-def both_layouts(config):
-    # bumps centred on a grid node run in the cosine layout; an explicit zero
-    # u0 keeps the same problem in the rfft layout
-    zero = Field(config.space, np.zeros(config.space.shape()))
-    return config, replace(config, u0=zero)
+def both_layouts(rfft_steps):
+    # runs step on the cosine modes, and under rfft_steps on the rfft modes
+    # of the same problem's full fields
+    return contextlib.nullcontext, rfft_steps
 
 
-def test_run_without_fold_is_bit_identical(monkeypatch):
-    for steps in (WINDOW + BLOCK - 1, WINDOW + BLOCK):
-        for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(0.5, steps),
-                                          BumpSpec(8.0, 1.0))):
-            fast, direct = both_ways(monkeypatch, solver.run, cfg)
+def test_run_without_fold_is_bit_identical(monkeypatch, rfft_steps):
+    cfgs = [SimConfig(PARAMS, GRID, TimeGrid(0.5, steps), BumpSpec(8.0, 1.0))
+            for steps in (WINDOW + BLOCK - 1, WINDOW + BLOCK)]
+    for layout in both_layouts(rfft_steps):
+        for cfg in cfgs:
+            with layout():
+                fast, direct = both_ways(monkeypatch, solver.run, cfg)
             assert np.array_equal(fast.trace.values, direct.trace.values)
 
 
-def test_run_matches_direct_history(monkeypatch):
-    for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(10.0, 2000), BumpSpec(8.0, 1.0))):
-        fast, direct = both_ways(monkeypatch, solver.run, cfg)
+def test_run_matches_direct_history(monkeypatch, rfft_steps):
+    cfg = SimConfig(PARAMS, GRID, TimeGrid(10.0, 2000), BumpSpec(8.0, 1.0))
+    for layout in both_layouts(rfft_steps):
+        with layout():
+            fast, direct = both_ways(monkeypatch, solver.run, cfg)
         assert fast.status == direct.status == "BlowUp"
         assert fast.steps_taken == direct.steps_taken
         assert fast.blowup_time == pytest.approx(direct.blowup_time, rel=1e-9, abs=0.0)
@@ -489,17 +492,18 @@ def test_run_matches_direct_history(monkeypatch):
                            rtol=1e-9, atol=0.0)
 
 
-def test_system_matches_direct_history(monkeypatch):
+def test_system_matches_direct_history(monkeypatch, rfft_steps):
     sp = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
-    for cfg in both_layouts(SimConfig(sp, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0),
-                                      bump2=BumpSpec(1.0, 1.0))):
-        fast, direct = both_ways(monkeypatch, solver.run_system, cfg)
+    cfg = SimConfig(sp, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0), bump2=BumpSpec(1.0, 1.0))
+    for layout in both_layouts(rfft_steps):
+        with layout():
+            fast, direct = both_ways(monkeypatch, solver.run_system, cfg)
         for f, d in zip(fast, direct):
             assert f.status == d.status
             assert np.allclose(f.trace.values, d.trace.values, rtol=1e-9, atol=0.0)
 
 
-def test_source_off_run_leaves_every_source_slot_zero(monkeypatch):
+def test_source_off_run_leaves_every_source_slot_zero(monkeypatch, rfft_steps):
     # a fold hands out its dropped rows' slots again without clearing them;
     # a run without the source never writes a source part, so each must
     # still hold the zeros the window started with, through all four folds
@@ -516,9 +520,10 @@ def test_source_off_run_leaves_every_source_slot_zero(monkeypatch):
             return row
 
     monkeypatch.setattr(solver, "MemorySum", Watched)
-    for cfg in both_layouts(SimConfig(PARAMS, GRID, TimeGrid(1.0, steps), BumpSpec(1.0, 1.0),
-                                      nonlinearity=False)):
-        assert solver.run(cfg).status == "Completed"
+    cfg = SimConfig(PARAMS, GRID, TimeGrid(1.0, steps), BumpSpec(1.0, 1.0), nonlinearity=False)
+    for layout in both_layouts(rfft_steps):
+        with layout():
+            assert solver.run(cfg).status == "Completed"
         hist = sums.pop()
         assert len(hist._window) == WINDOW + 6  # steps + 1 rows, four folds
         assert not np.any(hist._window.rows.reshape(WINDOW + BLOCK, 3, 1, -1)[:, 2])

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import os
 import subprocess
 import sys
@@ -13,17 +14,17 @@ import fraclab
 from fraclab.errors import NumericsError, ParameterError
 from fraclab.exponents import ParamSet, SystemParamSet
 from fraclab import harness, solver
-from fraclab.fraclap import Field, SpaceGrid, cosine_layout
+from fraclab.fraclap import SpaceGrid, cosine_layout
 from fraclab.fracops import TimeGrid, TimeSeries
 from fraclab.solver import (
     BumpSpec,
     SimConfig,
     _Channel,
-    _even_node,
     _group,
     bump_profile,
     default_space_grid,
     detect_blowup,
+    nearest_node,
     run,
     run_system,
     tune_amplitude,
@@ -93,25 +94,20 @@ def test_sim_config_validation():
         cfg(1.0, threshold=0.0)
     with pytest.raises(ParameterError):
         cfg(-1.0)
-    other = Field(SpaceGrid(1, 10.0, 128), np.zeros(128))
-    with pytest.raises(ParameterError):
-        cfg(1.0, u0=other)
-    big = Field(GRID, np.full(128, 5.0))
-    with pytest.raises(ParameterError):
-        cfg(1.0, u0=big, threshold=2.0)
+    for bad in (float("nan"), float("inf"), -5.0):
+        with pytest.raises(ParameterError, match="u0 must be finite and below the threshold"):
+            cfg(1.0, u0=bad, threshold=2.0)
 
 
 def test_sim_config_validates_the_second_component():
-    other = Field(SpaceGrid(1, 10.0, 128), np.zeros(128))
-    with pytest.raises(ParameterError, match="v0_init lives on a different grid"):
-        SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0), v0_init=other)
-    big = Field(GRID, np.full(128, 5.0))
-    with pytest.raises(ParameterError, match="initial sup-norm of v0_init"):
-        SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
-                  v0_init=big, threshold=2.0)
     with pytest.raises(ParameterError, match="nonnegative initial velocities"):
         SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
                   bump2=BumpSpec(-1.0, 1.0))
+    # rendered like the first component's, on the same node
+    c = SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0),
+                  bump2=BumpSpec(1.0, 12.0))
+    with pytest.raises(ParameterError, match="bump support does not fit inside the box"):
+        run_system(c)
 
 
 def test_sim_config_refuses_bad_numbers():
@@ -124,34 +120,28 @@ def test_sim_config_refuses_bad_numbers():
 PARAMS_2D = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)
 
 
-def layout(config):
-    # the cosine layout, k = M/2+1 mode columns in 1-D and the k(k+1)/2 of a
-    # symmetric k x k mode matrix's triangle in 2-D, for data even about a
-    # grid node; else the rfft layout, a (real, imaginary) pair of columns per mode
-    m, dim = config.space.points, config.space.dim
-    cols = _Channel(config, *_group(config, config.params)).history.total().shape[-1]
-    if _even_node(config) is None:
-        assert cols == 2 * m ** (dim - 1) * (m // 2 + 1)
-        return "rfft"
-    k = m // 2 + 1
-    assert cols == (k if dim == 1 else k * (k + 1) // 2)
-    return "cosine"
+def columns(config):
+    # the real mode columns a run of ``config`` advances
+    return _Channel(config, *_group(config, config.params)).history.total().shape[-1]
 
 
-def rfft_twin(config):
-    # the same problem with an explicit zero u0, which keeps the rfft layout
-    return replace(config, u0=Field(config.space, np.zeros(config.space.shape())))
+def cosine_columns(space):
+    # k = M/2+1 cosine modes in 1-D, the k(k+1)/2 of a symmetric k x k mode
+    # matrix's triangle in 2-D
+    k = space.points // 2 + 1
+    return k if space.dim == 1 else k * (k + 1) // 2
 
 
-def test_2d_run_raises_no_warnings():
+def test_2d_run_raises_no_warnings(rfft_steps):
     # the inverse 2-D transform once warned on every step under NumPy 2; the
-    # bump on a grid node runs in the cosine layout, its twin in the rfft one
+    # run steps on the cosine modes, and again on the rfft ones
     c = SimConfig(PARAMS_2D, SpaceGrid(2, 8.0, 16), TimeGrid(0.5, 8), BumpSpec(1.0, 1.0))
-    for config, kind in ((c, "cosine"), (rfft_twin(c), "rfft")):
-        assert layout(config) == kind
-        with warnings.catch_warnings():
+    for layout, cols in ((contextlib.nullcontext, cosine_columns(c.space)),
+                         (rfft_steps, 2 * 16 * 9)):
+        with layout(), warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = run(config)
+            assert columns(c) == cols
+            r = run(c)
         assert r.status == "Completed"
         assert r.steps_taken == 8
 
@@ -159,18 +149,21 @@ def test_2d_run_raises_no_warnings():
 GRID_2D = SpaceGrid(2, 8.0, 32)
 
 
-def assert_layouts_agree(c):
-    # a bump centred on a grid node runs in the cosine layout, and with an
-    # explicit zero u0 in the rfft layout; both blow up at the same step.
-    # The threshold is low because rounding differences grow with the
-    # solution near blow-up: a run translated by one cell in the rfft layout
-    # differs from the rfft run by ~2e-13 at threshold 1e8
-    assert layout(c) == "cosine"
-    twin = rfft_twin(c)
-    assert layout(twin) == "rfft"
-    scalar = isinstance(c.params, ParamSet)
-    results = [run(c)] if scalar else run_system(c)
-    refs = [run(twin)] if scalar else run_system(twin)
+def assert_layouts_agree(c, rfft_steps):
+    # the run on the cosine modes and on the rfft modes of the full fields
+    # blow up at the same step.  The threshold is low because rounding
+    # differences grow with the solution near blow-up: a run translated by
+    # one cell in the rfft layout differs from the rfft run by ~2e-13 at
+    # threshold 1e8
+    def go():
+        return [run(c)] if isinstance(c.params, ParamSet) else run_system(c)
+
+    assert columns(c) == cosine_columns(c.space)
+    results = go()
+    with rfft_steps():
+        m, dim = c.space.points, c.space.dim
+        assert columns(c) == 2 * m ** (dim - 1) * (m // 2 + 1)
+        refs = go()
     for r, ref in zip(results, refs):
         assert r.status == ref.status == "BlowUp"
         assert r.steps_taken == ref.steps_taken
@@ -193,10 +186,10 @@ def assert_layouts_agree(c):
     # axes, measured from the node
     dict(bump=BumpSpec(8.0, 1.0, center=(1.0, -1.5))),
 ], ids=["scalar", "snapshots", "system", "off-diagonal"])
-def test_2d_layouts_agree(config):
+def test_2d_layouts_agree(rfft_steps, config):
     config = {"params": PARAMS_2D, **config}
     c = SimConfig(space=GRID_2D, time=TimeGrid(4.0, 800), threshold=1e3, **config)
-    results = assert_layouts_agree(c)
+    results = assert_layouts_agree(c, rfft_steps)
     if c.snapshot_every:
         assert len(results[0].snapshots) == 7
 
@@ -208,49 +201,66 @@ def test_2d_layouts_agree(config):
          params=SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))),
     dict(bump=BumpSpec(8.0, 1.0, center=1.25), space=SpaceGrid(1, 20.0, 1024)),
 ], ids=["scalar", "snapshots", "system", "1024-points"])
-def test_1d_layouts_agree(config):
-    # 1.25 is four cells of GRID right of the origin, and 32 of the 1024-point grid
+def test_1d_layouts_agree(rfft_steps, config):
+    # 1.25 is four cells of GRID right of the origin, and 32 of the
+    # 1024-point grid, whose cosine transforms are FFTs
     config = {"params": PARAMS, "space": GRID, **config}
     c = SimConfig(time=TimeGrid(4.0, 800), threshold=1e3, **config)
-    results = assert_layouts_agree(c)
+    results = assert_layouts_agree(c, rfft_steps)
     if c.snapshot_every:
         assert len(results[0].snapshots) == 6
 
 
-def test_2d_layout_follows_the_data():
-    # the cosine layout needs data even about one grid node: bumps with one
-    # centre on a node of the axis (spacing 0.5 here, 0.3125 in 1-D), and no
-    # u0 or v0_init
-    zero = Field(GRID_2D, np.zeros(GRID_2D.shape()))
+@pytest.mark.parametrize("config", [
+    SimConfig(PARAMS, SpaceGrid(1, 20.0, 256), TimeGrid(50.0, 50000), BumpSpec(4.0, 1.0),
+              snapshot_every=1000),
+    SimConfig(PARAMS_2D, SpaceGrid(2, 8.0, 64), TimeGrid(4.0, 800), BumpSpec(8.0, 1.0),
+              threshold=1e3, snapshot_every=100),
+], ids=["1d-256", "2d-64"])
+def test_a_centre_off_a_node_runs_as_its_nearest_node(config):
+    # on the periodic box moving the bump only translates the solution, so
+    # a run at a centre off a node is its nearest node's run: the same
+    # trace and blow-up time at every centre in a cell, bit for bit where
+    # the nearest node is the same, and that run's fields
+    cell, axes = config.space.spacing, tuple(range(config.space.dim))
+    runs = {}
+    for frac in (0.0, 0.25, 0.5, 0.75):
+        c = replace(config, bump=replace(config.bump, center=frac * cell))
+        node, _, offset = nearest_node(c.space, c.bump)
+        # a tie goes to the lower node
+        assert offset == ((frac - (frac > 0.5)) * cell,) * config.space.dim
+        runs[frac] = node, run(c)
+    (home, ref), next_node = runs[0.0], runs[0.75][0]
+    assert [node for node, _ in runs.values()] == [home] * 3 + [next_node]
+    assert next_node == tuple(i + 1 for i in home)
+    for node, r in runs.values():
+        assert r.status == ref.status == "BlowUp"
+        assert r.steps_taken == ref.steps_taken
+        same = np.array_equal if node == home else (
+            lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0.0))
+        assert same(r.blowup_time, ref.blowup_time)
+        assert same(r.trace.values, ref.trace.values)
+        assert len(r.snapshots) == len(ref.snapshots) > 2
+        for (t, f), (t_ref, f_ref) in zip(r.snapshots, ref.snapshots):
+            # the node one cell on holds the same field one cell on
+            moved = np.roll(f_ref.values, 1 if node != home else 0, axis=axes)
+            assert t == t_ref
+            assert np.max(np.abs(f.values - moved)) <= 1e-12 * f_ref.sup_norm()
+
+
+def test_bump2_at_another_centre_is_refused():
+    # a run steps about one node, so both bumps must share their centre;
+    # in 2-D a float c means (c, c)
     pair = SystemParamSet(PARAMS_2D, PARAMS_2D)
-
-    def kind(bump_center=0.0, **kw):
-        params = pair if "bump2" in kw or "v0_init" in kw else PARAMS_2D
-        return layout(SimConfig(params, GRID_2D, TimeGrid(1.0, 10),
-                                BumpSpec(1.0, 1.0, center=bump_center), **kw))
-
-    for center in (0.0, 1.5, -3.0, (1.0, -2.5), (0.0, 0.0)):
-        assert kind(center) == "cosine", center
-    assert kind(2.0, bump2=BumpSpec(0.5, 1.5, center=(2.0, 2.0))) == "cosine"
-    for center in (0.25, (1.0, 0.3), (0.1, 1.0)):
-        assert kind(center) == "rfft", center
-    assert kind(bump2=BumpSpec(1.0, 1.0, center=0.5)) == "rfft"
-    assert kind(bump2=BumpSpec(1.0, 1.0, center=(0.0, 0.5))) == "rfft"
-    assert kind(u0=zero) == "rfft"
-    assert kind(v0_init=zero) == "rfft"
-
-    def kind_1d(center, **kw):
-        return layout(SimConfig(SYS_PARAMS if kw else PARAMS, GRID, TimeGrid(1.0, 10),
-                                BumpSpec(1.0, 1.0, center=center), **kw))
-
-    for center in (0.0, 0.3125, -2.5, 15.0):
-        assert kind_1d(center) == "cosine", center
-    assert kind_1d(1.25, bump2=BumpSpec(0.5, 1.5, center=1.25)) == "cosine"
-    for center in (0.1, 0.15625, -2.4):
-        assert kind_1d(center) == "rfft", center
-    assert kind_1d(0.0, bump2=BumpSpec(1.0, 1.0, center=0.3125)) == "rfft"
-    assert layout(rfft_twin(cfg(1.0, horizon=1.0, steps=10))) == "rfft"
-    assert kind_1d(0.0, v0_init=Field(GRID, np.zeros(GRID.shape()))) == "rfft"
+    for space, params, c1, c2 in ((GRID_2D, pair, 0.0, 0.5), (GRID_2D, pair, 0.0, (0.0, 0.5)),
+                                  (GRID_2D, pair, 0.3, (0.3, 0.30001)),
+                                  (GRID, SYS_PARAMS, 0.0, 0.3125)):
+        with pytest.raises(ParameterError, match="bump2 must share bump's centre"):
+            SimConfig(params, space, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0, center=c1),
+                      bump2=BumpSpec(0.5, 1.5, center=c2))
+    c = SimConfig(pair, GRID_2D, TimeGrid(1.0, 10), BumpSpec(1.0, 1.0, center=2.0),
+                  bump2=BumpSpec(0.5, 1.5, center=(2.0, 2.0)))
+    assert all(r.status == "Completed" for r in run_system(c))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -362,16 +372,15 @@ def test_linear_runs_self_converge():
 def test_source_off_never_reads_the_power():
     # with the nonlinearity off the power must not enter a run at all, not
     # even through the |u0|^p row the source sum starts from
-    u0 = Field(GRID, 0.5 * BumpSpec(1.0, 1.0).render(GRID).values)
     traces = []
     for p in (2.0, 3.0):
         params = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, p)
         sys_params = SystemParamSet(params, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, p))
         time = TimeGrid(2.0, 200)
-        scalar = run(SimConfig(params, GRID, time, BumpSpec(1.0, 1.0), u0=u0,
+        scalar = run(SimConfig(params, GRID, time, BumpSpec(1.0, 1.0), u0=0.5,
                                nonlinearity=False))
-        pair = run_system(SimConfig(sys_params, GRID, time, BumpSpec(1.0, 1.0), u0=u0,
-                                    v0_init=u0, nonlinearity=False))
+        pair = run_system(SimConfig(sys_params, GRID, time, BumpSpec(1.0, 1.0), u0=0.5,
+                                    nonlinearity=False))
         traces.append([r.trace.values for r in (scalar, *pair)])
     assert np.any(traces[0][0] != traces[0][0][0])
     for at_2, at_3 in zip(*traces):
@@ -379,8 +388,7 @@ def test_source_off_never_reads_the_power():
 
 
 def test_growth_guard_trips_on_coarse_linear_step():
-    u0 = Field(GRID, 1e-6 * BumpSpec(1.0, 1.0).render(GRID).values)
-    c = cfg(1e3, horizon=1.0, steps=100, u0=u0, nonlinearity=False)
+    c = cfg(1e3, horizon=1.0, steps=100, u0=1e-6, nonlinearity=False)
     with pytest.raises(NumericsError, match="reduce the time step"):
         run(c)
 
@@ -458,9 +466,8 @@ def test_symmetric_system_snapshots_match_scalar():
 
 def test_system_growth_guard_trips_on_coarse_linear_step():
     # only the second component is too coarse for its step
-    tiny = Field(GRID, 1e-6 * BumpSpec(1.0, 1.0).render(GRID).values)
     c = SimConfig(SYS_PARAMS, GRID, TimeGrid(1.0, 100), BumpSpec(1e-6, 1.0),
-                  bump2=BumpSpec(1e3, 1.0), u0=tiny, v0_init=tiny, nonlinearity=False)
+                  bump2=BumpSpec(1e3, 1.0), u0=1e-6, nonlinearity=False)
     with pytest.raises(NumericsError, match="reduce the time step"):
         run_system(c)
 
@@ -499,7 +506,7 @@ class ReferenceChannel(_Channel):
     def __init__(self, config, comps, feeds):
         super().__init__(config, comps, feeds)
         count, self.h = len(comps), config.time.h
-        self.feeds, self.powers = feeds, [pr.p for pr, _, _ in comps]
+        self.feeds, self.powers = feeds, [pr.p for pr, _ in comps]
         self.uhat, self.vhat, self.a, self.b = (
             x.reshape(count, -1) for x in (self.uhat, self.vhat, self.a, self.b))
         self.scale = [x.reshape(count, -1) for x in self.scale]
@@ -528,23 +535,28 @@ ASYM = SystemParamSet(PARAMS, ParamSet(0.6, 0.4, 0.2, 0.4, 0.8, 3.0))
 GRID_64 = SpaceGrid(2, 8.0, 64)
 
 
-@pytest.mark.parametrize("config,params", [
-    (cfg(8.0, snapshot_every=300), [PARAMS]),
-    (replace(cfg(8.0, snapshot_every=300), bump=BumpSpec(8.0, 1.0, center=0.1)), [PARAMS]),
+@pytest.mark.parametrize("config,params,rfft", [
+    (cfg(8.0, snapshot_every=300), [PARAMS], False),
+    (replace(cfg(8.0, snapshot_every=300), bump=BumpSpec(8.0, 1.0, center=0.1)), [PARAMS],
+     True),
+    (replace(cfg(8.0, snapshot_every=300), space=SpaceGrid(1, 20.0, 1024)), [PARAMS], False),
     (SimConfig(PARAMS_2D, GRID_64, TimeGrid(4.0, 800), BumpSpec(8.0, 1.0), threshold=1e3,
-               snapshot_every=100), [PARAMS_2D]),
+               snapshot_every=100), [PARAMS_2D], False),
     (SimConfig(PARAMS_2D, GRID_64, TimeGrid(4.0, 800), BumpSpec(8.0, 1.0, center=0.3),
-               threshold=1e3, snapshot_every=100), [PARAMS_2D]),
+               threshold=1e3, snapshot_every=100), [PARAMS_2D], True),
     (SimConfig(ASYM, GRID, TimeGrid(2.0, 400), BumpSpec(2.0, 1.0), bump2=BumpSpec(1.0, 1.0),
-               snapshot_every=50), [ASYM]),
-    (cfg(8.0, snapshot_every=200), [replace(PARAMS, p=p) for p in (1.5, 2.0, 3.0)]),
-], ids=["1d-cosine", "1d-rfft", "2d-triangle", "2d-rfft", "asymmetric-system", "sweep"])
-def test_lean_step_matches_the_reference_step(monkeypatch, config, params):
+               snapshot_every=50), [ASYM], False),
+    (cfg(8.0, snapshot_every=200), [replace(PARAMS, p=p) for p in (1.5, 2.0, 3.0)], False),
+], ids=["1d-cosine", "1d-rfft", "1d-fft", "2d-triangle", "2d-rfft", "asymmetric-system",
+        "sweep"])
+def test_lean_step_matches_the_reference_step(monkeypatch, rfft_steps, config, params, rfft):
     # every run passes at least three folds, and its traces, blow-up times
-    # and snapshots must be the reference's bit for bit
-    lean = solver.march(config, params)
-    monkeypatch.setattr(solver, "_Channel", ReferenceChannel)
-    reference = solver.march(config, params)
+    # and snapshots must be the reference's bit for bit, on the cosine
+    # modes (dense, or FFTs above fraclap.DENSE_POINTS) or the rfft ones
+    with rfft_steps() if rfft else contextlib.nullcontext():
+        lean = solver.march(config, params)
+        monkeypatch.setattr(solver, "_Channel", ReferenceChannel)
+        reference = solver.march(config, params)
     assert max(r.steps_taken for run in lean for r in run) >= solver.WINDOW + 3 * solver.BLOCK
     for run, ref in zip(lean, reference):
         for r, want in zip(run, ref):
@@ -604,20 +616,20 @@ def test_tune_amplitude_doubles_until_blowup():
 
 def test_tune_amplitude_keeps_the_rest_of_the_config():
     # every trial must run the given config with only the amplitude changed
-    u0 = Field(GRID, 0.5 * BumpSpec(1.0, 1.0).render(GRID).values)
-    base = cfg(0.25, horizon=6.0, steps=1200, u0=u0)
+    base = cfg(0.25, horizon=6.0, steps=1200, u0=0.5)
     amp, r = tune_amplitude(base, 0.25)
     assert r.trace.values[0] == 0.5
-    direct = run(cfg(amp, horizon=6.0, steps=1200, u0=u0))
+    direct = run(cfg(amp, horizon=6.0, steps=1200, u0=0.5))
     assert r.blowup_time == direct.blowup_time
     assert np.array_equal(r.trace.values, direct.trace.values)
 
 
-def test_node_centred_runs_load_no_numpy_submodule():
+def test_runs_on_dense_cosine_modes_load_no_numpy_submodule():
     # the Gauss-Legendre rules of the first fold's fits come from fracops'
     # Golub-Welsch solver and the cosine wavenumbers from arange, so the
-    # default 1-D run and a 2-D run on a grid node, each past its first fold,
-    # load neither numpy.polynomial nor numpy.fft
+    # default 1-D run, the same run off a node, and a 2-D run, each past its
+    # first fold and each at most fraclap.DENSE_POINTS points per axis, load
+    # neither numpy.polynomial nor numpy.fft
     code = (
         "import sys\n"
         "from fraclab.exponents import ParamSet\n"
@@ -625,7 +637,9 @@ def test_node_centred_runs_load_no_numpy_submodule():
         "from fraclab.fracops import TimeGrid\n"
         "from fraclab.solver import BumpSpec, SimConfig, run\n"
         "p = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0)\n"
-        "run(SimConfig(p, SpaceGrid(1, 20.0, 256), TimeGrid(50.0, 50000), BumpSpec(4.0, 1.0)))\n"
+        "for c in (0.0, 0.1):\n"
+        "    run(SimConfig(p, SpaceGrid(1, 20.0, 256), TimeGrid(50.0, 50000),\n"
+        "                  BumpSpec(4.0, 1.0, center=c)))\n"
         "p2 = ParamSet(0.5, 0.3, 0.25, 0.5, 0.7, 2.0, dim=2)\n"
         "run(SimConfig(p2, SpaceGrid(2, 20.0, 32), TimeGrid(0.5, 40), BumpSpec(4.0, 1.0)))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
